@@ -106,13 +106,16 @@ def _json_dump(obj, out: list[str]) -> None:
             out.append('"' + _fmt(x) + '"')
 
 
-def _emit(args, inputs: dict, columns, rows, constants: PhysicalConstants) -> None:
-    """Write one result table as CSV or a single JSON object."""
+def _emit(args, inputs: dict, columns, rows, constants: PhysicalConstants, outputs=None) -> None:
+    """Write one result table as CSV or a single JSON object.
+
+    ``outputs``, when given, is the JSON ``outputs`` object in place of the table.
+    """
     if args.format == "json":
         meta = {"version": __version__, "constants": {"c": constants.c, "G": constants.G, "hbar": constants.hbar}}
-        if len(rows) == 1:
+        if outputs is None and len(rows) == 1:
             outputs = dict(zip(columns, rows[0]))
-        else:
+        elif outputs is None:
             outputs = {"columns": list(columns), "rows": [list(r) for r in rows]}
         parts: list[str] = []
         _json_dump({"inputs": inputs, "outputs": outputs, "meta": meta}, parts)
@@ -448,43 +451,18 @@ def _cmd_verify(ns) -> int:
 
     inputs = {"scales": scales, "n_segments": ns.n_segments}
     columns = ("epsilon", "exact_shift", "predicted_shift", "residual")
-    rows = [
-        (e, ex, pr, r)
-        for e, ex, pr, r in zip(
-            report.epsilons, report.exact_shifts, report.predicted_shifts, report.residuals
-        )
+    rows = list(zip(report.epsilons, report.exact_shifts, report.predicted_shifts, report.residuals))
+    outputs = {
+        "residual_slope": report.slope,
+        "energy_ratio_drift": drift,
+        "all_converged": report.all_converged,
+        "table": {"columns": list(columns), "rows": [list(r) for r in rows]},
+    }
+    summary_rows = rows + [
+        ("slope", report.slope, math.nan, math.nan),
+        ("drift", drift, math.nan, math.nan),
     ]
-    if ns.format == "json":
-        outputs = {
-            "residual_slope": report.slope,
-            "energy_ratio_drift": drift,
-            "all_converged": report.all_converged,
-            "table": {"columns": list(columns), "rows": [list(r) for r in rows]},
-        }
-        parts: list[str] = []
-        _json_dump(
-            {
-                "inputs": inputs,
-                "outputs": outputs,
-                "meta": {
-                    "version": __version__,
-                    "constants": {"c": constants.c, "G": constants.G, "hbar": constants.hbar},
-                },
-            },
-            parts,
-        )
-        text = "".join(parts) + "\n"
-        if ns.output:
-            with open(ns.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        summary_rows = rows + [
-            ("slope", report.slope, math.nan, math.nan),
-            ("drift", drift, math.nan, math.nan),
-        ]
-        _emit(ns, inputs, columns, summary_rows, constants)
+    _emit(ns, inputs, columns, summary_rows, constants, outputs)
     return EXIT_OK if report.all_converged and radial.converged else EXIT_NO_CONVERGENCE
 
 
@@ -550,28 +528,8 @@ def _cmd_selftest(ns) -> int:
     columns = ("check", "value", "bound", "passed")
     rows = [(name, val, tol, val <= tol) for name, val, tol in checks]
     inputs = {"seed": ns.seed, "samples": ns.samples}
-    if ns.format == "json":
-        outputs = {name: {"value": val, "bound": tol, "passed": val <= tol} for name, val, tol in checks}
-        parts: list[str] = []
-        _json_dump(
-            {
-                "inputs": inputs,
-                "outputs": outputs,
-                "meta": {
-                    "version": __version__,
-                    "constants": {"c": constants.c, "G": constants.G, "hbar": constants.hbar},
-                },
-            },
-            parts,
-        )
-        text = "".join(parts) + "\n"
-        if ns.output:
-            with open(ns.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        _emit(ns, inputs, columns, rows, constants)
+    outputs = {name: {"value": val, "bound": tol, "passed": val <= tol} for name, val, tol in checks}
+    _emit(ns, inputs, columns, rows, constants, outputs)
     return EXIT_OK if all(val <= tol for _, val, tol in checks) else 1
 
 

@@ -256,13 +256,10 @@ def energy_ratio_samples(
     constants: PhysicalConstants = CODATA,
 ) -> np.ndarray:
     """Weak-field energy ratio 1 + v^2/2c^2 - GM/(c^2 r) at every sample."""
-    c = constants.c
-    eps = 2.0 * constants.G * model.M / (c * c * path.r)
-    v2 = (
-        (1.0 + eps) * path.dr_dt**2
-        + path.r**2 * (path.dtheta_dt**2 + np.sin(path.theta) ** 2 * path.dphi_dt**2)
+    return kernels.energy_ratio_array(
+        path.r, path.theta, path.dr_dt, path.dtheta_dt, path.dphi_dt,
+        constants.G * model.M, constants.c,
     )
-    return 1.0 + 0.5 * v2 / c**2 - constants.G * model.M / (c**2 * path.r)
 
 
 def verify_first_order(

@@ -1,12 +1,9 @@
-"""Numeric kernels with two interchangeable backends.
+"""Numpy kernels for the proper-time arithmetic.
 
-The hot inner loops (proper-time quadrature along sampled paths and the
-Newton relaxation used by the extremal-path solver) are compiled with numba
-``@njit`` by default.  Setting the environment variable
-``GRAVCLOCK_DISABLE_NUMBA=1`` before import selects the pure-numpy
-vectorized fallback instead; ``benchmarks/bench_backends.py`` compares the
-two.  Both backends implement identical arithmetic and are tested against
-each other.
+``weak_field_terms`` is the one place the weak-field metric enters: the
+radicands, integrands and energy ratios here, and the scalar functions in
+:mod:`gravclock.spacetime`, are all built from its compactness, squared
+speed and frame-dragging entry.
 
 Kernels take plain float64 arrays plus scalar parameters ``gm = G*M``,
 ``gj = G*J`` and ``c``; they never allocate package types.
@@ -14,87 +11,89 @@ Kernels take plain float64 arrays plus scalar parameters ``gm = G*M``,
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-try:
-    from numba import njit as _njit
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency in practice
-    _HAVE_NUMBA = False
+def weak_field_terms(r, theta, vr, vth, vph, gm, gj, c):
+    """(2GM/(c^2 r), background v^2, h_tphi) at each sample.
 
-_DISABLED = os.environ.get("GRAVCLOCK_DISABLE_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-)
-USE_NUMBA = _HAVE_NUMBA and not _DISABLED
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-
-def _radicand_np(r, theta, vr, vth, vph, gm, gj, c, pert):
+    v^2 contracts the coordinate velocity (dr/dt, dtheta/dt, dphi/dt) with the
+    spatial metric; h_tphi = -(4 G J / (c^3 r)) sin^2(theta) is the
+    frame-dragging off-diagonal entry.
+    """
     eps = 2.0 * gm / (c * c * r)
     sin2 = np.sin(theta) ** 2
     v2 = (1.0 + eps) * vr * vr + r * r * (vth * vth + sin2 * vph * vph)
+    h = -4.0 * gj * sin2 / (c**3 * r)
+    return eps, v2, h
+
+
+def radicand_from_terms(eps, v2, h, vph, c, pert):
+    """(dtau/dt)^2 = 1 - eps - v^2/c^2, minus (2 h_tphi / c) dphi/dt if `pert`."""
     rad = 1.0 - eps - v2 / (c * c)
     if pert:
-        h = -4.0 * gj * sin2 / (c**3 * r)
         rad = rad - 2.0 * h * vph / c
     return rad
 
 
-def _first_order_integrand_np(r, theta, vr, vth, vph, gm, gj, c):
+def energy_ratio_from_speed(r, v2, gm, c):
+    """E/(m c^2) = 1 + v^2/(2 c^2) - GM/(c^2 r)."""
+    return 1.0 + 0.5 * v2 / (c * c) - gm / (c * c * r)
+
+
+def radicand_array(r, theta, vr, vth, vph, gm, gj, c, pert):
+    eps, v2, h = weak_field_terms(r, theta, vr, vth, vph, gm, gj, c)
+    return radicand_from_terms(eps, v2, h, vph, c, pert)
+
+
+def first_order_integrand_array(r, theta, vr, vth, vph, gm, gj, c):
     # -(h_tphi / c) * (dt/dtau_bar) * dphi/dt, integrated against dt; the
     # sign comes from expanding sqrt(-(gbar+h)_munu dx dx): a co-rotating
     # traversal gains proper time when J > 0
-    rad = _radicand_np(r, theta, vr, vth, vph, gm, gj, c, 0)
-    h = -4.0 * gj * np.sin(theta) ** 2 / (c**3 * r)
+    eps, v2, h = weak_field_terms(r, theta, vr, vth, vph, gm, gj, c)
+    rad = radicand_from_terms(eps, v2, h, vph, c, 0)
     return -h * vph / (c * np.sqrt(rad))
 
 
-def _pair_integrand_np(r, theta, vr, vth, vph, gm, gj, c):
+def pair_integrand_array(r, theta, vr, vth, vph, gm, gj, c):
     # Same first-order shift but with dt/dtau_bar replaced by the conserved
     # energy-ratio form  -(E/m c^2) / gbar_tt, doubled for the time-reversed
     # partner: the (2 E / m c^3) int h_0i / gbar_00 dx^i route.
-    eps = 2.0 * gm / (c * c * r)
-    sin2 = np.sin(theta) ** 2
-    v2 = (1.0 + eps) * vr * vr + r * r * (vth * vth + sin2 * vph * vph)
-    ratio = 1.0 + 0.5 * v2 / (c * c) - gm / (c * c * r)
-    h = -4.0 * gj * sin2 / (c**3 * r)
+    eps, v2, h = weak_field_terms(r, theta, vr, vth, vph, gm, gj, c)
+    ratio = energy_ratio_from_speed(r, v2, gm, c)
     return -2.0 * (h / c) * ratio / (1.0 - eps) * vph
 
 
-def _segment_rates_np(xl, xr, dt, gm, gj, c, pert):
+def energy_ratio_array(r, theta, vr, vth, vph, gm, c):
+    _, v2, _ = weak_field_terms(r, theta, vr, vth, vph, gm, 0.0, c)
+    return energy_ratio_from_speed(r, v2, gm, c)
+
+
+def _segment_rates(xl, xr, dt, gm, gj, c, pert):
     rm = 0.5 * (xl[:, 0] + xr[:, 0])
     thm = 0.5 * (xl[:, 1] + xr[:, 1])
     vr = (xr[:, 0] - xl[:, 0]) / dt
     vth = (xr[:, 1] - xl[:, 1]) / dt
     vph = (xr[:, 2] - xl[:, 2]) / dt
-    rad = _radicand_np(rm, thm, vr, vth, vph, gm, gj, c, pert)
+    eps, v2, h = weak_field_terms(rm, thm, vr, vth, vph, gm, gj, c)
+    rad = radicand_from_terms(eps, v2, h, vph, c, pert)
     with np.errstate(invalid="ignore"):
         return np.sqrt(rad)
 
 
-def _path_functional_np(x, dt, gm, gj, c, pert):
-    rates = _segment_rates_np(x[:-1], x[1:], dt, gm, gj, c, pert)
+def path_functional(x, dt, gm, gj, c, pert):
+    rates = _segment_rates(x[:-1], x[1:], dt, gm, gj, c, pert)
     return dt * float(np.sum(rates))
 
 
-def _newton_assemble_np(x, dt, gm, gj, c, pert, hg, hh):
+def newton_assemble(x, dt, gm, gj, c, pert, hg, hh):
     n = x.shape[0] - 1
     m = n - 1
     xl = x[:-1]
     xr = x[1:]
 
     def seg(dl, dr):
-        return dt * _segment_rates_np(xl + dl, xr + dr, dt, gm, gj, c, pert)
+        return dt * _segment_rates(xl + dl, xr + dr, dt, gm, gj, c, pert)
 
     zero = np.zeros((1, 3))
     s0 = seg(zero, zero)
@@ -160,7 +159,7 @@ def _newton_assemble_np(x, dt, gm, gj, c, pert, hg, hh):
     return grad, diag, off
 
 
-def _block_thomas_np(diag, off, rhs):
+def block_thomas(diag, off, rhs):
     m = diag.shape[0]
     cmat = np.empty_like(diag)
     y = np.empty_like(rhs)
@@ -175,270 +174,3 @@ def _block_thomas_np(diag, off, rhs):
     for i in range(m - 2, -1, -1):
         sol[i] = np.linalg.solve(cmat[i], y[i] - off[i] @ sol[i + 1])
     return sol
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _seg_rate_scalar(rl, tl, pl, rr, tr, pr, dt, gm, gj, c, pert):
-        rm = 0.5 * (rl + rr)
-        thm = 0.5 * (tl + tr)
-        vr = (rr - rl) / dt
-        vth = (tr - tl) / dt
-        vph = (pr - pl) / dt
-        eps = 2.0 * gm / (c * c * rm)
-        sin2 = math.sin(thm) ** 2
-        v2 = (1.0 + eps) * vr * vr + rm * rm * (vth * vth + sin2 * vph * vph)
-        rad = 1.0 - eps - v2 / (c * c)
-        if pert != 0:
-            h = -4.0 * gj * sin2 / (c**3 * rm)
-            rad -= 2.0 * h * vph / c
-        if rad <= 0.0:
-            return math.nan
-        return math.sqrt(rad)
-
-    @_njit(cache=True)
-    def _radicand_nb(r, theta, vr, vth, vph, gm, gj, c, pert):
-        out = np.empty_like(r)
-        for i in range(r.shape[0]):
-            eps = 2.0 * gm / (c * c * r[i])
-            sin2 = math.sin(theta[i]) ** 2
-            v2 = (1.0 + eps) * vr[i] * vr[i] + r[i] * r[i] * (
-                vth[i] * vth[i] + sin2 * vph[i] * vph[i]
-            )
-            rad = 1.0 - eps - v2 / (c * c)
-            if pert != 0:
-                h = -4.0 * gj * sin2 / (c**3 * r[i])
-                rad -= 2.0 * h * vph[i] / c
-            out[i] = rad
-        return out
-
-    @_njit(cache=True)
-    def _first_order_integrand_nb(r, theta, vr, vth, vph, gm, gj, c):
-        out = np.empty_like(r)
-        for i in range(r.shape[0]):
-            eps = 2.0 * gm / (c * c * r[i])
-            sin2 = math.sin(theta[i]) ** 2
-            v2 = (1.0 + eps) * vr[i] * vr[i] + r[i] * r[i] * (
-                vth[i] * vth[i] + sin2 * vph[i] * vph[i]
-            )
-            rad = 1.0 - eps - v2 / (c * c)
-            h = -4.0 * gj * sin2 / (c**3 * r[i])
-            out[i] = -h * vph[i] / (c * math.sqrt(rad))
-        return out
-
-    @_njit(cache=True)
-    def _pair_integrand_nb(r, theta, vr, vth, vph, gm, gj, c):
-        out = np.empty_like(r)
-        for i in range(r.shape[0]):
-            eps = 2.0 * gm / (c * c * r[i])
-            sin2 = math.sin(theta[i]) ** 2
-            v2 = (1.0 + eps) * vr[i] * vr[i] + r[i] * r[i] * (
-                vth[i] * vth[i] + sin2 * vph[i] * vph[i]
-            )
-            ratio = 1.0 + 0.5 * v2 / (c * c) - gm / (c * c * r[i])
-            h = -4.0 * gj * sin2 / (c**3 * r[i])
-            out[i] = -2.0 * (h / c) * ratio / (1.0 - eps) * vph[i]
-        return out
-
-    @_njit(cache=True)
-    def _path_functional_nb(x, dt, gm, gj, c, pert):
-        tau = 0.0
-        for s in range(x.shape[0] - 1):
-            rate = _seg_rate_scalar(
-                x[s, 0], x[s, 1], x[s, 2], x[s + 1, 0], x[s + 1, 1], x[s + 1, 2],
-                dt, gm, gj, c, pert,
-            )
-            if math.isnan(rate):
-                return math.nan
-            tau += dt * rate
-        return tau
-
-    @_njit(cache=True)
-    def _newton_assemble_nb(x, dt, gm, gj, c, pert, hg, hh):
-        n = x.shape[0] - 1
-        m = n - 1
-        grad = np.zeros((m, 3))
-        diag = np.zeros((m, 3, 3))
-        off = np.zeros((max(m - 1, 0), 3, 3))
-
-        pl = np.empty(3)
-        pr = np.empty(3)
-
-        def _seg(a, b):
-            return dt * _seg_rate_scalar(
-                a[0], a[1], a[2], b[0], b[1], b[2], dt, gm, gj, c, pert
-            )
-
-        for s in range(n):
-            for k in range(3):
-                pl[k] = x[s, k]
-                pr[k] = x[s + 1, k]
-            s0 = _seg(pl, pr)
-            left_interior = s >= 1
-            right_interior = s <= n - 2
-
-            for ca in range(3):
-                if left_interior:
-                    pl[ca] = x[s, ca] + hg[ca]
-                    sp = _seg(pl, pr)
-                    pl[ca] = x[s, ca] - hg[ca]
-                    sm = _seg(pl, pr)
-                    pl[ca] = x[s, ca]
-                    grad[s - 1, ca] += (sp - sm) / (2.0 * hg[ca])
-
-                    pl[ca] = x[s, ca] + hh[ca]
-                    sp = _seg(pl, pr)
-                    pl[ca] = x[s, ca] - hh[ca]
-                    sm = _seg(pl, pr)
-                    pl[ca] = x[s, ca]
-                    diag[s - 1, ca, ca] += (sp - 2.0 * s0 + sm) / hh[ca] ** 2
-                if right_interior:
-                    pr[ca] = x[s + 1, ca] + hg[ca]
-                    sp = _seg(pl, pr)
-                    pr[ca] = x[s + 1, ca] - hg[ca]
-                    sm = _seg(pl, pr)
-                    pr[ca] = x[s + 1, ca]
-                    grad[s, ca] += (sp - sm) / (2.0 * hg[ca])
-
-                    pr[ca] = x[s + 1, ca] + hh[ca]
-                    sp = _seg(pl, pr)
-                    pr[ca] = x[s + 1, ca] - hh[ca]
-                    sm = _seg(pl, pr)
-                    pr[ca] = x[s + 1, ca]
-                    diag[s, ca, ca] += (sp - 2.0 * s0 + sm) / hh[ca] ** 2
-
-            for ca in range(3):
-                for cb in range(ca + 1, 3):
-                    scale = 4.0 * hh[ca] * hh[cb]
-                    if left_interior:
-                        acc = 0.0
-                        for sa in (1.0, -1.0):
-                            for sb in (1.0, -1.0):
-                                pl[ca] = x[s, ca] + sa * hh[ca]
-                                pl[cb] = x[s, cb] + sb * hh[cb]
-                                acc += sa * sb * _seg(pl, pr)
-                        pl[ca] = x[s, ca]
-                        pl[cb] = x[s, cb]
-                        val = acc / scale
-                        diag[s - 1, ca, cb] += val
-                        diag[s - 1, cb, ca] += val
-                    if right_interior:
-                        acc = 0.0
-                        for sa in (1.0, -1.0):
-                            for sb in (1.0, -1.0):
-                                pr[ca] = x[s + 1, ca] + sa * hh[ca]
-                                pr[cb] = x[s + 1, cb] + sb * hh[cb]
-                                acc += sa * sb * _seg(pl, pr)
-                        pr[ca] = x[s + 1, ca]
-                        pr[cb] = x[s + 1, cb]
-                        val = acc / scale
-                        diag[s, ca, cb] += val
-                        diag[s, cb, ca] += val
-
-            if left_interior and right_interior:
-                for ca in range(3):
-                    for cb in range(3):
-                        acc = 0.0
-                        for sa in (1.0, -1.0):
-                            for sb in (1.0, -1.0):
-                                pl[ca] = x[s, ca] + sa * hh[ca]
-                                pr[cb] = x[s + 1, cb] + sb * hh[cb]
-                                acc += sa * sb * _seg(pl, pr)
-                        pl[ca] = x[s, ca]
-                        pr[cb] = x[s + 1, cb]
-                        off[s - 1, ca, cb] = acc / (4.0 * hh[ca] * hh[cb])
-
-        return grad, diag, off
-
-    @_njit(cache=True)
-    def _solve3_nb(a, b):
-        mat = a.copy()
-        vec = b.copy()
-        for col in range(3):
-            piv = col
-            best = abs(mat[col, col])
-            for row in range(col + 1, 3):
-                if abs(mat[row, col]) > best:
-                    best = abs(mat[row, col])
-                    piv = row
-            if piv != col:
-                for k in range(3):
-                    mat[col, k], mat[piv, k] = mat[piv, k], mat[col, k]
-                vec[col], vec[piv] = vec[piv], vec[col]
-            for row in range(col + 1, 3):
-                f = mat[row, col] / mat[col, col]
-                for k in range(col, 3):
-                    mat[row, k] -= f * mat[col, k]
-                vec[row] -= f * vec[col]
-        out = np.empty(3)
-        for row in range(2, -1, -1):
-            acc = vec[row]
-            for k in range(row + 1, 3):
-                acc -= mat[row, k] * out[k]
-            out[row] = acc / mat[row, row]
-        return out
-
-    @_njit(cache=True)
-    def _block_thomas_nb(diag, off, rhs):
-        m = diag.shape[0]
-        cmat = np.empty_like(diag)
-        y = np.empty_like(rhs)
-        cmat[0] = diag[0]
-        y[0] = rhs[0]
-        for i in range(1, m):
-            factor = np.empty((3, 3))
-            for col in range(3):
-                factor[:, col] = _solve3_nb(cmat[i - 1].T.copy(), off[i - 1][:, col].copy())
-            factor = factor.T
-            cmat[i] = diag[i] - factor @ off[i - 1]
-            y[i] = rhs[i] - factor @ y[i - 1]
-        sol = np.empty_like(rhs)
-        sol[m - 1] = _solve3_nb(cmat[m - 1].copy(), y[m - 1].copy())
-        for i in range(m - 2, -1, -1):
-            sol[i] = _solve3_nb(cmat[i].copy(), (y[i] - off[i] @ sol[i + 1]).copy())
-        return sol
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-IMPLEMENTATIONS: dict[str, dict[str, object]] = {
-    "numpy": {
-        "radicand_array": _radicand_np,
-        "first_order_integrand_array": _first_order_integrand_np,
-        "pair_integrand_array": _pair_integrand_np,
-        "path_functional": _path_functional_np,
-        "newton_assemble": _newton_assemble_np,
-        "block_thomas": _block_thomas_np,
-    }
-}
-
-if _HAVE_NUMBA:
-    IMPLEMENTATIONS["numba"] = {
-        "radicand_array": _radicand_nb,
-        "first_order_integrand_array": _first_order_integrand_nb,
-        "pair_integrand_array": _pair_integrand_nb,
-        "path_functional": _path_functional_nb,
-        "newton_assemble": _newton_assemble_nb,
-        "block_thomas": _block_thomas_nb,
-    }
-
-BACKEND = "numba" if USE_NUMBA else "numpy"
-_active = IMPLEMENTATIONS[BACKEND]
-
-radicand_array = _active["radicand_array"]
-first_order_integrand_array = _active["first_order_integrand_array"]
-pair_integrand_array = _active["pair_integrand_array"]
-path_functional = _active["path_functional"]
-newton_assemble = _active["newton_assemble"]
-block_thomas = _active["block_thomas"]
-
-
-def backend_name() -> str:
-    return BACKEND

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import kernels
 from .constants import CODATA, PhysicalConstants
 from .errors import DomainError, NotTimelike, WeakFieldViolation
 
@@ -75,9 +76,30 @@ class MetricComponents:
     h_tphi: float
 
 
-def compactness(model: RotatingMassModel, r: float, constants: PhysicalConstants = CODATA) -> float:
-    """2GM/(c^2 r), the expansion parameter guarded by the weak-field check."""
-    return 2.0 * constants.G * model.M / (constants.c**2 * r)
+def _weak_field(
+    model: RotatingMassModel,
+    pt: SpacetimePoint,
+    vel: CoordinateVelocity,
+    constants: PhysicalConstants,
+    weak_field_threshold: float,
+) -> tuple[float, float, float]:
+    """(2GM/(c^2 r), v^2, h_tphi) at one point and velocity, guarded as in metric_at."""
+    if pt.r <= 0:
+        raise DomainError("radius must be positive")
+    eps, v2, h_tphi = kernels.weak_field_terms(
+        pt.r, pt.theta, vel.dr_dt, vel.dtheta_dt, vel.dphi_dt,
+        constants.G * model.M, constants.G * model.J, constants.c,
+    )
+    if eps >= weak_field_threshold:
+        raise WeakFieldViolation(
+            f"2GM/(c^2 r) = {eps:.3e} >= threshold {weak_field_threshold:.3e}"
+        )
+    return float(eps), float(v2), float(h_tphi)
+
+
+_AT_REST = CoordinateVelocity(0.0, 0.0, 0.0)
+# v^2 at unit dphi/dt is g_phph
+_UNIT_AZIMUTHAL = CoordinateVelocity(0.0, 0.0, 1.0)
 
 
 def metric_at(
@@ -91,20 +113,12 @@ def metric_at(
     Raises :class:`WeakFieldViolation` when 2GM/(c^2 r) exceeds the threshold
     and :class:`DomainError` for a non-positive radius.
     """
-    if pt.r <= 0:
-        raise DomainError("radius must be positive")
-    eps = compactness(model, pt.r, constants)
-    if eps >= weak_field_threshold:
-        raise WeakFieldViolation(
-            f"2GM/(c^2 r) = {eps:.3e} >= threshold {weak_field_threshold:.3e}"
-        )
-    sin_th = math.sin(pt.theta)
-    h_tphi = -4.0 * constants.G * model.J * sin_th**2 / (constants.c**3 * pt.r)
+    eps, g_phph, h_tphi = _weak_field(model, pt, _UNIT_AZIMUTHAL, constants, weak_field_threshold)
     return MetricComponents(
         g_tt=-1.0 + eps,
         g_rr=1.0 + eps,
         g_thth=pt.r**2,
-        g_phph=pt.r**2 * sin_th**2,
+        g_phph=g_phph,
         h_tphi=h_tphi,
     )
 
@@ -131,11 +145,10 @@ def proper_time_rate(
     Phi = -GM/r is read off g_tt = -(1 + 2 Phi/c^2).  Raises
     :class:`NotTimelike` when the radicand is not positive.
     """
-    g = metric_at(model, pt, constants, weak_field_threshold)
-    c = constants.c
-    radicand = -g.g_tt - squared_speed(g, vel) / c**2
-    if include_perturbation:
-        radicand -= 2.0 * g.h_tphi * vel.dphi_dt / c
+    eps, v2, h_tphi = _weak_field(model, pt, vel, constants, weak_field_threshold)
+    radicand = kernels.radicand_from_terms(
+        eps, v2, h_tphi, vel.dphi_dt, constants.c, include_perturbation
+    )
     if radicand <= 0.0:
         raise NotTimelike(f"proper-time radicand {radicand:.3e} <= 0")
     return math.sqrt(radicand)
@@ -153,13 +166,8 @@ def energy_ratio(
     Conserved along background geodesics at this order; independent of the
     rest mass.  Far from the mass this is the K factor 1 + v0^2/(2 c^2).
     """
-    eps = compactness(model, pt.r, constants)
-    if eps >= weak_field_threshold:
-        raise WeakFieldViolation(
-            f"2GM/(c^2 r) = {eps:.3e} >= threshold {weak_field_threshold:.3e}"
-        )
-    c = constants.c
-    return 1.0 + 0.5 * speed**2 / c**2 - constants.G * model.M / (c**2 * pt.r)
+    _weak_field(model, pt, _AT_REST, constants, weak_field_threshold)
+    return kernels.energy_ratio_from_speed(pt.r, speed**2, constants.G * model.M, constants.c)
 
 
 def perturbation_validity(

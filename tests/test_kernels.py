@@ -1,4 +1,4 @@
-"""The numba kernels and the pure-numpy fallback must agree bit-for-bit-ish."""
+"""The numpy kernels against independent dense and full-metric arithmetic."""
 
 import math
 
@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from gravclock import kernels
-
-pytestmark = pytest.mark.skipif(
-    "numba" not in kernels.IMPLEMENTATIONS, reason="numba backend unavailable"
+from gravclock.constants import PhysicalConstants
+from gravclock.spacetime import (
+    CoordinateVelocity,
+    RotatingMassModel,
+    SpacetimePoint,
+    energy_ratio,
+    proper_time_rate,
 )
 
 GM, GJ, C = 1e-6, 1.25e-3, 1.0
@@ -36,37 +40,68 @@ def node_path():
     return np.ascontiguousarray((1 - frac) * a + frac * b), 30.0 / n
 
 
-@pytest.mark.parametrize("name", ["radicand_array", "first_order_integrand_array", "pair_integrand_array"])
-def test_array_kernels_agree(sample_arrays, name):
+def _metric_entries(r, theta):
+    """Full metric entries (g_tt, g_rr, g_thth, g_phph, h_tphi), written out."""
+    eps = 2.0 * GM / (C**2 * r)
+    s2 = np.sin(theta) ** 2
+    return -(1.0 - eps), 1.0 + eps, r**2, r**2 * s2, -4.0 * GJ * s2 / (C**3 * r)
+
+
+def test_radicand_matches_full_metric_contraction(sample_arrays):
     r, th, vr, vth, vph = sample_arrays
-    args = (r, th, vr, vth, vph, GM, GJ, C)
-    if name == "radicand_array":
-        args = args + (1,)
-    a = kernels.IMPLEMENTATIONS["numpy"][name](*args)
-    b = kernels.IMPLEMENTATIONS["numba"][name](*args)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=0.0)
+    g_tt, g_rr, g_thth, g_phph, h_tphi = _metric_entries(r, th)
+    for pert in (0, 1):
+        contraction = -(
+            g_tt * C**2
+            + g_rr * vr**2
+            + g_thth * vth**2
+            + g_phph * vph**2
+            + pert * 2.0 * h_tphi * C * vph
+        )
+        rad = kernels.radicand_array(r, th, vr, vth, vph, GM, GJ, C, pert)
+        np.testing.assert_allclose(rad, contraction / C**2, rtol=1e-13, atol=0.0)
 
 
-def test_path_functional_agrees(node_path):
-    x, dt = node_path
-    a = kernels.IMPLEMENTATIONS["numpy"]["path_functional"](x, dt, GM, GJ, C, 1)
-    b = kernels.IMPLEMENTATIONS["numba"]["path_functional"](x, dt, GM, GJ, C, 1)
-    assert abs(a / b - 1.0) < 1e-13
+def test_integrands_match_full_metric_arithmetic(sample_arrays):
+    r, th, vr, vth, vph = sample_arrays
+    g_tt, g_rr, g_thth, g_phph, h_tphi = _metric_entries(r, th)
+    v2 = g_rr * vr**2 + g_thth * vth**2 + g_phph * vph**2
+    dt_dtau = 1.0 / np.sqrt(-g_tt - v2 / C**2)
+    ratio = 1.0 + 0.5 * v2 / C**2 - GM / (C**2 * r)
+    first = kernels.first_order_integrand_array(r, th, vr, vth, vph, GM, GJ, C)
+    np.testing.assert_allclose(first, -(h_tphi / C) * dt_dtau * vph, rtol=1e-13, atol=0.0)
+    pair = kernels.pair_integrand_array(r, th, vr, vth, vph, GM, GJ, C)
+    np.testing.assert_allclose(pair, -2.0 * (h_tphi / C) * ratio / -g_tt * vph, rtol=1e-13, atol=0.0)
+    ratios = kernels.energy_ratio_array(r, th, vr, vth, vph, GM, C)
+    np.testing.assert_allclose(ratios, ratio, rtol=1e-15, atol=0.0)
 
 
-def test_newton_assembly_and_solve_agree(node_path):
+def test_scalar_spacetime_functions_share_the_array_arithmetic(sample_arrays):
+    constants = PhysicalConstants(c=C, G=1.0, hbar=1.0)
+    model = RotatingMassModel(M=GM, J=GJ)
+    r, th, vr, vth, vph = (a[:50] for a in sample_arrays)
+    rad = kernels.radicand_array(r, th, vr, vth, vph, GM, GJ, C, 1)
+    speed = r * vph
+    ratios = kernels.energy_ratio_from_speed(r, speed**2, GM, C)
+    for i in range(r.shape[0]):
+        pt = SpacetimePoint(0.0, r[i], th[i], 0.0)
+        vel = CoordinateVelocity(vr[i], vth[i], vph[i])
+        assert proper_time_rate(model, pt, vel, constants) == math.sqrt(rad[i])
+        assert energy_ratio(model, pt, speed[i], constants) == ratios[i]
+
+
+def test_block_thomas_matches_dense_solve(node_path):
     x, dt = node_path
     hg = np.full(3, 1e-4 * C * dt)
     hh = np.full(3, 3e-4 * C * dt)
-    g1, d1, u1 = kernels.IMPLEMENTATIONS["numpy"]["newton_assemble"](x, dt, GM, GJ, C, 1, hg, hh)
-    g2, d2, u2 = kernels.IMPLEMENTATIONS["numba"]["newton_assemble"](x, dt, GM, GJ, C, 1, hg, hh)
-    np.testing.assert_allclose(g1, g2, rtol=1e-10, atol=1e-16)
-    np.testing.assert_allclose(d1, d2, rtol=1e-10, atol=1e-10)
-    np.testing.assert_allclose(u1, u2, rtol=1e-10, atol=1e-10)
-    s1 = kernels.IMPLEMENTATIONS["numpy"]["block_thomas"](d1, u1, -g1)
-    s2 = kernels.IMPLEMENTATIONS["numba"]["block_thomas"](d1, u1, -g1)
-    np.testing.assert_allclose(s1, s2, rtol=1e-10, atol=1e-16)
-
-
-def test_backend_selection_reports():
-    assert kernels.backend_name() in kernels.IMPLEMENTATIONS
+    grad, diag, off = kernels.newton_assemble(x, dt, GM, GJ, C, 1, hg, hh)
+    m = diag.shape[0]
+    dense = np.zeros((3 * m, 3 * m))
+    for i in range(m):
+        dense[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = diag[i]
+    for i in range(m - 1):
+        dense[3 * i : 3 * i + 3, 3 * i + 3 : 3 * i + 6] = off[i]
+        dense[3 * i + 3 : 3 * i + 6, 3 * i : 3 * i + 3] = off[i].T
+    expected = np.linalg.solve(dense, -grad.ravel()).reshape(m, 3)
+    step = kernels.block_thomas(diag, off, -grad)
+    np.testing.assert_allclose(step, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
