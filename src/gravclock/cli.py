@@ -497,7 +497,7 @@ def _cmd_selftest(ns) -> int:
     checks.append(("gme_formation_vs_oracle", worst_ef, 1e-10))
     checks.append(("probabilities_vs_state", worst_pr, 1e-12))
 
-    worst_q = 0.0
+    worst_q = worst_qee = worst_qef = worst_qpr = 0.0
     for _ in range(100):
         theta = rng.uniform(0.0, 0.5 * math.pi)
         gap = rng.uniform(0.0, 2.0 * math.pi)
@@ -513,7 +513,23 @@ def _cmd_selftest(ns) -> int:
         res = qep_mod.qep_gme_entanglement(tt, None, 1.0, constants)
         chi1, chi2 = qep_mod.qep_arm_states(tt, 1.0, constants)
         worst_q = max(worst_q, abs(abs(np.vdot(chi1, chi2)) - res.visibility))
+        state = qep_mod.qep_final_state(tt, None, 1.0, constants)
+        worst_qee = max(
+            worst_qee, abs(res.ee_spc - von_neumann_entropy(reduced_density(state, ["S"])))
+        )
+        worst_qef = max(
+            worst_qef,
+            abs(res.ef_sp - entanglement_of_formation(reduced_density(state, ["S", "P"]))),
+        )
+        pl = float(np.real(reduced_density(state, ["P"]).matrix[0, 0]))
+        worst_qpr = max(
+            worst_qpr, abs(qep_mod.qep_probabilities(tt, None, 1.0, constants).pr_left - pl)
+        )
     checks.append(("qep_visibility_vs_overlap", worst_q, 1e-10))
+    checks.append(("qep_entropy_vs_oracle", worst_qee, 1e-10))
+    # the spectral concurrence resolves only ~sqrt(eps) near rank deficiency
+    checks.append(("qep_formation_vs_oracle", worst_qef, 1e-6))
+    checks.append(("qep_probabilities_vs_state", worst_qpr, 1e-12))
 
     worst_w = 0.0
     for _ in range(ns.samples):

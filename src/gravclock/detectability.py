@@ -242,10 +242,9 @@ def evaluate_point(params: dict, constants: PhysicalConstants = CODATA) -> dict:
         theta=p["theta"],
         varphi=p["varphi"],
     )
-    qvis, _ = qep_mod.qep_visibility(tt, delta_tau, constants)
-    out["qep_visibility"] = qvis
-    out["qep_xi_phase"] = qep_mod.xi_phase(tt, delta_tau, constants)
     qres = qep_mod.qep_gme_entanglement(tt, None, delta_tau, constants)
+    out["qep_visibility"] = qres.visibility
+    out["qep_xi_phase"] = qres.xi_delta_tau
     out["qep_pr_left"] = qres.pr_left
     out["qep_pr_right"] = qres.pr_right
     out["qep_ee_spc"] = qres.ee_spc

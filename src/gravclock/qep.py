@@ -24,19 +24,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import clockstate as cs
 from .constants import CODATA, PhysicalConstants
 from .errors import DomainError
-from .interferometry import _BEAM_SPLITTER
+from .interferometry import _gme_state
 
 COMMUTATOR_WARN_THRESHOLD = 0.1
-# the spectral route resolves concurrence only to ~sqrt(eps) near rank
-# deficiency, so the per-call sanity guard is looser than the test grids
-_ORACLE_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,27 +189,6 @@ def _mean_energy(tt: QepTestTheory, mean_energy: float | None) -> float:
     return tt.mean_prime if mean_energy is None else float(mean_energy)
 
 
-def _state_pipeline(
-    tt: QepTestTheory,
-    mean_energy: float | None,
-    delta_tau: float,
-    constants: PhysicalConstants,
-) -> np.ndarray:
-    """Source (x) path (x) clock amplitudes [2,2,2] from the ideal sequence."""
-    chi1, chi2 = qep_arm_states(tt, delta_tau, constants)
-    shift = _mean_energy(tt, mean_energy) - tt.mean_prime
-    if shift != 0.0:
-        # an overridden mean shifts both primed levels, leaving the gap alone
-        chi1 = cmath.exp(0.5j * shift * delta_tau / constants.hbar) * chi1
-        chi2 = cmath.exp(-0.5j * shift * delta_tau / constants.hbar) * chi2
-    pre = np.zeros((2, 2, 2), dtype=complex)
-    pre[0, 0] = 0.5 * chi1
-    pre[0, 1] = 0.5 * chi2
-    pre[1, 0] = 0.5 * chi2
-    pre[1, 1] = 0.5 * chi1
-    return np.einsum("pq,sqc->spc", _BEAM_SPLITTER, pre)
-
-
 def qep_final_state(
     tt: QepTestTheory,
     mean_energy: float | None,
@@ -220,8 +196,30 @@ def qep_final_state(
     constants: PhysicalConstants = CODATA,
 ) -> cs.StateVector:
     """Source (x) path (x) clock state of the GME sequence under the test theory."""
-    amp = _state_pipeline(tt, mean_energy, delta_tau, constants)
-    return cs.StateVector(amp.reshape(-1), (("S", 2), ("P", 2), ("C", 2)))
+    chi1, chi2 = qep_arm_states(tt, delta_tau, constants)
+    shift = _mean_energy(tt, mean_energy) - tt.mean_prime
+    if shift != 0.0:
+        # an overridden mean shifts both primed levels, leaving the gap alone
+        chi1 = cmath.exp(0.5j * shift * delta_tau / constants.hbar) * chi1
+        chi2 = cmath.exp(-0.5j * shift * delta_tau / constants.hbar) * chi2
+    return _gme_state(chi1, chi2)
+
+
+def _probabilities_and_phase(
+    tt: QepTestTheory,
+    mean_energy: float | None,
+    delta_tau: float,
+    constants: PhysicalConstants,
+) -> tuple[QepResult, float]:
+    """Closed-form probabilities and the phase (Ebar' + xi) delta_tau / hbar."""
+    vis, xi = qep_visibility(tt, delta_tau, constants)
+    xi_dtau = xi_phase(tt, delta_tau, constants)
+    phase = _mean_energy(tt, mean_energy) * delta_tau / constants.hbar + xi_dtau
+    pr_left = 0.5 * (1.0 + vis * math.cos(phase))
+    res = QepResult(
+        visibility=vis, xi_delta_tau=xi_dtau, xi=xi, pr_left=pr_left, pr_right=1.0 - pr_left
+    )
+    return res, phase
 
 
 def qep_probabilities(
@@ -230,26 +228,12 @@ def qep_probabilities(
     delta_tau: float,
     constants: PhysicalConstants = CODATA,
 ) -> QepResult:
-    """Detection probabilities of the test theory, oracle-checked.
+    """Closed-form detection probabilities of the test theory.
 
     ``mean_energy`` overrides the mean of the primed eigenvalues (shifting
     both levels, preserving the gap); pass None to use the H_f mean.
     """
-    vis, xi = qep_visibility(tt, delta_tau, constants)
-    xi_dtau = xi_phase(tt, delta_tau, constants)
-    phase = _mean_energy(tt, mean_energy) * delta_tau / constants.hbar + xi_dtau
-    pr_left = 0.5 * (1.0 + vis * math.cos(phase))
-    pr_right = 0.5 * (1.0 - vis * math.cos(phase))
-
-    amp = _state_pipeline(tt, mean_energy, delta_tau, constants)
-    pl_state = float(np.sum(np.abs(amp[:, 0, :]) ** 2))
-    if abs(pr_left - pl_state) > _ORACLE_TOL:
-        raise RuntimeError(
-            f"closed-form Pr(L') {pr_left} disagrees with the state route {pl_state}"
-        )
-    return QepResult(
-        visibility=vis, xi_delta_tau=xi_dtau, xi=xi, pr_left=pr_left, pr_right=pr_right
-    )
+    return _probabilities_and_phase(tt, mean_energy, delta_tau, constants)[0]
 
 
 def qep_gme_entanglement(
@@ -259,32 +243,13 @@ def qep_gme_entanglement(
     constants: PhysicalConstants = CODATA,
     base: float = 2,
 ) -> QepResult:
-    """Entanglement of the GME state under the test theory, oracle-checked."""
-    vis, xi = qep_visibility(tt, delta_tau, constants)
-    xi_dtau = xi_phase(tt, delta_tau, constants)
-    phase = _mean_energy(tt, mean_energy) * delta_tau / constants.hbar + xi_dtau
-    ee = cs.binary_entropy(0.5 * (1.0 + vis * math.cos(phase)), base)
-    ef_arg = 1.0 - (vis * math.sin(phase)) ** 2
+    """Closed-form probabilities and entanglement of the GME state under the
+    test theory; :func:`qep_final_state` is the state-vector reference."""
+    res, phase = _probabilities_and_phase(tt, mean_energy, delta_tau, constants)
+    ee = cs.binary_entropy(res.pr_left, base)
+    ef_arg = 1.0 - (res.visibility * math.sin(phase)) ** 2
     ef = cs.binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, ef_arg))), base)
-
-    state = qep_final_state(tt, mean_energy, delta_tau, constants)
-    ee_oracle = cs.von_neumann_entropy(cs.reduced_density(state, ["S"]), base)
-    ef_oracle = cs.entanglement_of_formation(cs.reduced_density(state, ["S", "P"]), base)
-    if abs(ee - ee_oracle) > _ORACLE_TOL or abs(ef - ef_oracle) > _ORACLE_TOL:
-        raise RuntimeError(
-            "closed-form entanglement disagrees with the state-vector oracle: "
-            f"E_E {ee} vs {ee_oracle}, E_F {ef} vs {ef_oracle}"
-        )
-    pr_left = 0.5 * (1.0 + vis * math.cos(phase))
-    return QepResult(
-        visibility=vis,
-        xi_delta_tau=xi_dtau,
-        xi=xi,
-        pr_left=pr_left,
-        pr_right=1.0 - pr_left,
-        ee_spc=ee,
-        ef_sp=ef,
-    )
+    return replace(res, ee_spc=ee, ef_sp=ef)
 
 
 def qep_phase_accumulation(

@@ -155,3 +155,28 @@ def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--samples", "200")
     assert code == 0
     assert "witness_on_product_states" in out
+    for name in ("qep_entropy_vs_oracle", "qep_formation_vs_oracle", "qep_probabilities_vs_state"):
+        assert f"\n{name}," in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--axis", "ell_log10", "--values", "69,70,75,80",
+         "--outputs", "ee_spc,ef_sp,qep_ee_spc,qep_ef_sp"),
+        ("qep", "--delta-tau", "1e-5", "--theta", "0.3"),
+    ],
+)
+def test_entanglement_stays_bounded_at_large_phases(capsys, argv):
+    # phases of ~1e10 rad and beyond, where two double-precision routes to the
+    # same entanglement differ by roundoff far above 1e-12
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert "Traceback" not in err
+    header, values = parse_csv(out)
+    names = [n for n in header if n in ("ee_spc", "ef_sp", "qep_ee_spc", "qep_ef_sp")]
+    assert names
+    for row in values:
+        for name in names:
+            value = float(row[header.index(name)])
+            assert math.isfinite(value) and 0.0 <= value <= 1.0

@@ -125,9 +125,12 @@ def test_probabilities_limits_and_oracle():
         tt = theory(
             rng.uniform(0, math.pi / 2), rng.uniform(0, 6), rng.uniform(0, 6), rng.uniform(0, 6)
         )
-        res = qep_probabilities(tt, None, rng.uniform(0, 3))  # in-op state check at work
+        dt = rng.uniform(0, 3)
+        res = qep_probabilities(tt, None, dt)
         assert abs(res.pr_left + res.pr_right - 1.0) < 1e-12
         assert 0.0 <= res.visibility <= 1.0
+        marginal = reduced_density(qep_final_state(tt, None, dt), ["P"]).matrix[0, 0]
+        assert abs(res.pr_left - marginal.real) < 1e-12
 
 
 def test_aligned_bases_reduce_to_plain_interferometer():
