@@ -180,6 +180,10 @@ def solve_extremal_path(
             for _ in range(30):
                 candidate = nodes.copy()
                 candidate[1:-1] += alpha * step
+                if np.array_equal(candidate, nodes):
+                    # the step rounds away at every node, and so does every
+                    # smaller alpha: the candidate can only give back tau
+                    break
                 tau_candidate = kernels.path_functional(candidate, dt, gm, gj, constants.c, pert)
                 if not math.isnan(tau_candidate) and tau_candidate > tau:
                     trial, tau_trial, improved = candidate, tau_candidate, True
@@ -275,9 +279,14 @@ def verify_first_order(
     epsilon * J and compares the proper-time shift against the first-order
     prediction integrated along the unperturbed path.  The fitted log-log
     slope of the residual approaches 2 when the formula captures everything
-    at first order.
+    at first order.  Raises :class:`DomainError` unless the scales are
+    finite, positive and hold at least two distinct values.
     """
     eps = np.asarray(list(scale_sequence), dtype=float)
+    if not np.all(np.isfinite(eps)):
+        raise DomainError("scales must be finite")
+    if np.unique(eps).size < 2:
+        raise DomainError("scales needs at least two distinct values to fit a slope")
     if np.any(eps <= 0):
         raise DomainError("perturbation scales must be positive")
 

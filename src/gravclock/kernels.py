@@ -7,6 +7,11 @@ speed and frame-dragging entry.
 
 Kernels take plain float64 arrays plus scalar parameters ``gm = G*M``,
 ``gj = G*J`` and ``c``; they never allocate package types.
+
+The extremal-path solver's Newton step comes from ``newton_assemble``
+(finite-difference gradient and block-tridiagonal Hessian) and
+``block_thomas``, which solves that system by block cyclic reduction:
+log2(m) levels of batched 3x3 solves instead of m sequential ones.
 """
 
 from __future__ import annotations
@@ -160,17 +165,65 @@ def newton_assemble(x, dt, gm, gj, c, pert, hg, hh):
 
 
 def block_thomas(diag, off, rhs):
+    """Solve the symmetric block-tridiagonal system of a Newton step.
+
+    Row i reads ``off[i-1].T @ x[i-1] + diag[i] @ x[i] + off[i] @ x[i+1] = rhs[i]``
+    for (m, 3, 3) ``diag``, (m-1, 3, 3) ``off`` and (m, 3) ``rhs``.  Block
+    cyclic reduction: each level eliminates the odd-indexed blocks with one
+    batched 3x3 solve, leaving a block-tridiagonal system of half the size on
+    the even-indexed blocks, so m blocks take log2(m) vectorized levels.
+    Like block Gaussian elimination it pivots only inside each 3x3 block,
+    never across blocks, which is stable for the definite (or damped)
+    Hessians the solver builds.
+    """
+    lower = np.zeros_like(diag)
+    upper = np.zeros_like(diag)
+    lower[1:] = off.transpose(0, 2, 1)
+    upper[:-1] = off
+    return _cyclic_reduction(diag, lower, upper, rhs)
+
+
+def _cyclic_reduction(diag, lower, upper, rhs):
+    # rows read lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i],
+    # with lower[0] and upper[-1] zero
     m = diag.shape[0]
-    cmat = np.empty_like(diag)
-    y = np.empty_like(rhs)
-    cmat[0] = diag[0]
-    y[0] = rhs[0]
-    for i in range(1, m):
-        factor = np.linalg.solve(cmat[i - 1].T, off[i - 1]).T
-        cmat[i] = diag[i] - factor @ off[i - 1]
-        y[i] = rhs[i] - factor @ y[i - 1]
+    if m == 1:
+        return np.linalg.solve(diag[0], rhs[0])[None, :]
+    n_odd = m // 2
+    n_even = m - n_odd
+
+    # odd rows: x = t_b - t_l x[left] - t_u x[right], with [t_l | t_u | t_b]
+    # from one batched solve on diag[odd]
+    coupled = np.concatenate((lower[1::2], upper[1::2], rhs[1::2, :, None]), axis=2)
+    solved = np.linalg.solve(diag[1::2], coupled)
+    t_l, t_u, t_b = solved[:, :, :3], solved[:, :, 3:6], solved[:, :, 6]
+
+    # even rows: substitute the odd neighbours, odd k-1 on the left of even
+    # k and odd k on its right
+    diag_r = diag[::2].copy()
+    lower_r = np.zeros_like(diag_r)
+    upper_r = np.zeros_like(diag_r)
+    rhs_r = rhs[::2].copy()
+    left = lower[2::2]
+    diag_r[1:] -= left @ t_u[: n_even - 1]
+    lower_r[1:] = -(left @ t_l[: n_even - 1])
+    rhs_r[1:] -= np.einsum("kij,kj->ki", left, t_b[: n_even - 1])
+    right = upper[: 2 * n_odd : 2]
+    diag_r[:n_odd] -= right @ t_l
+    upper_r[:n_odd] = -(right @ t_u)
+    rhs_r[:n_odd] -= np.einsum("kij,kj->ki", right, t_b)
+
+    x_even = _cyclic_reduction(diag_r, lower_r, upper_r, rhs_r)
+
+    # back-substitute the odd blocks; the last one has no right neighbour
+    # when m is even
+    x_right = np.zeros((n_odd, 3))
+    x_right[: n_even - 1] = x_even[1:]
     sol = np.empty_like(rhs)
-    sol[m - 1] = np.linalg.solve(cmat[m - 1], y[m - 1])
-    for i in range(m - 2, -1, -1):
-        sol[i] = np.linalg.solve(cmat[i], y[i] - off[i] @ sol[i + 1])
+    sol[::2] = x_even
+    sol[1::2] = (
+        t_b
+        - np.einsum("kij,kj->ki", t_l, x_even[:n_odd])
+        - np.einsum("kij,kj->ki", t_u, x_right)
+    )
     return sol

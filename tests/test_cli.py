@@ -108,6 +108,17 @@ def test_validation_error_exit_code(capsys):
     assert "validation" in err
 
 
+@pytest.mark.parametrize(
+    "scales, reason",
+    [("inf", "finite"), ("nan", "finite"), ("1", "two distinct")],
+)
+def test_verify_rejects_unusable_scales(capsys, scales, reason):
+    code, out, err = run_cli(capsys, "verify", "--scales", scales)
+    assert code == 2
+    assert out == ""
+    assert "scales" in err and reason in err
+
+
 def test_constants_override_via_env(tmp_path, capsys, monkeypatch):
     override = tmp_path / "constants.cfg"
     override.write_text("c = 1.0\nG = 1.0\nhbar = 1.0\n")

@@ -196,3 +196,41 @@ def test_boundary_validation(unit_constants):
     )
     with pytest.raises(DomainError):
         solve_extremal_path(FLAT, spacelike, constants=unit_constants)
+
+
+def test_line_search_skips_candidates_equal_to_the_nodes(unit_constants, monkeypatch):
+    # a candidate bit-equal to the assembled nodes evaluates to exactly the
+    # current proper time and can never be accepted, so the solver must not
+    # spend a functional evaluation on it
+    from gravclock import kernels
+
+    assembled = []
+    repeats = []
+    evaluations = []
+    real_assemble = kernels.newton_assemble
+    real_functional = kernels.path_functional
+
+    def assemble(x, *args):
+        assembled.append(x.copy())
+        return real_assemble(x, *args)
+
+    def functional(x, *args):
+        evaluations.append(1)
+        if assembled and np.array_equal(x, assembled[-1]):
+            repeats.append(len(assembled))
+        return real_functional(x, *args)
+
+    monkeypatch.setattr(kernels, "newton_assemble", assemble)
+    monkeypatch.setattr(kernels, "path_functional", functional)
+    model = RotatingMassModel(M=1e-6, J=1.25e-3)
+    bc = BoundaryConditions(
+        SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
+    )
+    res = solve_extremal_path(model, bc, True, unit_constants, 512)
+    monkeypatch.undo()
+
+    assert assembled and len(evaluations) > len(assembled)
+    assert repeats == []
+    assert res.converged
+    again = functional_value(model, res.nodes, bc.start.t, bc.end.t, True, unit_constants)
+    assert res.proper_time == again

@@ -31,15 +31,6 @@ def sample_arrays():
     )
 
 
-@pytest.fixture(scope="module")
-def node_path():
-    n = 256
-    frac = np.linspace(0.0, 1.0, n + 1)[:, None]
-    a = np.array([1.0, 0.5 * math.pi, 0.0])
-    b = np.array([1.1, 0.5 * math.pi + 0.05, 0.3])
-    return np.ascontiguousarray((1 - frac) * a + frac * b), 30.0 / n
-
-
 def _metric_entries(r, theta):
     """Full metric entries (g_tt, g_rr, g_thth, g_phph, h_tphi), written out."""
     eps = 2.0 * GM / (C**2 * r)
@@ -90,11 +81,25 @@ def test_scalar_spacetime_functions_share_the_array_arithmetic(sample_arrays):
         assert energy_ratio(model, pt, speed[i], constants) == ratios[i]
 
 
-def test_block_thomas_matches_dense_solve(node_path):
-    x, dt = node_path
+def _node_path(n_segments):
+    frac = np.linspace(0.0, 1.0, n_segments + 1)[:, None]
+    a = np.array([1.0, 0.5 * math.pi, 0.0])
+    b = np.array([1.1, 0.5 * math.pi + 0.05, 0.3])
+    return np.ascontiguousarray((1 - frac) * a + frac * b), 30.0 / n_segments
+
+
+# m = n_segments - 1 interior blocks: the single-block base case, odd and
+# even counts at every reduction level, and the solver's default size
+@pytest.mark.parametrize("n_segments", [2, 3, 4, 5, 128, 129, 512])
+@pytest.mark.parametrize("damping", [0.0, 1e-8 * 16.0**5])
+def test_block_thomas_matches_dense_solve(n_segments, damping):
+    x, dt = _node_path(n_segments)
     hg = np.full(3, 1e-4 * C * dt)
     hh = np.full(3, 3e-4 * C * dt)
     grad, diag, off = kernels.newton_assemble(x, dt, GM, GJ, C, 1, hg, hh)
+    if damping:
+        # the solver's damping ladder: diag - damping * max|diag| * I
+        diag = diag - damping * np.abs(diag).max() * np.eye(3)[None, :, :]
     m = diag.shape[0]
     dense = np.zeros((3 * m, 3 * m))
     for i in range(m):
