@@ -27,8 +27,14 @@ import numpy as np
 from . import kernels
 from .constants import CODATA, PhysicalConstants
 from .errors import DomainError, NoConvergence, NotTimelike
-from .propertime import PathSpec, delta_tau_first_order
-from .spacetime import RotatingMassModel, SpacetimePoint
+from .propertime import PathSpec, _integrate_samples, delta_tau_first_order
+from .spacetime import (
+    DEFAULT_WEAK_FIELD_THRESHOLD,
+    CoordinateVelocity,
+    RotatingMassModel,
+    SpacetimePoint,
+    perturbation_validity,
+)
 
 DEFAULT_SEGMENTS = 512
 DEFAULT_TOL = 1e-12
@@ -236,8 +242,12 @@ def proper_time_along(
     Uses the quadrature rule matching the path flavor (midpoint-rule samples
     from the solver integrate with uniform weights, node samples with
     composite Simpson), so re-evaluating a solver path reproduces the
-    solver's own functional value.
+    solver's own functional value.  Raises :class:`DomainError` for an
+    "azimuth" path: its rule in phi weights dtau/dt by dt/dphi, which peaks
+    sharply at the ends of a long arm (+129% at L/w = 1e3 on 1025 samples).
     """
+    if path.kind == "azimuth":
+        raise DomainError("proper_time_along needs samples uniform in t, not an azimuth path")
     rad = kernels.radicand_array(
         path.r, path.theta, path.dr_dt, path.dtheta_dt, path.dphi_dt,
         constants.G * model.M, constants.G * model.J, constants.c,
@@ -245,13 +255,7 @@ def proper_time_along(
     )
     if np.any(rad <= 0.0):
         raise NotTimelike("path contains samples that are not timelike")
-    rates = np.sqrt(rad)
-    if path.kind == "midpoint":
-        dt = path.t[1] - path.t[0]
-        return float(dt * rates.sum())
-    from .propertime import _simpson_uniform
-
-    return _simpson_uniform(rates, path.t)
+    return _integrate_samples(path, np.sqrt(rad))
 
 
 def energy_ratio_samples(
@@ -280,7 +284,11 @@ def verify_first_order(
     prediction integrated along the unperturbed path.  The fitted log-log
     slope of the residual approaches 2 when the formula captures everything
     at first order.  Raises :class:`DomainError` unless the scales are
-    finite, positive and hold at least two distinct values.
+    finite, positive and hold at least two distinct values, and unless the
+    largest scaled J stays perturbative: its h_tphi term, against the
+    background, along the straight line from the start event (see
+    :func:`~gravclock.spacetime.perturbation_validity`) must stay below
+    ``DEFAULT_WEAK_FIELD_THRESHOLD``.
     """
     eps = np.asarray(list(scale_sequence), dtype=float)
     if not np.all(np.isfinite(eps)):
@@ -289,6 +297,20 @@ def verify_first_order(
         raise DomainError("scales needs at least two distinct values to fit a slope")
     if np.any(eps <= 0):
         raise DomainError("perturbation scales must be positive")
+    largest_j = float(eps.max()) * model.J
+    validity = math.inf
+    if math.isfinite(largest_j):
+        direction = (_coords(bc.end) - _coords(bc.start)) / (bc.end.t - bc.start.t)
+        validity = perturbation_validity(
+            RotatingMassModel(M=model.M, J=largest_j), bc.start,
+            CoordinateVelocity(*direction), constants,
+        )
+    if not validity < DEFAULT_WEAK_FIELD_THRESHOLD:
+        raise DomainError(
+            f"scales up to {eps.max():.6g} leave the perturbative regime: "
+            f"|h/gbar| along the starting straight line is {validity:.3g} "
+            f">= {DEFAULT_WEAK_FIELD_THRESHOLD}"
+        )
 
     base = solve_extremal_path(
         model, bc, include_perturbation=False, constants=constants, n_segments=n_segments

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .constants import CODATA, PhysicalConstants
-from .errors import DomainError, NotTimelike
+from .errors import DomainError, NoConvergence, NotTimelike
 from .logdomain import SignedLog
 from .spacetime import RotatingMassModel, SpacetimePoint
 
@@ -46,10 +46,18 @@ class PathSpec:
     """A discretized timelike trajectory parameterized by coordinate time.
 
     ``kind`` records how the samples were produced and therefore which
-    quadrature rule matches them: "node" samples include the endpoints and
-    integrate with composite Simpson; "midpoint" samples sit at segment
-    midpoints of a uniform grid (as produced by the extremal-path solver) and
-    integrate with the matching uniform-weight midpoint rule.
+    quadrature rule matches them:
+
+    - "node" samples are uniform in t, include the endpoints and integrate
+      with composite Simpson in t;
+    - "azimuth" samples are uniform in phi, include the endpoints and
+      integrate with composite Simpson in phi, each sample weighted by
+      dt/dphi = 1/(dphi/dt), so dphi/dt must not vanish.  The rule suits
+      integrands proportional to dphi/dt, such as the frame-dragging shifts,
+      not dtau/dt itself;
+    - "midpoint" samples sit at segment midpoints of a uniform t grid (as
+      produced by the extremal-path solver) and integrate with the matching
+      uniform-weight midpoint rule.
     """
 
     t: np.ndarray
@@ -69,8 +77,10 @@ class PathSpec:
             raise DomainError("a path needs at least two samples")
         if np.any(np.diff(self.t) <= 0):
             raise DomainError("coordinate time must be strictly increasing")
-        if self.kind not in ("node", "midpoint"):
+        if self.kind not in ("node", "azimuth", "midpoint"):
             raise DomainError(f"unknown path kind {self.kind!r}")
+        if self.kind == "azimuth" and np.any(self.dphi_dt == 0):
+            raise DomainError("an azimuth-sampled path needs dphi/dt != 0 at every sample")
 
     @property
     def n_samples(self) -> int:
@@ -103,6 +113,9 @@ class InterferometerGeometry:
     v0: float
 
     def __post_init__(self) -> None:
+        for name in ("w", "L", "v0"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.w <= 0:
             raise DomainError("arm separation w must be positive")
         if self.L <= self.w:
@@ -149,21 +162,25 @@ def attach_phases(bundle: PhaseBundle, mean_rate: float, gap_rate: float) -> Pha
     )
 
 
-def _simpson_uniform(y: np.ndarray, t: np.ndarray) -> float:
+def _simpson_uniform(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson over samples y on the uniform grid x (signed step)."""
     n = y.shape[0]
-    dt = t[1] - t[0]
+    dx = x[1] - x[0]
     if n == 2:
-        return 0.5 * dt * float(y[0] + y[1])
+        return 0.5 * dx * float(y[0] + y[1])
     if n % 2 == 0:
-        head = _simpson_uniform(y[:-1], t[:-1])
-        return head + 0.5 * dt * float(y[-2] + y[-1])
-    return (dt / 3.0) * float(y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
+        head = _simpson_uniform(y[:-1], x[:-1])
+        return head + 0.5 * dx * float(y[-2] + y[-1])
+    return (dx / 3.0) * float(y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
 
 
 def _integrate_samples(path: PathSpec, values: np.ndarray) -> float:
+    """Integral of sampled ``values`` over t, by the rule matching ``path.kind``."""
     if path.kind == "midpoint":
         dt = path.t[1] - path.t[0]
         return float(dt * values.sum())
+    if path.kind == "azimuth":
+        return _simpson_uniform(values / path.dphi_dt, path.phi)
     return _simpson_uniform(values, path.t)
 
 
@@ -183,7 +200,12 @@ def _quadrature(
     constants: PhysicalConstants,
     rel_tol: float = QUADRATURE_REL_TOL,
 ) -> float:
-    """Integrate `integrand(path) -> samples` over t, refining when possible."""
+    """Integrate `integrand(path) -> samples` over t, refining when possible.
+
+    A path with a sampler is resampled with twice the intervals until two
+    successive values agree to ``rel_tol``.  Raises :class:`NoConvergence`
+    when the next level would pass ``MAX_QUADRATURE_SAMPLES`` first.
+    """
 
     def evaluate(p: PathSpec) -> float:
         _check_timelike(model, p, constants)
@@ -196,10 +218,16 @@ def _quadrature(
     previous = None
     while True:
         value = evaluate(path.sampler(n + 1))
-        if previous is not None and abs(value - previous) <= rel_tol * max(abs(value), 1e-300):
+        change = math.inf if previous is None else abs(value - previous)
+        if change <= rel_tol * max(abs(value), 1e-300):
             return value
         if 2 * n > MAX_QUADRATURE_SAMPLES:
-            return value
+            raise NoConvergence(
+                f"quadrature over the {path.kind!r} path stopped at {n + 1} samples, "
+                f"since doubling again would pass MAX_QUADRATURE_SAMPLES = "
+                f"{MAX_QUADRATURE_SAMPLES}; last relative change "
+                f"{change / max(abs(value), 1e-300):.3e} > {rel_tol:.1e}"
+            )
         previous = value
         n *= 2
 
@@ -252,7 +280,7 @@ def delta_tau_pair(
 def build_straight_arm(
     geom: InterferometerGeometry,
     side: str,
-    n_samples: int = 2049,
+    n_samples: int = 257,
 ) -> PathSpec:
     """Straight equatorial arm at perpendicular distance w/2 from the axis.
 
@@ -262,6 +290,12 @@ def build_straight_arm(
     decreasing phi.  The two are mirror images under phi -> -phi, which for
     this axisymmetric metric is equivalent to time reversal, so the "left"
     path stands in for the physical arm on the far side of the axis.
+
+    The samples are uniform in the azimuth, y = (w/2) tan(phi) with phi
+    between -phi_max and phi_max = arctan(2L/w), so the path is an "azimuth"
+    path.  The frame-dragging integrand is a Lorentzian of width ~w in y but
+    about h_tphi dphi in phi, smooth at any L/w, so the quadrature needs
+    about a thousand samples where uniform-t sampling would need ~L/w.
     """
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
@@ -269,14 +303,20 @@ def build_straight_arm(
         raise DomainError("building arm paths requires v0 > 0")
     w, L, v0 = geom.w, geom.L, geom.v0
     direction = 1.0 if side == "right" else -1.0
-    total_time = 2.0 * L / v0
+    half_w = 0.5 * w
+    phi_max = math.atan(2.0 * L / w)
 
     def sampler(n: int) -> PathSpec:
-        t = np.linspace(0.0, total_time, n)
-        y = direction * (-L + v0 * t)
-        half_w = 0.5 * w
+        u = np.linspace(-phi_max, phi_max, n)
+        y_ahead = half_w * np.tan(u)  # distance travelled is L + y_ahead
+        t = (L + y_ahead) / v0
+        if np.any(np.diff(t) <= 0):
+            raise DomainError(
+                f"L/w = {L / w:.6g} is too long to resolve {n} arm samples in coordinate time"
+            )
+        y = direction * y_ahead
         r = np.hypot(half_w, y)
-        phi = np.arctan2(y, half_w)
+        phi = direction * u
         theta = np.full(n, 0.5 * math.pi)
         vy = direction * v0
         dr_dt = y * vy / r
@@ -287,7 +327,7 @@ def build_straight_arm(
         return PathSpec(
             t=t, r=r, theta=theta, phi=phi,
             dr_dt=dr_dt, dtheta_dt=dtheta_dt, dphi_dt=dphi_dt,
-            start=start, end=end, kind="node", sampler=sampler,
+            start=start, end=end, kind="azimuth", sampler=sampler,
         )
 
     return sampler(n_samples)
@@ -340,9 +380,11 @@ def delta_tau_interferometer(
 
     "closed_form" returns 16 G J K / (c^4 w) (infinite-arm limit, K evaluated
     far from the mass).  "quadrature" integrates the time-reversed-pair
-    difference over a finite right arm and halves it, which matches the
+    difference over a finite right arm, sampled uniformly in the azimuth
+    (see :func:`build_straight_arm`), and halves it, which matches the
     closed form's normalization; the two agree as L/w grows, with relative
-    truncation error 1 - sin(arctan(2L/w)).
+    truncation error 1 - sin(arctan(2L/w)).  Raises :class:`NoConvergence`,
+    naming L/w, if the quadrature reaches its sample cap.
     """
     if mode == "closed_form":
         value = (
@@ -352,6 +394,9 @@ def delta_tau_interferometer(
         return _bundle_from_delta_tau(value)
     if mode == "quadrature":
         arm = build_straight_arm(geom, "right")
-        value = 0.5 * delta_tau_pair(model, arm, constants)
+        try:
+            value = 0.5 * delta_tau_pair(model, arm, constants)
+        except NoConvergence as exc:
+            raise NoConvergence(f"arm with L/w = {geom.L / geom.w:.6g}: {exc}") from exc
         return _bundle_from_delta_tau(value)
     raise DomainError(f"mode must be 'closed_form' or 'quadrature', got {mode!r}")

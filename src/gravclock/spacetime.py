@@ -38,6 +38,9 @@ class RotatingMassModel:
     J: float
 
     def __post_init__(self) -> None:
+        for name in ("M", "J"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.M < 0:
             raise DomainError("source mass must be non-negative")
 

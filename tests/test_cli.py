@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from gravclock import propertime
 from gravclock.cli import run_command
 
 EXPECTED_DELTA_TAU = 16.0 * 6.67430e-11 / ((2.99792458e8) ** 4 * 1e-3)
@@ -117,6 +118,51 @@ def test_verify_rejects_unusable_scales(capsys, scales, reason):
     assert code == 2
     assert out == ""
     assert "scales" in err and reason in err
+
+
+def test_verify_rejects_scales_outside_the_perturbative_regime(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n-segments", "64", "--scales", "1e300,2e300")
+    assert code == 2
+    assert out == ""
+    assert "scales" in err and "perturbative" in err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("delta-tau", "--w", "nan"), "w"),
+        (("delta-tau", "--J", "inf"), "J"),
+        (("delta-tau", "--M", "nan"), "M"),
+        (("delta-tau", "--mode", "both", "--v0", "inf"), "v0"),
+        (("delta-tau", "--mode", "quadrature", "--v0", "1", "--L-ratio", "nan"), "L"),
+        (("interfere", "--w", "inf"), "w"),
+    ],
+)
+def test_non_finite_inputs_are_validation_errors(capsys, argv, field):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{field} must be finite" in err
+
+
+@pytest.mark.parametrize("ratio", ["1e1", "1e4", "1e8"])
+def test_quadrature_matches_the_finite_arm_closed_form(capsys, ratio):
+    code, out, _ = run_cli(
+        capsys, "delta-tau", "--mode", "both", "--v0", "1", "--L-ratio", ratio
+    )
+    assert code == 0
+    header, values = parse_csv(out)
+    row = dict(zip(header, map(float, values[0])))
+    finite_arm = row["delta_tau_closed_form"] * math.sin(math.atan(2.0 * float(ratio)))
+    assert abs(row["delta_tau_quadrature"] / finite_arm - 1.0) < 1e-9
+
+
+def test_quadrature_at_the_sample_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(propertime, "MAX_QUADRATURE_SAMPLES", 512)
+    code, out, err = run_cli(capsys, "delta-tau", "--mode", "quadrature", "--v0", "1")
+    assert code == 3
+    assert out == ""
+    assert "no convergence" in err and "L/w = 1000" in err
 
 
 def test_constants_override_via_env(tmp_path, capsys, monkeypatch):

@@ -12,7 +12,7 @@ from gravclock.geodesic import (
     solve_extremal_path,
     verify_first_order,
 )
-from gravclock.propertime import delta_tau_first_order
+from gravclock.propertime import InterferometerGeometry, build_straight_arm, delta_tau_first_order
 from gravclock.spacetime import RotatingMassModel, SpacetimePoint
 
 FLAT = RotatingMassModel(M=0.0, J=0.0)
@@ -66,6 +66,12 @@ def test_proper_time_along_reproduces_solver_functional(flat_solution, unit_cons
     _, res = flat_solution
     again = proper_time_along(FLAT, res.path, False, unit_constants)
     assert abs(again / res.proper_time - 1.0) < 1e-12
+
+
+def test_proper_time_along_rejects_azimuth_paths(unit_constants):
+    arm = build_straight_arm(InterferometerGeometry(w=1.0, L=1e3, v0=1e-3), "right")
+    with pytest.raises(DomainError, match="azimuth"):
+        proper_time_along(FLAT, arm, False, unit_constants)
 
 
 def test_perturbed_minus_unperturbed_on_same_path_is_the_first_order_shift(unit_constants):
@@ -150,6 +156,17 @@ def test_first_order_residual_scaling(unit_constants):
     assert report.predicted_shifts[3] == pytest.approx(
         0.64 * delta_tau_first_order(model, base.path, unit_constants), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("largest", [1e4, 2e300])
+def test_verify_rejects_scales_outside_the_perturbative_regime(unit_constants, largest):
+    # |h/gbar| along the starting straight line is ~1e-4 per unit scale here
+    model = RotatingMassModel(M=1e-6, J=1.25e-3)
+    bc = BoundaryConditions(
+        SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
+    )
+    with pytest.raises(DomainError, match="scales .* perturbative"):
+        verify_first_order(model, bc, [1.0, largest], constants=unit_constants, n_segments=64)
 
 
 def test_exact_shift_is_odd_in_the_perturbation(unit_constants):

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gravclock import propertime
 from gravclock.constants import CODATA, PhysicalConstants
-from gravclock.errors import DomainError
+from gravclock.errors import DomainError, NoConvergence
 from gravclock.logdomain import SignedLog
 from gravclock.propertime import (
     InterferometerGeometry,
@@ -87,6 +89,76 @@ def test_quadrature_converges_to_closed_form_with_arm_length():
     assert errors[2] < 2e-3  # 0.2 percent at L = 1e3 w
 
 
+def _counting_arms(monkeypatch):
+    """Make build_straight_arm count the samples its sampler hands out."""
+    samples = []
+    build = propertime.build_straight_arm
+
+    def counting_build(geom, side, *args, **kwargs):
+        arm = build(geom, side, *args, **kwargs)
+        sampler = arm.sampler
+
+        def counting_sampler(n):
+            samples.append(n)
+            return sampler(n)
+
+        return replace(arm, sampler=counting_sampler)
+
+    monkeypatch.setattr(propertime, "build_straight_arm", counting_build)
+    return samples
+
+
+def test_quadrature_matches_finite_arm_closed_form_at_any_length(monkeypatch):
+    # the halved pair route and the single-path route on the same arm (the
+    # pair is twice the single-path shift), against closed * sin(arctan(2L/w)),
+    # from short arms to far past the 2^20 samples uniform-t sampling would need
+    samples = _counting_arms(monkeypatch)
+    model = RotatingMassModel(0.0, 1.0)
+    w, v0 = 1e-3, 1.0
+    errors = {"pair": [], "single": []}
+    for ratio in 10.0 ** np.arange(1, 9):
+        geom = InterferometerGeometry(w, ratio * w, v0)
+        closed = delta_tau_interferometer(model, geom, "closed_form").delta_tau
+        finite_arm = closed * math.sin(math.atan(2.0 * ratio))
+        samples.clear()
+        pair = delta_tau_interferometer(model, geom, "quadrature").delta_tau
+        assert 0 < sum(samples) <= 8193
+        samples.clear()
+        single = delta_tau_first_order(model, propertime.build_straight_arm(geom, "right"))
+        assert 0 < sum(samples) <= 8193
+        for name, value in (("pair", pair), ("single", single)):
+            assert abs(value / finite_arm - 1.0) < 1e-9, (name, ratio)
+            errors[name].append(abs(value / closed - 1.0))
+    # the infinite-arm error is the truncation 1 - sin(arctan(2L/w)) ~ (w/2L)^2 / 2:
+    # it falls with every decade until it meets phi-Simpson's own ~5e-13
+    for errs in errors.values():
+        assert all(b < a or b < 1e-12 for a, b in zip(errs, errs[1:])), errs
+        assert errs[-1] < 1e-12
+
+
+def test_quadrature_raises_at_the_sample_cap(monkeypatch):
+    monkeypatch.setattr(propertime, "MAX_QUADRATURE_SAMPLES", 512)
+    model = RotatingMassModel(0.0, 1.0)
+    geom = InterferometerGeometry(w=1e-3, L=1.0, v0=1.0)
+    with pytest.raises(NoConvergence, match="azimuth"):
+        delta_tau_pair(model, build_straight_arm(geom, "right"))
+    with pytest.raises(NoConvergence, match="L/w = 1000"):
+        delta_tau_interferometer(model, geom, "quadrature")
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"w": math.nan, "L": 1.0, "v0": 1.0}, "w"),
+        ({"w": 1e-3, "L": math.inf, "v0": 1.0}, "L"),
+        ({"w": 1e-3, "L": 1.0, "v0": math.nan}, "v0"),
+    ],
+)
+def test_geometry_rejects_non_finite_inputs(kwargs, field):
+    with pytest.raises(DomainError, match=f"^{field} must be finite"):
+        InterferometerGeometry(**kwargs)
+
+
 def test_straight_arm_geometry():
     geom = InterferometerGeometry(w=2e-3, L=1.0, v0=5e2)
     arm = build_straight_arm(geom, "right", n_samples=4097)
@@ -145,18 +217,24 @@ def test_pair_is_twice_the_single_path_shift():
 
 
 def test_pair_matches_independent_quadrature():
-    # independent trapezoid of  -(2 E / m c^3) int h_tphi / gbar_tt dphi
+    # independent trapezoid of  -(2 E / m c^3) int h_tphi / gbar_tt dphi on
+    # the test's own uniform-t samples of the arm, not the library's nodes
     model = RotatingMassModel(M=1e-6, J=1e-3)
     geom = InterferometerGeometry(w=0.02, L=1.0, v0=1e-3)
     arm = build_straight_arm(geom, "right", n_samples=20001).without_sampler()
     got = delta_tau_pair(model, arm, UNIT)
-    eps = 2.0 * model.M / arm.r
-    v2 = (1.0 + eps) * arm.dr_dt**2 + arm.r**2 * arm.dphi_dt**2
-    ratio = 1.0 + 0.5 * v2 - model.M / arm.r
-    h = -4.0 * model.J / arm.r
+    t = np.linspace(0.0, 2.0 * geom.L / geom.v0, 20001)
+    y = -geom.L + geom.v0 * t
+    r = np.hypot(0.5 * geom.w, y)
+    dr_dt = y * geom.v0 / r
+    dphi_dt = 0.5 * geom.w * geom.v0 / r**2
+    eps = 2.0 * model.M / r
+    v2 = (1.0 + eps) * dr_dt**2 + r**2 * dphi_dt**2
+    ratio = 1.0 + 0.5 * v2 - model.M / r
+    h = -4.0 * model.J / r
     g_tt = -1.0 + eps
-    integrand = 2.0 * ratio * (h / g_tt) * arm.dphi_dt
-    expected = np.trapezoid(integrand, arm.t)
+    integrand = 2.0 * ratio * (h / g_tt) * dphi_dt
+    expected = np.trapezoid(integrand, t)
     assert abs(got / expected - 1.0) < 1e-10
 
 

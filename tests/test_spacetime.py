@@ -58,6 +58,14 @@ def test_weak_field_guard_and_domain_errors():
         RotatingMassModel(-1.0, 0.0)
 
 
+@pytest.mark.parametrize("field", ["M", "J"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite_inputs(field, value):
+    kwargs = {"M": 1.0, "J": 1.0, field: value}
+    with pytest.raises(DomainError, match=f"^{field} must be finite"):
+        RotatingMassModel(**kwargs)
+
+
 def test_rate_minkowski_at_rest_is_one():
     assert proper_time_rate(RotatingMassModel(0.0, 0.0), PT, REST) == 1.0
 
