@@ -41,7 +41,7 @@ from .clockstate import (
     witness_value,
 )
 from .constants import PhysicalConstants, resolve_constants
-from .errors import ConfigError, DomainError, GravclockError, NoConvergence
+from .errors import ConfigError, DomainError, GravclockError, NoConvergence, require_finite
 from .logdomain import SignedLog
 
 EXIT_OK = 0
@@ -60,22 +60,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):  # np.float64 too
+        return f"{value:.16e}"  # also "nan", "inf" and "-inf"
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    x = float(value)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.16e}"
+    return _fmt(float(value))
 
 
 def _json_dump(obj, out: list[str]) -> None:
-    if isinstance(obj, dict):
+    if isinstance(obj, float):
+        out.append(_fmt(obj) if math.isfinite(obj) else f'"{_fmt(obj)}"')
+    elif isinstance(obj, dict):
         out.append("{")
         for i, (key, val) in enumerate(obj.items()):
             if i:
@@ -99,11 +98,7 @@ def _json_dump(obj, out: list[str]) -> None:
     elif obj is None:
         out.append("null")
     else:
-        x = float(obj)
-        if math.isfinite(x):
-            out.append(f"{x:.16e}")
-        else:
-            out.append('"' + _fmt(x) + '"')
+        _json_dump(float(obj), out)
 
 
 def _emit(args, inputs: dict, columns, rows, constants: PhysicalConstants, outputs=None) -> None:
@@ -124,8 +119,7 @@ def _emit(args, inputs: dict, columns, rows, constants: PhysicalConstants, outpu
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(map(_fmt, row) for row in rows)
         text = buf.getvalue()
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
@@ -197,6 +191,8 @@ def _clock_from(ns) -> itf.ClockModel:
         if ns.E_g is None or ns.E_e is None:
             raise ConfigError("provide both --E-g and --E-e, or neither")
         return itf.ClockModel(E_g=ns.E_g, E_e=ns.E_e)
+    require_finite("gap_rate", ns.gap_rate)
+    require_finite("mean_rate", ns.mean_rate)
     hbar = constants.hbar
     return itf.ClockModel(
         E_g=(ns.mean_rate - 0.5 * ns.gap_rate) * hbar,
@@ -206,10 +202,20 @@ def _clock_from(ns) -> itf.ClockModel:
 
 def _delta_tau_from(ns, constants: PhysicalConstants) -> float:
     if ns.delta_tau is not None:
-        return ns.delta_tau
-    model = st.RotatingMassModel(M=ns.M, J=ns.J)
-    geom = pt.InterferometerGeometry(w=ns.w, L=ns.L_ratio * ns.w, v0=ns.v0)
-    return pt.delta_tau_interferometer(model, geom, "closed_form", constants).delta_tau
+        delta_tau = ns.delta_tau
+    else:
+        model = st.RotatingMassModel(M=ns.M, J=ns.J)
+        geom = pt.InterferometerGeometry(w=ns.w, L=ns.L_ratio * ns.w, v0=ns.v0)
+        delta_tau = pt.delta_tau_interferometer(model, geom, "closed_form", constants).delta_tau
+    require_finite("delta_tau", delta_tau)
+    return delta_tau
+
+
+def _check_phases(delta_tau: float, constants: PhysicalConstants, **energies: float) -> None:
+    """Reject a finite delta_tau whose clock phases E delta_tau / hbar overflow."""
+    for name, energy in energies.items():
+        if not math.isfinite(energy * delta_tau / constants.hbar):
+            raise DomainError(f"delta_tau {delta_tau!r} makes the {name} phase overflow")
 
 
 _GEOMETRY_DEFAULTS = {"M": 0.0, "J": 1.0, "w": 1e-3, "v0": 0.0, "L_ratio": 1e3}
@@ -333,6 +339,7 @@ def _cmd_interfere(ns) -> int:
     constants = resolve_constants(ns.constants)
     clock = _clock_from(ns)
     delta_tau = _delta_tau_from(ns, constants)
+    _check_phases(delta_tau, constants, gap=clock.gap, mean=clock.mean_energy)
     res = itf.detection_probabilities(clock, delta_tau, constants)
     deficit = itf.visibility(clock, delta_tau, "deficit", constants)
     gap_log = SignedLog.from_linear(itf.gap_phase(clock, delta_tau, constants))
@@ -344,7 +351,7 @@ def _cmd_interfere(ns) -> int:
     )
     row = (
         res.visibility, deficit, res.pr_left, res.pr_right,
-        res.phase_mean, res.phase_mean_log.log10, gap_log.linear, gap_log.log10,
+        res.phase_mean, SignedLog.from_linear(res.phase_mean).log10, gap_log.linear, gap_log.log10,
         delta_tau,
     )
     _emit(ns, inputs, columns, [row], constants)
@@ -355,6 +362,7 @@ def _cmd_gme(ns) -> int:
     constants = resolve_constants(ns.constants)
     clock = _clock_from(ns)
     delta_tau = _delta_tau_from(ns, constants)
+    _check_phases(delta_tau, constants, gap=clock.gap, mean=clock.mean_energy)
     res = itf.gme_entanglement(clock, delta_tau, constants)
     vis = itf.visibility(clock, delta_tau, "direct", constants)
     inputs = {"delta_tau": delta_tau, "E_g": clock.E_g, "E_e": clock.E_e}
@@ -378,6 +386,7 @@ def _cmd_qep(ns) -> int:
         theta=ns.theta,
         varphi=ns.varphi,
     )
+    _check_phases(delta_tau, constants, gap=tt.gap_prime, mean=tt.mean_prime)
     res = qep_mod.qep_gme_entanglement(tt, None, delta_tau, constants)
     inputs = {
         "delta_tau": delta_tau, "theta": ns.theta, "varphi": ns.varphi,
@@ -472,7 +481,7 @@ def _cmd_selftest(ns) -> int:
     hbar = constants.hbar
     checks: list[tuple[str, float, float]] = []  # name, worst error, tolerance
 
-    worst_ee = worst_ef = worst_pr = 0.0
+    worst_ee = worst_ef = worst_w = worst_pr = 0.0
     for gap_phase in np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False):
         for mean_phase in np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False):
             clock = itf.ClockModel(
@@ -480,14 +489,11 @@ def _cmd_selftest(ns) -> int:
                 E_e=(mean_phase + 0.5 * gap_phase) * hbar,
             )
             res = itf.gme_entanglement(clock, 1.0, constants)
-            worst_ee = max(
-                worst_ee,
-                abs(res.ee_spc - von_neumann_entropy(reduced_density(res.state, ["S"]))),
-            )
-            worst_ef = max(
-                worst_ef,
-                abs(res.ef_sp - entanglement_of_formation(reduced_density(res.state, ["S", "P"]))),
-            )
+            state = itf.gme_final_state(clock, 1.0, constants)
+            pair = reduced_density(state, ["S", "P"])
+            worst_ee = max(worst_ee, abs(res.ee_spc - von_neumann_entropy(reduced_density(state, ["S"]))))
+            worst_ef = max(worst_ef, abs(res.ef_sp - entanglement_of_formation(pair)))
+            worst_w = max(worst_w, abs(res.witness - witness_value(pair)))
             state = itf.interferometer_state(clock, 1.0, constants)
             pl = float(np.real(reduced_density(state, ["P"]).matrix[0, 0]))
             worst_pr = max(
@@ -495,6 +501,7 @@ def _cmd_selftest(ns) -> int:
             )
     checks.append(("gme_entropy_vs_oracle", worst_ee, 1e-10))
     checks.append(("gme_formation_vs_oracle", worst_ef, 1e-10))
+    checks.append(("gme_witness_vs_oracle", worst_w, 1e-10))
     checks.append(("probabilities_vs_state", worst_pr, 1e-12))
 
     worst_q = worst_qee = worst_qef = worst_qpr = 0.0

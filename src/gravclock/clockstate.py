@@ -3,7 +3,7 @@
 This is the independent numeric route against which the closed-form
 visibility and entanglement expressions are checked: tensor products,
 partial traces, von Neumann entropy, Wootters concurrence / entanglement of
-formation, and the two-qubit correlation witness.
+formation, and the two-qubit correlation witness of the source/path pair.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, UnknownLabel
+from .logdomain import per_element
 
 NORM_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -23,6 +24,7 @@ EIG_CLAMP = 1e-12
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +158,9 @@ def von_neumann_entropy(rho: DensityMatrix, base: float = 2) -> float:
     return ent / math.log(base)
 
 
-def binary_entropy(x: float, base: float = 2) -> float:
-    """h(x) = -x log x - (1-x) log(1-x) in the given base."""
+def _binary_entropy(x: float, base: float) -> float:
+    if math.isnan(x):
+        return math.nan
     if not 0.0 <= x <= 1.0:
         if -EIG_CLAMP < x < 0.0 or 1.0 < x < 1.0 + EIG_CLAMP:
             x = min(max(x, 0.0), 1.0)
@@ -171,6 +174,14 @@ def binary_entropy(x: float, base: float = 2) -> float:
     return acc / math.log(base)
 
 
+def binary_entropy(x: float, base: float = 2) -> float:
+    """h(x) = -x log x - (1-x) log(1-x) in the given base.
+
+    Elementwise over arrays, with ``math.log`` on each element; NaN gives NaN.
+    """
+    return per_element(_binary_entropy, x, base)
+
+
 def _require_two_qubits(rho: DensityMatrix) -> None:
     if rho.dims != (2, 2):
         raise DimensionMismatch(f"expected a two-qubit state, got dims {rho.dims}")
@@ -179,8 +190,7 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
 def concurrence(rho: DensityMatrix) -> float:
     """Wootters concurrence of a two-qubit density matrix."""
     _require_two_qubits(rho)
-    yy = np.kron(_SIGMA_Y, _SIGMA_Y)
-    r = rho.matrix @ yy @ rho.matrix.conj() @ yy
+    r = rho.matrix @ _SIGMA_YY @ rho.matrix.conj() @ _SIGMA_YY
     eigs = np.clip(np.linalg.eigvals(r).real, 0.0, None)
     # spectrum of rho rho~ is real non-negative up to roundoff; zero out the
     # rank-deficiency noise (observed ~1e-17 relative) so its square roots
@@ -197,22 +207,20 @@ def entanglement_of_formation(rho: DensityMatrix, base: float = 2) -> float:
     return binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - conc * conc))), base)
 
 
-def witness_operator() -> np.ndarray:
-    """X(x)X + Z(x)Z correlation operator for the source/path pair.
-
-    Conventions: the source qubit is stored in its {|0>, |1>} basis, so
-    X^S = |+><+| - |-><-| is sigma_x and Z^S = |0><0| - |1><1| is sigma_z.
-    The path qubit is stored in the after-beam-splitter {|L'>, |R'>} basis;
-    there X^P = |L'><L'| - |R'><R'| is sigma_z while Z^P = |L><L| - |R><R|,
-    an observable of the pre-splitter paths, maps through the symmetric 50/50
-    splitter to sigma_x.
-    """
-    x_term = np.kron(_SIGMA_X, _SIGMA_Z)
-    z_term = np.kron(_SIGMA_Z, _SIGMA_X)
-    return x_term + z_term
+# sigma_x (x) sigma_z and sigma_z (x) sigma_y on the source/path pair
+_WITNESS_TERMS = (np.kron(_SIGMA_X, _SIGMA_Z), np.kron(_SIGMA_Z, _SIGMA_Y))
 
 
 def witness_value(rho: DensityMatrix) -> float:
-    """|<X^S X^P + Z^S Z^P>|; values above 1 certify entanglement."""
+    """|<sigma_x^S sigma_z^P>| + |<sigma_z^S sigma_y^P>|; above 1 certifies entanglement.
+
+    The operators are written in the storage bases: the source qubit in its
+    {|0>, |1>} basis, the path qubit in the after-beam-splitter {|L'>, |R'>}
+    basis, where sigma_z^P = |L'><L'| - |R'><R'| is the which-port observable
+    and sigma_y^P reads the relative phase of the two ports.  The two source
+    observables anticommute, as do the two path observables, so on a product
+    state the sum is at most sqrt(s_x^2 + s_z^2) sqrt(p_z^2 + p_y^2) <= 1, and by convexity
+    on every separable state (Bose et al., PRL 119, 240401 (2017)).
+    """
     _require_two_qubits(rho)
-    return abs(float(np.real(np.trace(rho.matrix @ witness_operator()))))
+    return sum(abs(float(np.real(np.trace(rho.matrix @ term)))) for term in _WITNESS_TERMS)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import qep as qep_mod
 from .constants import CODATA, PhysicalConstants
 from .errors import ConfigError, DomainError
@@ -26,10 +28,12 @@ from .interferometry import (
     gme_entanglement,
     visibility_deficit_from_phase,
 )
-from .logdomain import SignedLog, log10_sum
+from .logdomain import SignedLog, log10_sum, per_element
 
 _LN2 = math.log(2.0)
 _LN10 = math.log(10.0)
+_LOG10_2 = math.log10(2.0)
+_LOG10_4 = math.log10(4.0)
 _ASYMPTOTIC_PHASE = 1e-8
 
 
@@ -136,9 +140,11 @@ class SweepConfig:
         for name in self.outputs:
             if name not in _OUTPUT_COLUMNS:
                 raise ConfigError(f"unknown output {name!r}; choose from {OUTPUTS}")
-        for key in self.fixed:
+        for key, value in self.fixed.items():
             if key not in _PARAMETER_DEFAULTS:
                 raise ConfigError(f"unknown fixed parameter {key!r}")
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {float(value)!r}")
         for v in self.values:
             if not math.isfinite(v):
                 raise ConfigError("axis values must be finite")
@@ -159,7 +165,7 @@ def _resolve(params: dict) -> dict:
         merged["prime_rate"] = merged["clock_rate"]
     if merged["prime_mean_rate"] is None:
         merged["prime_mean_rate"] = merged["mean_rate"]
-    if merged["w"] <= 0 or merged["clock_rate"] <= 0 or merged["v0"] < 0:
+    if np.any(merged["w"] <= 0) or np.any(merged["clock_rate"] <= 0) or np.any(merged["v0"] < 0):
         raise ConfigError("w and clock_rate must be positive, v0 non-negative")
     return merged
 
@@ -168,9 +174,9 @@ def delta_tau_log(params: dict, constants: PhysicalConstants = CODATA) -> Signed
     """Arm proper-time difference 16 G (ell hbar) K / (c^4 w) as sign+log10."""
     p = _resolve(params)
     magnitude = (
-        math.log10(16.0 * constants.G * constants.hbar * _k_factor(p["v0"], constants))
+        per_element(math.log10, 16.0 * constants.G * constants.hbar * _k_factor(p["v0"], constants))
         - 4.0 * math.log10(constants.c)
-        - math.log10(p["w"])
+        - per_element(math.log10, p["w"])
         + p["ell_log10"]
     )
     return SignedLog.from_log10(magnitude, int(math.copysign(1.0, p["ell_sign"])))
@@ -179,91 +185,133 @@ def delta_tau_log(params: dict, constants: PhysicalConstants = CODATA) -> Signed
 def _tiny_entropy_log10(y_log10: float) -> float:
     # h(y) ~ y (1 - ln y) / ln 2 for y -> 0
     ln_y = _LN10 * y_log10
+    if ln_y >= 1.0:
+        return math.nan  # far outside the asymptotic regime; never selected
     return y_log10 + math.log10((1.0 - ln_y) / _LN2)
 
 
-def evaluate_point(params: dict, constants: PhysicalConstants = CODATA) -> dict:
-    """All sweep outputs at one parameter point; log10 columns stay meaningful
-    even where the linear effect underflows to 0 or rounds to 1."""
-    p = _resolve(params)
+def _log10_of_nonnegative(x: float) -> float:
+    if x > 0.0:
+        return math.log10(x)
+    return -math.inf if x == 0.0 else math.nan
+
+
+_PHASE_OUTPUTS = {"phase_mean", "phase_gap", "visibility_deficit", "ee_spc", "ef_sp"}
+_GME_OUTPUTS = {"ee_spc", "ef_sp", "witness"}
+_QEP_OUTPUTS = {name for name in OUTPUTS if name.startswith("qep_")}
+
+
+def _columns(p: dict, outputs, constants: PhysicalConstants) -> dict:
+    """The columns of `outputs`, elementwise over the resolved parameters `p`.
+
+    Each closed form runs once, over whole arrays, and only when an output
+    needs it.  A linear column overflows to inf or NaN in its own row; the
+    log10 columns stay meaningful where the linear effect underflows to 0 or
+    rounds to 1.
+    """
+    need = set(outputs)
     hbar = constants.hbar
     dt_log = delta_tau_log(p, constants)
     delta_tau = dt_log.linear
-    gap_log = dt_log.scaled(p["clock_rate"])
-    mean_log = dt_log.scaled(p["mean_rate"])
-    phase_gap = gap_log.linear
-    phase_mean = mean_log.linear
+    out = {"delta_tau": delta_tau, "delta_tau_log10": dt_log.log10}
 
-    out = {
-        "delta_tau": delta_tau,
-        "delta_tau_log10": dt_log.log10,
-        "phase_gap": phase_gap,
-        "phase_gap_log10": gap_log.log10,
-        "phase_mean": phase_mean,
-        "phase_mean_log10": mean_log.log10,
-    }
-
-    deficit = visibility_deficit_from_phase(phase_gap)
-    out["visibility_deficit"] = deficit
-    if abs(phase_gap) < _ASYMPTOTIC_PHASE:
-        out["visibility_deficit_log10"] = 2.0 * gap_log.log10 - math.log10(2.0)
-    else:
-        out["visibility_deficit_log10"] = math.log10(deficit) if deficit > 0 else -math.inf
-
-    clock = ClockModel(
-        E_g=(p["mean_rate"] - 0.5 * p["clock_rate"]) * hbar,
-        E_e=(p["mean_rate"] + 0.5 * p["clock_rate"]) * hbar,
-    )
-    probs = detection_probabilities(clock, delta_tau, constants)
-    out["pr_left"] = probs.pr_left
-    out["pr_right"] = probs.pr_right
-
-    gme = gme_entanglement(clock, delta_tau, constants)
-    out["ee_spc"] = gme.ee_spc
-    out["ef_sp"] = gme.ef_sp
-    out["witness"] = gme.witness
-    tiny = abs(phase_gap) < _ASYMPTOTIC_PHASE and abs(phase_mean) < _ASYMPTOTIC_PHASE
-    if tiny:
-        # 1 - V cos(phase_mean) ~ deficit + phase_mean^2 / 2
-        x_log10 = log10_sum(
-            out["visibility_deficit_log10"], 2.0 * mean_log.log10 - math.log10(2.0)
+    if need & _PHASE_OUTPUTS:
+        gap_log = dt_log.scaled(p["clock_rate"])
+        mean_log = dt_log.scaled(p["mean_rate"])
+        phase_gap = gap_log.linear
+        phase_mean = mean_log.linear
+        deficit = visibility_deficit_from_phase(phase_gap)
+        deficit_log10 = np.where(
+            np.abs(phase_gap) < _ASYMPTOTIC_PHASE,
+            2.0 * gap_log.log10 - _LOG10_2,
+            per_element(_log10_of_nonnegative, deficit),
         )
-        out["ee_spc_log10"] = _tiny_entropy_log10(x_log10 - math.log10(2.0))
-        # V^2 sin^2(phase_mean) / 4 ~ phase_mean^2 / 4
-        out["ef_sp_log10"] = _tiny_entropy_log10(2.0 * mean_log.log10 - math.log10(4.0))
-    else:
-        out["ee_spc_log10"] = math.log10(gme.ee_spc) if gme.ee_spc > 0 else -math.inf
-        out["ef_sp_log10"] = math.log10(gme.ef_sp) if gme.ef_sp > 0 else -math.inf
+        out.update(
+            phase_gap=phase_gap,
+            phase_gap_log10=gap_log.log10,
+            phase_mean=phase_mean,
+            phase_mean_log10=mean_log.log10,
+            visibility_deficit=deficit,
+            visibility_deficit_log10=deficit_log10,
+        )
 
-    tt = qep_mod.QepTestTheory(
-        H_N=[[clock.E_g, 0.0], [0.0, clock.E_e]],
-        E_g_prime=(p["prime_mean_rate"] - 0.5 * p["prime_rate"]) * hbar,
-        E_e_prime=(p["prime_mean_rate"] + 0.5 * p["prime_rate"]) * hbar,
-        theta=p["theta"],
-        varphi=p["varphi"],
-    )
-    qres = qep_mod.qep_gme_entanglement(tt, None, delta_tau, constants)
-    out["qep_visibility"] = qres.visibility
-    out["qep_xi_phase"] = qres.xi_delta_tau
-    out["qep_pr_left"] = qres.pr_left
-    out["qep_pr_right"] = qres.pr_right
-    out["qep_ee_spc"] = qres.ee_spc
-    out["qep_ef_sp"] = qres.ef_sp
+    e_g = (p["mean_rate"] - 0.5 * p["clock_rate"]) * hbar
+    e_e = (p["mean_rate"] + 0.5 * p["clock_rate"]) * hbar
+    if need & {"pr_left", "pr_right"}:
+        probs = detection_probabilities(ClockModel(E_g=e_g, E_e=e_e), delta_tau, constants)
+        out.update(pr_left=probs.pr_left, pr_right=probs.pr_right)
+
+    if need & _GME_OUTPUTS:
+        gme = gme_entanglement(ClockModel(E_g=e_g, E_e=e_e), delta_tau, constants)
+        out.update(ee_spc=gme.ee_spc, ef_sp=gme.ef_sp, witness=gme.witness)
+    if need & {"ee_spc", "ef_sp"}:
+        tiny = (np.abs(phase_gap) < _ASYMPTOTIC_PHASE) & (np.abs(phase_mean) < _ASYMPTOTIC_PHASE)
+        mean_sq_log10 = 2.0 * mean_log.log10
+        # 1 - V cos(phase_mean) ~ deficit + phase_mean^2 / 2
+        x_log10 = log10_sum(deficit_log10, mean_sq_log10 - _LOG10_2)
+        out["ee_spc_log10"] = np.where(
+            tiny,
+            per_element(_tiny_entropy_log10, x_log10 - _LOG10_2),
+            per_element(_log10_of_nonnegative, gme.ee_spc),
+        )
+        # V^2 sin^2(phase_mean) / 4 ~ phase_mean^2 / 4
+        out["ef_sp_log10"] = np.where(
+            tiny,
+            per_element(_tiny_entropy_log10, mean_sq_log10 - _LOG10_4),
+            per_element(_log10_of_nonnegative, gme.ef_sp),
+        )
+
+    if need & _QEP_OUTPUTS:
+        h_n = np.zeros(np.shape(e_g) + (2, 2))
+        h_n[..., 0, 0] = e_g
+        h_n[..., 1, 1] = e_e
+        tt = qep_mod.QepTestTheory(
+            H_N=h_n,
+            E_g_prime=(p["prime_mean_rate"] - 0.5 * p["prime_rate"]) * hbar,
+            E_e_prime=(p["prime_mean_rate"] + 0.5 * p["prime_rate"]) * hbar,
+            theta=p["theta"],
+            varphi=p["varphi"],
+        )
+        qres = qep_mod.qep_gme_entanglement(tt, None, delta_tau, constants)
+        out.update(
+            qep_visibility=qres.visibility,
+            qep_xi_phase=qres.xi_delta_tau,
+            qep_pr_left=qres.pr_left,
+            qep_pr_right=qres.pr_right,
+            qep_ee_spc=qres.ee_spc,
+            qep_ef_sp=qres.ef_sp,
+        )
     return out
 
 
+def evaluate_point(params: dict, constants: PhysicalConstants = CODATA) -> dict:
+    """All sweep outputs at one parameter point.
+
+    This is the one-row view of the array code behind :func:`run_sweep`; the
+    parameters are floats, and so is every value returned.
+    """
+    with np.errstate(all="ignore"):
+        columns = _columns(_resolve(params), OUTPUTS, constants)
+    return {name: float(value) for name, value in columns.items()}
+
+
 def run_sweep(cfg: SweepConfig, constants: PhysicalConstants = CODATA) -> SweepTable:
-    """Evaluate the requested outputs along one axis; row order follows input."""
-    columns: list[str] = [cfg.axis]
+    """Evaluate the requested outputs along one axis; row order follows input.
+
+    The axis becomes one numpy array, and each closed form behind the
+    requested outputs runs once over it (see :func:`_columns`).  A row whose
+    linear values overflow holds inf or NaN there without stopping the
+    table.  The rows are tuples of floats.
+    """
+    columns = [cfg.axis]
     for name in cfg.outputs:
         columns.extend(_OUTPUT_COLUMNS[name])
-    rows = []
-    for value in cfg.values:
-        params = dict(cfg.fixed)
-        params[cfg.axis] = value
-        point = evaluate_point(params, constants) if cfg.outputs else {}
-        row = [value]
-        for name in cfg.outputs:
-            row.extend(point[col] for col in _OUTPUT_COLUMNS[name])
-        rows.append(tuple(row))
-    return SweepTable(columns=tuple(columns), rows=tuple(rows))
+    if not cfg.outputs or not cfg.values:
+        return SweepTable(columns=tuple(columns), rows=tuple((value,) for value in cfg.values))
+    params = dict(cfg.fixed)
+    params[cfg.axis] = np.asarray(cfg.values, dtype=float)
+    with np.errstate(all="ignore"):
+        computed = _columns(_resolve(params), cfg.outputs, constants)
+    shape = (len(cfg.values),)
+    data = [np.broadcast_to(computed[name], shape).tolist() for name in columns[1:]]
+    return SweepTable(columns=tuple(columns), rows=tuple(zip(cfg.values, *data)))

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class GravclockError(Exception):
     """Base class for all package-specific errors."""
@@ -7,6 +9,14 @@ class GravclockError(Exception):
 
 class DomainError(GravclockError, ValueError):
     """An input lies outside the mathematical domain of an operation."""
+
+
+def require_finite(name: str, value) -> None:
+    """Raise DomainError naming `name` unless every element of `value` is finite."""
+    values = np.asarray(value, dtype=float)
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise DomainError(f"{name} must be finite, got {float(bad[0])!r}")
 
 
 class WeakFieldViolation(DomainError):

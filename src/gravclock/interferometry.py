@@ -20,6 +20,10 @@ time only contributes a global phase and is dropped.
 
 Beam splitters are the symmetric 50/50 convention
 |L> -> (|L'> + |R'>)/sqrt 2, |R> -> (|L'> - |R'>)/sqrt 2.
+
+The closed forms take the clock energies and delta_tau as floats or numpy
+arrays and broadcast over them, so a parameter sweep evaluates each one once
+over its whole axis.  The state-vector constructions take scalars.
 """
 
 from __future__ import annotations
@@ -32,21 +36,26 @@ import numpy as np
 
 from . import clockstate as cs
 from .constants import CODATA, PhysicalConstants
-from .errors import DomainError
-from .logdomain import SignedLog
+from .errors import DomainError, require_finite
+from .logdomain import squared
 
 SMALL_PHASE = 1e-4
 
 
 @dataclass(frozen=True)
 class ClockModel:
-    """Two-level internal Hamiltonian with energies E_g <= E_e (joules)."""
+    """Two-level internal Hamiltonian with energies E_g <= E_e (joules).
+
+    The energies may be arrays of one shape, one clock per element.
+    """
 
     E_g: float
     E_e: float
 
     def __post_init__(self) -> None:
-        if self.E_e < self.E_g:
+        require_finite("E_g", self.E_g)
+        require_finite("E_e", self.E_e)
+        if np.any(self.E_e < self.E_g):
             raise DomainError("excited energy must not be below the ground energy")
 
     @property
@@ -64,12 +73,10 @@ class InterferenceResult:
     pr_left: float
     pr_right: float
     phase_mean: float
-    phase_mean_log: SignedLog
 
 
 @dataclass(frozen=True)
 class GmeResult:
-    state: cs.StateVector
     ee_spc: float
     ef_sp: float
     witness: float
@@ -117,10 +124,9 @@ def mean_phase(clock: ClockModel, delta_tau: float, constants: PhysicalConstants
 
 def visibility_deficit_from_phase(phase: float) -> float:
     """1 - cos(phase), via a series below 1e-4 rad where cos rounds to 1."""
-    if abs(phase) < SMALL_PHASE:
-        p2 = phase * phase
-        return p2 * (0.5 - p2 * (1.0 / 24.0 - p2 / 720.0))
-    return 1.0 - math.cos(phase)
+    p2 = phase * phase
+    series = p2 * (0.5 - p2 * (1.0 / 24.0 - p2 / 720.0))
+    return np.where(np.abs(phase) < SMALL_PHASE, series, 1.0 - np.cos(phase))[()]
 
 
 def visibility(
@@ -137,7 +143,7 @@ def visibility(
     """
     phase = gap_phase(clock, delta_tau, constants)
     if mode == "direct":
-        return math.cos(phase)
+        return np.cos(phase)
     if mode == "deficit":
         return visibility_deficit_from_phase(phase)
     raise DomainError(f"mode must be 'direct' or 'deficit', got {mode!r}")
@@ -149,15 +155,9 @@ def detection_probabilities(
     """Output-port probabilities Pr(L'), Pr(R') of the clock interferometer."""
     vis = visibility(clock, delta_tau, "direct", constants)
     phase = mean_phase(clock, delta_tau, constants)
-    pr_left = 0.5 * (1.0 + vis * math.cos(phase))
-    pr_right = 0.5 * (1.0 - vis * math.cos(phase))
-    return InterferenceResult(
-        visibility=vis,
-        pr_left=pr_left,
-        pr_right=pr_right,
-        phase_mean=phase,
-        phase_mean_log=SignedLog.from_linear(phase),
-    )
+    pr_left = 0.5 * (1.0 + vis * np.cos(phase))
+    pr_right = 0.5 * (1.0 - vis * np.cos(phase))
+    return InterferenceResult(visibility=vis, pr_left=pr_left, pr_right=pr_right, phase_mean=phase)
 
 
 _KET_XI0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -213,26 +213,28 @@ def gme_final_state(
     return _gme_state(u1 @ xi0, u2 @ xi0)
 
 
-
 def gme_entanglement(
     clock: ClockModel,
     delta_tau: float,
     constants: PhysicalConstants = CODATA,
     base: float = 2,
 ) -> GmeResult:
-    """Closed-form entanglement of the GME state, plus the witness value.
+    """Closed-form entanglement and witness of the GME state.
 
     E_E is the source/rest entanglement entropy of the pure tripartite state;
     E_F the source/path entanglement of formation of the reduced pair.  The
-    witness is evaluated on the source/path state from :func:`gme_final_state`,
-    which ``selftest`` and the tests also use to check both closed forms.
+    witness is :func:`gravclock.clockstate.witness_value` on that pair,
+    |<sigma_x^S sigma_z^P>| + |<sigma_z^S sigma_y^P>| = 1 + |V sin(phase_mean)|:
+    the first correlator is 1 on every GME state, and the second, which reads
+    the relative clock phase, equals the pair's concurrence.  So the witness
+    exceeds 1 exactly where E_F > 0.  :func:`gme_final_state` is the
+    state-vector reference that ``selftest`` and the tests check all three
+    closed forms against.
     """
     vis = visibility(clock, delta_tau, "direct", constants)
     phase = mean_phase(clock, delta_tau, constants)
-    ee = cs.binary_entropy(0.5 * (1.0 + vis * math.cos(phase)), base)
-    ef_arg = 1.0 - vis * vis * math.sin(phase) ** 2
-    ef = cs.binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, ef_arg))), base)
-
-    state = gme_final_state(clock, delta_tau, constants)
-    witness = cs.witness_value(cs.reduced_density(state, ["S", "P"]))
-    return GmeResult(state=state, ee_spc=ee, ef_sp=ef, witness=witness)
+    sin_phase = np.sin(phase)
+    ee = cs.binary_entropy(0.5 * (1.0 + vis * np.cos(phase)), base)
+    ef_arg = 1.0 - vis * vis * squared(sin_phase)
+    ef = cs.binary_entropy(0.5 * (1.0 + np.sqrt(np.maximum(0.0, ef_arg))), base)
+    return GmeResult(ee_spc=ee, ef_sp=ef, witness=1.0 + np.abs(vis * sin_phase))

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .constants import CODATA, PhysicalConstants
-from .errors import DomainError, NoConvergence, NotTimelike
+from .errors import DomainError, NoConvergence, NotTimelike, require_finite
 from .logdomain import SignedLog
 from .spacetime import RotatingMassModel, SpacetimePoint
 
@@ -114,8 +114,7 @@ class InterferometerGeometry:
 
     def __post_init__(self) -> None:
         for name in ("w", "L", "v0"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
+            require_finite(name, getattr(self, name))
         if self.w <= 0:
             raise DomainError("arm separation w must be positive")
         if self.L <= self.w:

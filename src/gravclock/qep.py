@@ -18,20 +18,28 @@ equal-Hamiltonian interferometer with the clock frozen at its occupied
 branch energy.
 
 All matrices are stored in the H_N eigenbasis (ground state first).
+
+The closed forms (:func:`qep_visibility`, :func:`xi_phase`,
+:func:`qep_probabilities`, :func:`qep_gme_entanglement`) broadcast over a
+theory whose energies and angles are numpy arrays, with ``H_N`` a stack of
+2x2 matrices; the matrix routes (arm states, final state, phase operator and
+the commutator diagnostic) need a scalar theory.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import clockstate as cs
 from .constants import CODATA, PhysicalConstants
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .interferometry import _gme_state
+from .logdomain import per_element, squared
 
 COMMUTATOR_WARN_THRESHOLD = 0.1
 
@@ -52,28 +60,35 @@ class QepTestTheory:
     theta: float
     varphi: float = 0.0
     initial_state: str = "ground"
-    commutator_ratio: float = field(init=False)
 
     def __post_init__(self) -> None:
         h_n = np.asarray(self.H_N, dtype=complex)
-        if h_n.shape != (2, 2):
+        if h_n.ndim < 2 or h_n.shape[-2:] != (2, 2):
             raise DomainError("H_N must be a 2x2 matrix")
-        scale = max(1.0, float(np.abs(h_n).max()))
-        if np.abs(h_n - h_n.conj().T).max() > 1e-12 * scale:
+        scale = np.maximum(1.0, np.abs(h_n).max(axis=(-2, -1)))
+        asymmetry = np.abs(h_n - np.swapaxes(h_n.conj(), -2, -1)).max(axis=(-2, -1))
+        if np.any(asymmetry > 1e-12 * scale):
             raise DomainError("H_N must be Hermitian")
-        if not 0.0 <= self.theta <= 0.5 * math.pi:
+        for name in ("E_g_prime", "E_e_prime", "varphi"):
+            require_finite(name, getattr(self, name))
+        if not np.all((0.0 <= self.theta) & (self.theta <= 0.5 * math.pi)):
             raise DomainError("theta must lie in [0, pi/2]")
         if self.initial_state not in ("ground", "excited"):
             raise DomainError("initial_state must be 'ground' or 'excited'")
         # rotate H_N to its own eigenbasis (ascending => ground first)
-        eigvals, eigvecs = np.linalg.eigh(h_n)
-        object.__setattr__(self, "H_N", np.diag(eigvals).astype(complex))
+        eigvals = np.linalg.eigh(h_n)[0]
+        diagonal = np.zeros(h_n.shape, dtype=complex)
+        diagonal[..., 0, 0] = eigvals[..., 0]
+        diagonal[..., 1, 1] = eigvals[..., 1]
+        object.__setattr__(self, "H_N", diagonal)
+
+    @cached_property
+    def commutator_ratio(self) -> float:
+        """Dimensionless smallness diagnostic ||[H_N, H_f]|| / (||H_N|| ||H_f||)."""
         h_f = self.h_f_matrix()
         comm = self.H_N @ h_f - h_f @ self.H_N
-        # dimensionless smallness diagnostic: ||[H_N, H_f]|| / (||H_N|| ||H_f||)
         scale = float(np.linalg.norm(self.H_N, 2)) * float(np.linalg.norm(h_f, 2))
-        ratio = float(np.linalg.norm(comm, 2)) / scale if scale > 0 else 0.0
-        object.__setattr__(self, "commutator_ratio", ratio)
+        return float(np.linalg.norm(comm, 2)) / scale if scale > 0 else 0.0
 
     @property
     def gap_prime(self) -> float:
@@ -106,7 +121,7 @@ class QepTestTheory:
 
     def cos2alpha(self) -> float:
         """cos(2 alpha) for the primed-basis weights of the initial state."""
-        c2 = math.cos(2.0 * self.theta)
+        c2 = np.cos(2.0 * self.theta)
         return c2 if self.initial_state == "ground" else -c2
 
 
@@ -154,9 +169,10 @@ def qep_arm_states(
 
 def _continuous_arctan(cos2alpha: float, psi: float) -> float:
     """Unwrapped arg(cos psi + i cos2alpha sin psi), continuous in psi."""
-    k = round(psi / math.pi)
+    k = np.rint(psi / math.pi)
     rem = psi - k * math.pi
-    return k * math.pi + math.atan2(cos2alpha * math.sin(rem), math.cos(rem))
+    # np.arctan2 rounds differently from math.atan2 on a few % of inputs
+    return k * math.pi + per_element(math.atan2, cos2alpha * np.sin(rem), np.cos(rem))
 
 
 def qep_visibility(
@@ -172,10 +188,12 @@ def qep_visibility(
     observable stays continuous through those points.
     """
     psi = tt.gap_prime * delta_tau / constants.hbar
-    s2 = math.sin(2.0 * tt.theta)
-    vis = math.sqrt(max(0.0, 1.0 - s2 * s2 * math.sin(psi) ** 2))
+    s2 = np.sin(2.0 * tt.theta)
+    vis = np.sqrt(np.maximum(0.0, 1.0 - s2 * s2 * squared(np.sin(psi))))
     xi_dtau = -_continuous_arctan(tt.cos2alpha(), psi)
-    xi = xi_dtau / delta_tau if delta_tau != 0.0 else -tt.cos2alpha() * tt.gap_prime / constants.hbar
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(xi_dtau, delta_tau)
+    xi = np.where(delta_tau != 0.0, ratio, -tt.cos2alpha() * tt.gap_prime / constants.hbar)[()]
     return vis, xi
 
 
@@ -186,7 +204,7 @@ def xi_phase(tt: QepTestTheory, delta_tau: float, constants: PhysicalConstants =
 
 
 def _mean_energy(tt: QepTestTheory, mean_energy: float | None) -> float:
-    return tt.mean_prime if mean_energy is None else float(mean_energy)
+    return tt.mean_prime if mean_energy is None else mean_energy
 
 
 def qep_final_state(
@@ -215,7 +233,7 @@ def _probabilities_and_phase(
     vis, xi = qep_visibility(tt, delta_tau, constants)
     xi_dtau = xi_phase(tt, delta_tau, constants)
     phase = _mean_energy(tt, mean_energy) * delta_tau / constants.hbar + xi_dtau
-    pr_left = 0.5 * (1.0 + vis * math.cos(phase))
+    pr_left = 0.5 * (1.0 + vis * np.cos(phase))
     res = QepResult(
         visibility=vis, xi_delta_tau=xi_dtau, xi=xi, pr_left=pr_left, pr_right=1.0 - pr_left
     )
@@ -247,8 +265,8 @@ def qep_gme_entanglement(
     test theory; :func:`qep_final_state` is the state-vector reference."""
     res, phase = _probabilities_and_phase(tt, mean_energy, delta_tau, constants)
     ee = cs.binary_entropy(res.pr_left, base)
-    ef_arg = 1.0 - (res.visibility * math.sin(phase)) ** 2
-    ef = cs.binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, ef_arg))), base)
+    ef_arg = 1.0 - squared(res.visibility * np.sin(phase))
+    ef = cs.binary_entropy(0.5 * (1.0 + np.sqrt(np.maximum(0.0, ef_arg))), base)
     return replace(res, ee_spc=ee, ef_sp=ef)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .constants import CODATA, PhysicalConstants
-from .errors import DomainError, NotTimelike, WeakFieldViolation
+from .errors import DomainError, NotTimelike, WeakFieldViolation, require_finite
 
 DEFAULT_WEAK_FIELD_THRESHOLD = 0.5
 
@@ -39,8 +39,7 @@ class RotatingMassModel:
 
     def __post_init__(self) -> None:
         for name in ("M", "J"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
+            require_finite(name, getattr(self, name))
         if self.M < 0:
             raise DomainError("source mass must be non-negative")
 

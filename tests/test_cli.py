@@ -7,6 +7,7 @@ import pytest
 
 from gravclock import propertime
 from gravclock.cli import run_command
+from gravclock.detectability import OUTPUTS
 
 EXPECTED_DELTA_TAU = 16.0 * 6.67430e-11 / ((2.99792458e8) ** 4 * 1e-3)
 
@@ -136,6 +137,14 @@ def test_verify_rejects_scales_outside_the_perturbative_regime(capsys):
         (("delta-tau", "--mode", "both", "--v0", "inf"), "v0"),
         (("delta-tau", "--mode", "quadrature", "--v0", "1", "--L-ratio", "nan"), "L"),
         (("interfere", "--w", "inf"), "w"),
+        (("interfere", "--delta-tau", "nan"), "delta_tau"),
+        (("interfere", "--gap-rate", "nan"), "gap_rate"),
+        (("gme", "--delta-tau", "nan"), "delta_tau"),
+        (("qep", "--delta-tau", "inf"), "delta_tau"),
+        (("interfere", "--E-g", "nan", "--E-e", "1e-19"), "E_g"),
+        (("qep", "--delta-tau", "1e-15", "--prime-gap-rate", "inf"), "E_g_prime"),
+        (("sweep", "--axis", "ell_log10", "--values", "60", "--outputs", "ee_spc", "--w", "nan"), "w"),
+        (("sweep", "--axis", "ell_log10", "--values", "60", "--outputs", "delta_tau", "--mean-rate", "nan"), "mean_rate"),
     ],
 )
 def test_non_finite_inputs_are_validation_errors(capsys, argv, field):
@@ -190,6 +199,37 @@ def test_sweep_csv_table(capsys):
     idx = header.index("delta_tau_log10")
     drops = [float(values[i][idx]) - float(values[i + 1][idx]) for i in range(2)]
     assert all(abs(d - 1.0) < 1e-9 for d in drops)
+
+
+@pytest.mark.parametrize(
+    "outputs", ["delta_tau,visibility_deficit,pr_left", "delta_tau", ",".join(OUTPUTS)]
+)
+def test_sweep_rows_overflow_one_by_one(capsys, outputs):
+    # ell = 1e400 overflows delta_tau and every phase; that row holds inf or
+    # NaN in its linear columns and keeps its log10 magnitudes
+    code, out, err = run_cli(
+        capsys, "sweep", "--axis", "ell_log10", "--values", "60,400", "--outputs", outputs
+    )
+    assert code == 0, err
+    header, values = parse_csv(out)
+    finite, overflowed = (dict(zip(header, map(float, row))) for row in values)
+    assert all(math.isfinite(v) for v in finite.values())
+    assert overflowed["delta_tau"] == math.inf
+    for name in ("delta_tau_log10", "phase_gap_log10", "phase_mean_log10"):
+        if name in header:
+            assert overflowed[name] == pytest.approx(finite[name] + 340.0, abs=1e-9)
+    for name in ("visibility_deficit", "pr_left", "ee_spc", "qep_visibility"):
+        if name in header:
+            assert math.isnan(overflowed[name])
+
+
+@pytest.mark.parametrize("command", ["interfere", "gme", "qep"])
+def test_clock_phases_that_overflow_are_validation_errors(capsys, command):
+    code, out, err = run_cli(capsys, command, "--delta-tau", "1e300")
+    assert code == 2
+    assert out == ""
+    assert "delta_tau 1e+300 makes the gap phase overflow" in err
+    assert "Warning" not in err
 
 
 def test_sweep_requires_axis(capsys):

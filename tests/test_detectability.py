@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from gravclock.clockstate import binary_entropy
+from gravclock.constants import CODATA
 from gravclock.detectability import (
     AXES,
     OUTPUTS,
@@ -150,3 +152,89 @@ def test_entanglement_log_columns_at_laboratory_scale():
 def test_log_sum_helper():
     assert abs(log10_sum(-10.0, -10.0) - (math.log10(2.0) - 10.0)) < 1e-14
     assert log10_sum(-math.inf, -5.0) == -5.0
+
+
+@pytest.mark.parametrize(
+    "axis, values, fixed",
+    [
+        ("ell_log10", (0.0, 50.5, 51.0, 54.9, 58.9, 65.0, 69.0), {}),
+        ("theta", (0.0, 0.4, 1.1, 0.5 * math.pi), {"ell_log10": 58.0}),
+        ("mean_rate", (0.0, -3e14, 1e18), {"ell_log10": 52.0}),
+        ("v0", (0.0, 1e8), {"ell_log10": 54.85, "clock_rate": 3e15}),
+    ],
+)
+def test_sweep_rows_are_evaluate_point_bit_for_bit(axis, values, fixed):
+    table = run_sweep(SweepConfig(axis=axis, values=values, outputs=OUTPUTS, fixed=fixed))
+    for value, row in zip(values, table.rows):
+        point = evaluate_point({**fixed, axis: value})
+        assert all(type(cell) is float for cell in row)
+        for column, cell in zip(table.columns[1:], row[1:]):
+            assert cell == point[column] or (math.isnan(cell) and math.isnan(point[column])), column
+
+
+def test_sweep_validation_names_the_parameter():
+    with pytest.raises(ConfigError, match="w must be finite, got nan"):
+        SweepConfig(axis="ell_log10", values=(60.0,), outputs=("delta_tau",), fixed={"w": math.nan})
+    with pytest.raises(ConfigError, match="w and clock_rate must be positive"):
+        run_sweep(SweepConfig(axis="w", values=(1e-3, -1e-3), outputs=("delta_tau",), fixed={}))
+    with pytest.raises(DomainError, match=r"theta must lie in \[0, pi/2\]"):
+        run_sweep(SweepConfig(axis="theta", values=(0.1, 1.6), outputs=("qep_visibility",), fixed={}))
+
+
+def _scalar_reference(clock_rate, mean_rate, theta, dt):
+    """The clock and test-theory closed forms of one row with Python floats
+    and ``math``: the reference the sweep's array code must reproduce bit
+    for bit."""
+    hbar = CODATA.hbar
+    e_g, e_e = (mean_rate - 0.5 * clock_rate) * hbar, (mean_rate + 0.5 * clock_rate) * hbar
+    vis = math.cos((e_e - e_g) * dt / hbar)
+    phase = 0.5 * (e_g + e_e) * dt / hbar
+    pr_left = 0.5 * (1.0 + vis * math.cos(phase))
+    ef_arg = 1.0 - vis * vis * math.sin(phase) ** 2
+    psi = (e_e - e_g) * dt / hbar
+    s2 = math.sin(2.0 * theta)
+    q_vis = math.sqrt(max(0.0, 1.0 - s2 * s2 * math.sin(psi) ** 2))
+    k = round(psi / math.pi)
+    rem = psi - k * math.pi
+    xi_dt = -(k * math.pi + math.atan2(math.cos(2.0 * theta) * math.sin(rem), math.cos(rem)))
+    q_phase = 0.5 * (e_g + e_e) * dt / hbar + xi_dt
+    q_left = 0.5 * (1.0 + q_vis * math.cos(q_phase))
+    q_ef_arg = 1.0 - (q_vis * math.sin(q_phase)) ** 2
+    return {
+        "pr_left": pr_left,
+        "pr_right": 0.5 * (1.0 - vis * math.cos(phase)),
+        "ee_spc": binary_entropy(pr_left),
+        "ef_sp": binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, ef_arg)))),
+        "qep_visibility": q_vis,
+        "qep_xi_phase": xi_dt,
+        "qep_pr_left": q_left,
+        "qep_pr_right": 1.0 - q_left,
+        "qep_ee_spc": binary_entropy(q_left),
+        "qep_ef_sp": binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, q_ef_arg)))),
+    }
+
+
+@pytest.mark.parametrize(
+    "axis, low, high, fixed",
+    [
+        ("ell_log10", 55.0, 68.0, {"theta": 0.3, "mean_rate": -2e14}),
+        ("theta", 0.0, 0.5 * math.pi, {"ell_log10": 60.0}),
+        ("mean_rate", -3e15, 3e15, {"ell_log10": 59.0, "theta": 1.1}),
+    ],
+)
+def test_sweep_columns_equal_the_scalar_math_reference(axis, low, high, fixed):
+    # numpy's arctan2 and x ** 2 round differently from math.atan2 and
+    # Python's pow on a few inputs in a thousand; 1500 rows per axis meet them
+    values = tuple(np.random.default_rng(41).uniform(low, high, 1500).tolist())
+    outputs = ("delta_tau", "pr_left", "pr_right", "ee_spc", "ef_sp") + tuple(
+        name for name in OUTPUTS if name.startswith("qep_")
+    )
+    table = run_sweep(SweepConfig(axis=axis, values=values, outputs=outputs, fixed=fixed))
+    for row in table.rows:
+        cells = dict(zip(table.columns, row))
+        params = {"clock_rate": 1e15, "mean_rate": 5e14, "theta": 0.0, **fixed, axis: row[0]}
+        expected = _scalar_reference(
+            params["clock_rate"], params["mean_rate"], params["theta"], cells["delta_tau"]
+        )
+        for name, value in expected.items():
+            assert cells[name] == value, (name, row[0])

@@ -10,8 +10,10 @@ from gravclock.clockstate import (
     entanglement_of_formation,
     reduced_density,
     von_neumann_entropy,
+    witness_value,
 )
 from gravclock.constants import CODATA
+from gravclock.errors import DomainError
 from gravclock.interferometry import (
     ClockModel,
     clock_unitary,
@@ -172,11 +174,12 @@ def test_closed_forms_match_oracles_on_a_grid():
         for mp in np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False):
             clock = phase_clock(mp, gp)
             res = gme_entanglement(clock, 1.0)
-            ee = von_neumann_entropy(reduced_density(res.state, ["S"]))
-            ef = entanglement_of_formation(reduced_density(res.state, ["S", "P"]))
+            state = gme_final_state(clock, 1.0)
+            ee = von_neumann_entropy(reduced_density(state, ["S"]))
+            ef = entanglement_of_formation(reduced_density(state, ["S", "P"]))
             worst_ee = max(worst_ee, abs(res.ee_spc - ee))
             worst_ef = max(worst_ef, abs(res.ef_sp - ef))
-            conc = concurrence(reduced_density(res.state, ["S", "P"]))
+            conc = concurrence(reduced_density(state, ["S", "P"]))
             closed = abs(visibility(clock, 1.0)) * abs(math.sin(mean_phase(clock, 1.0)))
             worst_conc = max(worst_conc, abs(conc - closed))
     assert worst_ee <= 1e-10
@@ -196,12 +199,19 @@ def test_formation_maximum_shrinks_with_visibility():
     assert abs(maxima[0] - 1.0) < 1e-10
 
 
-def test_witness_exceeds_one_only_with_formation_entanglement():
+def test_witness_exceeds_one_exactly_with_formation_entanglement():
+    # mean phases 0 and pi leave the pair separable; every other grid point
+    # entangles it, and there the witness must certify it
+    above = 0
     for gp in np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False):
         for mp in np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False):
-            res = gme_entanglement(phase_clock(mp, gp), 1.0)
-            if res.witness > 1.0 + 1e-9:
-                assert res.ef_sp > 0.0
+            clock = phase_clock(mp, gp)
+            res = gme_entanglement(clock, 1.0)
+            assert (res.witness > 1.0 + 1e-9) == (res.ef_sp > 0.0), (gp, mp)
+            pair = reduced_density(gme_final_state(clock, 1.0), ["S", "P"])
+            assert abs(res.witness - witness_value(pair)) < 1e-12
+            above += res.witness > 1.0 + 1e-9
+    assert above == 80
 
 
 def test_outputs_invariant_under_global_clock_phase():
@@ -211,3 +221,36 @@ def test_outputs_invariant_under_global_clock_phase():
     state = gme_final_state(clock, 1.0, initial_clock=rotated_input)
     ee = von_neumann_entropy(reduced_density(state, ["S"]))
     assert abs(ee - base.ee_spc) < 1e-12
+
+
+def test_clock_model_rejects_non_finite_energies():
+    for kwargs, name in (
+        ({"E_g": math.nan, "E_e": 1.0}, "E_g"),
+        ({"E_g": 0.0, "E_e": math.inf}, "E_e"),
+        ({"E_g": np.array([0.0, -math.inf]), "E_e": np.ones(2)}, "E_g"),
+    ):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            ClockModel(**kwargs)
+    with pytest.raises(DomainError, match="excited energy"):
+        ClockModel(E_g=np.array([0.0, 2.0]), E_e=np.array([1.0, 1.0]))
+
+
+def test_closed_forms_broadcast_over_arrays():
+    # array calls give, bit for bit, what one scalar call per element gives
+    rng = np.random.default_rng(26)
+    mean, gap = rng.uniform(-9, 9, 200), rng.uniform(0, 9, 200)
+    dt = rng.uniform(-3, 3, 200)
+    dt[:3] = (0.0, 1e-9, 1e-3)  # the deficit series and its exact branch
+    clocks = phase_clock(mean, gap)
+    probs = detection_probabilities(clocks, dt)
+    gme = gme_entanglement(clocks, dt)
+    deficit = visibility(clocks, dt, "deficit")
+    for i in range(200):
+        clock = phase_clock(mean[i], gap[i])
+        one = detection_probabilities(clock, dt[i])
+        assert (probs.visibility[i], probs.pr_left[i], probs.pr_right[i]) == (
+            one.visibility, one.pr_left, one.pr_right
+        )
+        one = gme_entanglement(clock, dt[i])
+        assert (gme.ee_spc[i], gme.ef_sp[i], gme.witness[i]) == (one.ee_spc, one.ef_sp, one.witness)
+        assert deficit[i] == visibility(clock, dt[i], "deficit")

@@ -274,3 +274,38 @@ def test_hermiticity_and_angle_validation():
         QepTestTheory(H_N=np.array([[0.0, 1.0], [0.0, 0.0]]), E_g_prime=0.0, E_e_prime=1.0, theta=0.1)
     with pytest.raises(DomainError):
         theory(-0.3)
+
+
+def test_closed_forms_broadcast_over_a_batch_of_theories():
+    # one batched theory gives, bit for bit, what one scalar theory per
+    # element gives; the sweep evaluates the test theory this way
+    rng = np.random.default_rng(31)
+    theta = rng.uniform(0.0, 0.5 * math.pi, 64)
+    theta[:2] = (0.0, 0.5 * math.pi)
+    gap, mean = rng.uniform(0.0, 9.0, 64), rng.uniform(-3.0, 3.0, 64)
+    dt = rng.uniform(-2.0, 2.0, 64)
+    dt[2] = 0.0
+    h_n = np.zeros((64, 2, 2))
+    h_n[:, 1, 1] = HBAR
+    batch = QepTestTheory(
+        H_N=h_n,
+        E_g_prime=(mean - 0.5 * gap) * HBAR,
+        E_e_prime=(mean + 0.5 * gap) * HBAR,
+        theta=theta,
+    )
+    got = qep_gme_entanglement(batch, None, dt)
+    for i in range(64):
+        one = qep_gme_entanglement(theory(theta[i], gap=gap[i], mean=mean[i]), None, dt[i])
+        for name in ("visibility", "xi_delta_tau", "xi", "pr_left", "pr_right", "ee_spc", "ef_sp"):
+            assert getattr(got, name)[i] == getattr(one, name), (name, i)
+
+
+def test_batch_validation_keeps_the_scalar_messages():
+    h_n = np.zeros((3, 2, 2))
+    with pytest.raises(DomainError, match=r"theta must lie in \[0, pi/2\]"):
+        QepTestTheory(H_N=h_n, E_g_prime=0.0, E_e_prime=HBAR, theta=np.array([0.1, 2.0, 0.3]))
+    h_n[1, 0, 1] = 1.0
+    with pytest.raises(DomainError, match="Hermitian"):
+        QepTestTheory(H_N=h_n, E_g_prime=0.0, E_e_prime=HBAR, theta=0.1)
+    with pytest.raises(DomainError, match="E_g_prime must be finite, got nan"):
+        theory(0.1, gap=math.nan)
