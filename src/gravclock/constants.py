@@ -8,6 +8,7 @@ physics code.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -25,8 +26,12 @@ class PhysicalConstants:
     hbar: float = 1.054571817e-34
 
     def __post_init__(self) -> None:
-        if self.c <= 0 or self.G <= 0 or self.hbar <= 0:
-            raise ConfigError("physical constants must be strictly positive")
+        for name in ("c", "G", "hbar"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    f"physical constant {name} must be finite and strictly positive, got {value!r}"
+                )
 
 
 CODATA = PhysicalConstants()

@@ -183,7 +183,9 @@ def delta_tau_log(params: dict, constants: PhysicalConstants = CODATA) -> Signed
 
 
 def _tiny_entropy_log10(y_log10: float) -> float:
-    # h(y) ~ y (1 - ln y) / ln 2 for y -> 0
+    # h(y) ~ y (1 - ln y) / ln 2 for y -> 0, and h(0) = 0
+    if y_log10 == -math.inf:
+        return -math.inf
     ln_y = _LN10 * y_log10
     if ln_y >= 1.0:
         return math.nan  # far outside the asymptotic regime; never selected

@@ -9,7 +9,8 @@ Kernels take plain float64 arrays plus scalar parameters ``gm = G*M``,
 ``gj = G*J`` and ``c``; they never allocate package types.
 
 The extremal-path solver's Newton step comes from ``newton_assemble``
-(finite-difference gradient and block-tridiagonal Hessian) and
+(finite-difference gradient and block-tridiagonal Hessian, from one table
+of node shifts evaluated a cache-sized block at a time) and
 ``block_thomas``, which solves that system by block cyclic reduction:
 log2(m) levels of batched 3x3 solves instead of m sequential ones.
 """
@@ -75,11 +76,13 @@ def energy_ratio_array(r, theta, vr, vth, vph, gm, c):
 
 
 def _segment_rates(xl, xr, dt, gm, gj, c, pert):
-    rm = 0.5 * (xl[:, 0] + xr[:, 0])
-    thm = 0.5 * (xl[:, 1] + xr[:, 1])
-    vr = (xr[:, 0] - xl[:, 0]) / dt
-    vth = (xr[:, 1] - xl[:, 1]) / dt
-    vph = (xr[:, 2] - xl[:, 2]) / dt
+    # dtau/dt of each segment from its left and right nodes, coordinate first:
+    # xl[0], xl[1], xl[2] hold r, theta, phi
+    rm = 0.5 * (xl[0] + xr[0])
+    thm = 0.5 * (xl[1] + xr[1])
+    vr = (xr[0] - xl[0]) / dt
+    vth = (xr[1] - xl[1]) / dt
+    vph = (xr[2] - xl[2]) / dt
     eps, v2, h = weak_field_terms(rm, thm, vr, vth, vph, gm, gj, c)
     rad = radicand_from_terms(eps, v2, h, vph, c, pert)
     with np.errstate(invalid="ignore"):
@@ -87,80 +90,95 @@ def _segment_rates(xl, xr, dt, gm, gj, c, pert):
 
 
 def path_functional(x, dt, gm, gj, c, pert):
-    rates = _segment_rates(x[:-1], x[1:], dt, gm, gj, c, pert)
+    rates = _segment_rates(x[:-1].T, x[1:].T, dt, gm, gj, c, pert)
     return dt * float(np.sum(rates))
 
 
+# coordinate pairs of one node that share a mixed second derivative
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _probe_layout():
+    """The 85 shifts of a segment's (left, right) nodes that newton_assemble probes.
+
+    ``codes[k, s, j]`` shifts coordinate j of side s (0 left, 1 right) in
+    probe k by +-hg[j] for +-1, by +-hh[j] for +-2, and not at all for 0;
+    probe 0 shifts nothing.  The index arrays name the probes, with sign
+    index 0 for + and 1 for -: ``single[side, sign, step, j]`` shifts one
+    coordinate by +-hg (step 0) or +-hh (step 1); ``same[side, sign_a,
+    sign_b, pair]`` shifts the coordinates (a, b) of a ``_PAIRS`` entry of
+    one node by (+-hh[a], +-hh[b]); ``cross[sign_a, sign_b, a, b]`` shifts
+    left coordinate a by +-hh[a] and right coordinate b by +-hh[b].
+    """
+    codes = [np.zeros((2, 3), dtype=np.intp)]
+
+    def add(*moves):  # (side, coordinate, code) per shifted coordinate
+        codes.append(np.zeros((2, 3), dtype=np.intp))
+        for side, j, code in moves:
+            codes[-1][side, j] = code
+        return len(codes) - 1
+
+    pm = (1, -1)
+    single = [[[[add((side, j, sg * st)) for j in range(3)] for st in (1, 2)]
+               for sg in pm] for side in (0, 1)]
+    same = [[[[add((side, a, 2 * sa), (side, b, 2 * sb)) for a, b in _PAIRS]
+              for sb in pm] for sa in pm] for side in (0, 1)]
+    cross = [[[[add((0, a, 2 * sa), (1, b, 2 * sb)) for b in range(3)]
+               for a in range(3)] for sb in pm] for sa in pm]
+    return np.array(codes), np.array(single), np.array(same), np.array(cross)
+
+
+_PROBE_CODES, _SINGLE, _SAME, _CROSS = _probe_layout()
+# probes evaluated together: (8, n_segments) temporaries stay in cache,
+# where one stack of all 85 probes falls out of it
+_PROBE_BLOCK = 8
+
+
 def newton_assemble(x, dt, gm, gj, c, pert, hg, hh):
+    """Finite-difference gradient and block-tridiagonal Hessian of the functional.
+
+    Returns (grad, diag, off) over the m = n_segments - 1 interior nodes:
+    (m, 3), (m, 3, 3) and (m - 1, 3, 3).  The central differences, with
+    steps ``hg`` (gradient) and ``hh`` (Hessian) per coordinate, need every
+    segment's rate under the 85 shifts of its two nodes in ``_probe_layout``.
+    These are evaluated ``_PROBE_BLOCK`` shifts at a time over a leading
+    probe axis, and each stencil reads its rows of the (85, n_segments)
+    result by index.
+    """
     n = x.shape[0] - 1
     m = n - 1
-    xl = x[:-1]
-    xr = x[1:]
+    steps = np.stack((np.zeros(3), hg, hh))[np.abs(_PROBE_CODES), np.arange(3)]
+    shifts = (np.sign(_PROBE_CODES) * steps).transpose(1, 2, 0)[..., None]
+    # shifts are (side, coordinate, probe, 1), nodes (coordinate, 1, node)
+    xt = np.ascontiguousarray(x.T)[:, None, :]
+    seg = np.empty((_PROBE_CODES.shape[0], n))
+    for k in range(0, seg.shape[0], _PROBE_BLOCK):
+        block = shifts[:, :, k : k + _PROBE_BLOCK]
+        seg[k : k + _PROBE_BLOCK] = dt * _segment_rates(
+            xt[..., :-1] + block[0], xt[..., 1:] + block[1], dt, gm, gj, c, pert
+        )
 
-    def seg(dl, dr):
-        return dt * _segment_rates(xl + dl, xr + dr, dt, gm, gj, c, pert)
+    # interior node i + 1 is the right node of segment i and the left node
+    # of segment i + 1
+    s = seg[_SINGLE]
+    g = (s[:, 0, 0] - s[:, 1, 0]) / (2.0 * hg[:, None])
+    grad = np.ascontiguousarray((g[1, :, :m] + g[0, :, 1:]).T)
+    # squares by scalar pow, which rounds differently from an array's x*x
+    hh_sq = np.array([h**2 for h in hh])[:, None]
+    d2 = (s[:, 0, 1] - 2.0 * seg[0] + s[:, 1, 1]) / hh_sq
 
-    zero = np.zeros((1, 3))
-    s0 = seg(zero, zero)
-
-    grad = np.zeros((m, 3))
     diag = np.zeros((m, 3, 3))
-    off = np.zeros((m - 1, 3, 3)) if m > 1 else np.zeros((0, 3, 3))
+    j = np.arange(3)
+    diag[:, j, j] = (d2[1, :, :m] + d2[0, :, 1:]).T
+    s = seg[_SAME]
+    scale = np.array([4.0 * hh[a] * hh[b] for a, b in _PAIRS])[:, None]
+    d2 = (s[:, 0, 0] - s[:, 0, 1] - s[:, 1, 0] + s[:, 1, 1]) / scale
+    a, b = np.array(_PAIRS).T
+    diag[:, a, b] = diag[:, b, a] = (d2[1, :, :m] + d2[0, :, 1:]).T
 
-    def unit(cc, step):
-        e = np.zeros((1, 3))
-        e[0, cc] = step
-        return e
-
-    # first derivatives and same-coordinate second derivatives
-    s_l_plus, s_l_minus, s_r_plus, s_r_minus = [], [], [], []
-    for cc in range(3):
-        s_l_plus.append(seg(unit(cc, hh[cc]), zero))
-        s_l_minus.append(seg(unit(cc, -hh[cc]), zero))
-        s_r_plus.append(seg(zero, unit(cc, hh[cc])))
-        s_r_minus.append(seg(zero, unit(cc, -hh[cc])))
-        gl = (seg(unit(cc, hg[cc]), zero) - seg(unit(cc, -hg[cc]), zero)) / (2.0 * hg[cc])
-        gr = (seg(zero, unit(cc, hg[cc])) - seg(zero, unit(cc, -hg[cc]))) / (2.0 * hg[cc])
-        grad[:, cc] = gr[:m] + gl[1:]
-
-    for cc in range(3):
-        d2l = (s_l_plus[cc] - 2.0 * s0 + s_l_minus[cc]) / hh[cc] ** 2
-        d2r = (s_r_plus[cc] - 2.0 * s0 + s_r_minus[cc]) / hh[cc] ** 2
-        diag[:, cc, cc] = d2r[:m] + d2l[1:]
-
-    # mixed second derivatives on one side
-    for ca in range(3):
-        for cb in range(ca + 1, 3):
-            scale = 4.0 * hh[ca] * hh[cb]
-            d2l = (
-                seg(unit(ca, hh[ca]) + unit(cb, hh[cb]), zero)
-                - seg(unit(ca, hh[ca]) + unit(cb, -hh[cb]), zero)
-                - seg(unit(ca, -hh[ca]) + unit(cb, hh[cb]), zero)
-                + seg(unit(ca, -hh[ca]) + unit(cb, -hh[cb]), zero)
-            ) / scale
-            d2r = (
-                seg(zero, unit(ca, hh[ca]) + unit(cb, hh[cb]))
-                - seg(zero, unit(ca, hh[ca]) + unit(cb, -hh[cb]))
-                - seg(zero, unit(ca, -hh[ca]) + unit(cb, hh[cb]))
-                + seg(zero, unit(ca, -hh[ca]) + unit(cb, -hh[cb]))
-            ) / scale
-            val = d2r[:m] + d2l[1:]
-            diag[:, ca, cb] = val
-            diag[:, cb, ca] = val
-
-    # left-right coupling within one segment
-    if m > 1:
-        for ca in range(3):
-            for cb in range(3):
-                scale = 4.0 * hh[ca] * hh[cb]
-                d2 = (
-                    seg(unit(ca, hh[ca]), unit(cb, hh[cb]))
-                    - seg(unit(ca, hh[ca]), unit(cb, -hh[cb]))
-                    - seg(unit(ca, -hh[ca]), unit(cb, hh[cb]))
-                    + seg(unit(ca, -hh[ca]), unit(cb, -hh[cb]))
-                ) / scale
-                off[:, ca, cb] = d2[1 : n - 1]
-
+    s = seg[_CROSS]
+    d2 = (s[0, 0] - s[0, 1] - s[1, 0] + s[1, 1]) / (4.0 * hh[:, None, None] * hh[None, :, None])
+    off = np.ascontiguousarray(d2[:, :, 1 : n - 1].transpose(2, 0, 1))
     return grad, diag, off
 
 

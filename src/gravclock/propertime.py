@@ -383,8 +383,11 @@ def delta_tau_interferometer(
     (see :func:`build_straight_arm`), and halves it, which matches the
     closed form's normalization; the two agree as L/w grows, with relative
     truncation error 1 - sin(arctan(2L/w)).  Raises :class:`NoConvergence`,
-    naming L/w, if the quadrature reaches its sample cap.
+    naming L/w, if the quadrature reaches its sample cap, and
+    :class:`DomainError`, naming v0, unless v0 < c.
     """
+    if not geom.v0 < constants.c:
+        raise DomainError(f"speed v0 must be below c = {constants.c!r}, got {geom.v0!r}")
     if mode == "closed_form":
         value = (
             16.0 * constants.G * model.J * k_factor(geom, constants)

@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gravclock
 from gravclock import propertime
 from gravclock.cli import run_command
 from gravclock.detectability import OUTPUTS
@@ -152,6 +157,45 @@ def test_non_finite_inputs_are_validation_errors(capsys, argv, field):
     assert code == 2
     assert out == ""
     assert f"{field} must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("delta-tau", "--v0", "1e300"),
+        ("delta-tau", "--v0", "3e9"),
+        ("delta-tau", "--mode", "quadrature", "--v0", "3e9"),
+        ("delta-tau", "--v0", "299792458"),
+    ],
+)
+def test_speeds_not_below_c_are_validation_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "v0 must be below c" in err
+
+
+@pytest.mark.parametrize("line, name", [("c = nan", "c"), ("G = inf", "G"), ("hbar = nan", "hbar")])
+def test_non_finite_constants_are_validation_errors(tmp_path, capsys, line, name):
+    override = tmp_path / "constants.cfg"
+    override.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "delta-tau", "--constants", str(override))
+    assert code == 2
+    assert out == ""
+    assert f"physical constant {name} must be finite" in err
+
+
+def test_verify_does_not_import_scipy():
+    # importing scipy.linalg alone doubles the peak resident memory of a run
+    code = (
+        "import sys; from gravclock.cli import run_command; "
+        "assert run_command(['verify', '--n-segments', '16']) == 0; "
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
+    )
+    src = str(Path(gravclock.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("ratio", ["1e1", "1e4", "1e8"])

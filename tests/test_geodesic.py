@@ -218,36 +218,76 @@ def test_boundary_validation(unit_constants):
 def test_line_search_skips_candidates_equal_to_the_nodes(unit_constants, monkeypatch):
     # a candidate bit-equal to the assembled nodes evaluates to exactly the
     # current proper time and can never be accepted, so the solver must not
-    # spend a functional evaluation on it
+    # spend a functional evaluation on it.  The functional depends on phi
+    # only through differences, so offsetting both endpoints by 5e7 rad
+    # changes nothing but the rounding of the phi nodes (one ulp ~ 7e-9):
+    # the last steps then round away at every node while their predicted
+    # gain stays above the decrement floor, and the line search reaches them
     from gravclock import kernels
 
     assembled = []
     repeats = []
-    evaluations = []
+    events = []
     real_assemble = kernels.newton_assemble
+    real_solve = kernels.block_thomas
     real_functional = kernels.path_functional
 
     def assemble(x, *args):
         assembled.append(x.copy())
+        events.append("assemble")
         return real_assemble(x, *args)
 
+    def solve(*args):
+        events.append("solve")
+        return real_solve(*args)
+
     def functional(x, *args):
-        evaluations.append(1)
+        events.append("eval")
         if assembled and np.array_equal(x, assembled[-1]):
             repeats.append(len(assembled))
         return real_functional(x, *args)
 
     monkeypatch.setattr(kernels, "newton_assemble", assemble)
+    monkeypatch.setattr(kernels, "block_thomas", solve)
     monkeypatch.setattr(kernels, "path_functional", functional)
     model = RotatingMassModel(M=1e-6, J=1.25e-3)
     bc = BoundaryConditions(
-        SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
+        SpacetimePoint(0.0, 1.0, EQ, 5e7), SpacetimePoint(30.0, 1.0, EQ, 5e7 + 0.3)
     )
     res = solve_extremal_path(model, bc, True, unit_constants, 512)
     monkeypatch.undo()
 
-    assert assembled and len(evaluations) > len(assembled)
+    evaluations = events.count("eval")
+    assert assembled and evaluations > len(assembled)
     assert repeats == []
     assert res.converged
     again = functional_value(model, res.nodes, bc.start.t, bc.end.t, True, unit_constants)
     assert res.proper_time == again
+    # a damping level that is followed by a damped retry accepted nothing;
+    # fewer than its 30 halvings means the rounded-away step cut it short
+    levels = "".join("s" if e == "solve" else "e" if e == "eval" else "|" for e in events)
+    pruned = [run for run in levels.split("s")[1:-1] if "|" not in run and len(run) < 30]
+    assert pruned
+
+
+def test_verify_solves_stop_on_the_newton_decrement(monkeypatch, capsys):
+    # every solve of the default study, the radial one included, ends on
+    # the first, undamped solve of its last sweep: one solve per sweep
+    from gravclock import geodesic
+    from gravclock.cli import run_command
+
+    results = []
+    real = geodesic.solve_extremal_path
+
+    def solve(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(geodesic, "solve_extremal_path", solve)
+    assert run_command(["verify"]) == 0
+    capsys.readouterr()
+    assert len(results) == 10
+    for res in results:
+        assert res.converged
+        assert res.stop == "decrement"
+        assert res.solves == res.sweeps

@@ -110,3 +110,66 @@ def test_block_thomas_matches_dense_solve(n_segments, damping):
     expected = np.linalg.solve(dense, -grad.ravel()).reshape(m, 3)
     step = kernels.block_thomas(diag, off, -grad)
     np.testing.assert_allclose(step, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
+
+
+def _per_probe_assemble(x, dt, gm, gj, c, pert, hg, hh):
+    """The Newton system one probe at a time, as newton_assemble once built it."""
+    n = x.shape[0] - 1
+    m = n - 1
+    xl = x[:-1]
+    xr = x[1:]
+
+    def seg(dl, dr):
+        a, b = xl + dl, xr + dr
+        rad = kernels.radicand_array(
+            0.5 * (a[:, 0] + b[:, 0]), 0.5 * (a[:, 1] + b[:, 1]),
+            (b[:, 0] - a[:, 0]) / dt, (b[:, 1] - a[:, 1]) / dt, (b[:, 2] - a[:, 2]) / dt,
+            gm, gj, c, pert,
+        )
+        return dt * np.sqrt(rad)
+
+    def unit(cc, step):
+        e = np.zeros((1, 3))
+        e[0, cc] = step
+        return e
+
+    zero = np.zeros((1, 3))
+    s0 = seg(zero, zero)
+    grad = np.zeros((m, 3))
+    diag = np.zeros((m, 3, 3))
+    off = np.zeros((max(m - 1, 0), 3, 3))
+    for cc in range(3):
+        gl = (seg(unit(cc, hg[cc]), zero) - seg(unit(cc, -hg[cc]), zero)) / (2.0 * hg[cc])
+        gr = (seg(zero, unit(cc, hg[cc])) - seg(zero, unit(cc, -hg[cc]))) / (2.0 * hg[cc])
+        grad[:, cc] = gr[:m] + gl[1:]
+        d2l = (seg(unit(cc, hh[cc]), zero) - 2.0 * s0 + seg(unit(cc, -hh[cc]), zero)) / hh[cc] ** 2
+        d2r = (seg(zero, unit(cc, hh[cc])) - 2.0 * s0 + seg(zero, unit(cc, -hh[cc]))) / hh[cc] ** 2
+        diag[:, cc, cc] = d2r[:m] + d2l[1:]
+    for ca in range(3):
+        for cb in range(3):
+            scale = 4.0 * hh[ca] * hh[cb]
+            pp, pm = unit(ca, hh[ca]) + unit(cb, hh[cb]), unit(ca, hh[ca]) + unit(cb, -hh[cb])
+            mp, mm = unit(ca, -hh[ca]) + unit(cb, hh[cb]), unit(ca, -hh[ca]) + unit(cb, -hh[cb])
+            if ca < cb:  # both shifts on one node
+                d2l = (seg(pp, zero) - seg(pm, zero) - seg(mp, zero) + seg(mm, zero)) / scale
+                d2r = (seg(zero, pp) - seg(zero, pm) - seg(zero, mp) + seg(zero, mm)) / scale
+                diag[:, ca, cb] = diag[:, cb, ca] = d2r[:m] + d2l[1:]
+            left, right = unit(ca, hh[ca]), unit(cb, hh[cb])
+            d2 = (seg(left, right) - seg(left, -right) - seg(-left, right) + seg(-left, -right)) / scale
+            off[:, ca, cb] = d2[1 : n - 1]
+    return grad, diag, off
+
+
+@pytest.mark.parametrize("n_segments", [2, 3, 5, 512])
+@pytest.mark.parametrize("pert", [0, 1])
+def test_newton_assemble_matches_the_per_probe_oracle_bit_for_bit(n_segments, pert):
+    x, dt = _node_path(n_segments)
+    rng = np.random.default_rng(n_segments)
+    x[1:-1] += 1e-3 * rng.standard_normal((n_segments - 1, 3))
+    hg = np.array([1e-4 * dt, 3e-5, 3e-5]) * (1.0 + rng.random(3))
+    hh = np.array([3e-4 * dt, 1e-4, 1e-4]) * (1.0 + rng.random(3))
+    expected = _per_probe_assemble(x, dt, GM, GJ, C, pert, hg, hh)
+    got = kernels.newton_assemble(x, dt, GM, GJ, C, pert, hg, hh)
+    for want, have in zip(expected, got):
+        assert want.shape == have.shape
+        assert np.array_equal(want, have)
