@@ -40,7 +40,7 @@ from .clockstate import (
     von_neumann_entropy,
     witness_value,
 )
-from .constants import PhysicalConstants, resolve_constants
+from .constants import PhysicalConstants, read_key_values, resolve_constants
 from .errors import ConfigError, DomainError, GravclockError, NoConvergence, require_finite
 from .logdomain import SignedLog
 
@@ -128,71 +128,45 @@ def _emit(args, inputs: dict, columns, rows, constants: PhysicalConstants, outpu
         sys.stdout.write(text)
 
 
-def _read_config(path: str) -> dict:
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, text = line.partition("=")
-            values[key.strip().replace("-", "_")] = text.strip()
-    return values
-
-
-_COMMON_DEFAULTS = {"format": "csv", "output": None, "config": None, "constants": None}
-
-
 def _add_common(parser: _Parser) -> None:
     parser.add_argument("--config", help="flat key = value config file; flags override")
     parser.add_argument("--constants", help="constants override file (or $GRAVCLOCK_CONSTANTS)")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format (default csv)")
     parser.add_argument("--output", help="output file (default stdout)")
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """defaults < config file < explicit flags."""
-    merged = dict(_COMMON_DEFAULTS)
-    merged.update(defaults)
-    supplied = vars(args)
-    config_path = supplied.get("config") or merged.get("config")
-    if config_path:
-        raw = _read_config(config_path)
-        known = set(merged)
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-        for key, text in raw.items():
-            default = merged[key]
-            if isinstance(default, bool):
-                merged[key] = text.lower() in ("1", "true", "yes")
-            elif isinstance(default, int) and not isinstance(default, bool):
-                merged[key] = int(float(text))
-            else:
-                # numeric where possible; names/lists stay as text
-                try:
-                    merged[key] = float(text)
-                except ValueError:
-                    merged[key] = text
-    for key, val in supplied.items():
-        if key in ("command",):
-            continue
-        merged[key] = val
-    out = argparse.Namespace(**merged)
-    out.command = supplied["command"]
-    return out
+def _with_config(parser: _Parser, argv: list[str], args: argparse.Namespace) -> argparse.Namespace:
+    """Parse `argv` again with each ``key = value`` of ``args.config`` as ``--key=value``.
+
+    The ``=`` keeps a value such as ``-1,2`` from reading as an option.  The
+    tokens go right after the command, so flags given later on the command
+    line win.  Each token is first parsed alone, so that an unknown key or a
+    value the flag refuses raises :class:`ConfigError` naming the key and line.
+    """
+    tokens = []
+    for lineno, key, value in read_key_values(args.config):
+        key = key.replace("-", "_")
+        where = f"{args.config}:{lineno}: config key {key!r}"
+        if key not in vars(args):  # exact, where argparse would take a prefix
+            raise ConfigError(f"{where} is unknown")
+        token = f"--{key.replace('_', '-')}={value}"
+        try:
+            parser.parse_args([args.command, token])
+        except _UsageError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        tokens.append(token)
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def _clock_from(ns) -> itf.ClockModel:
     constants = resolve_constants(ns.constants)
+    require_finite("gap_rate", ns.gap_rate)
+    require_finite("mean_rate", ns.mean_rate)
     if ns.E_g is not None or ns.E_e is not None:
         if ns.E_g is None or ns.E_e is None:
             raise ConfigError("provide both --E-g and --E-e, or neither")
         return itf.ClockModel(E_g=ns.E_g, E_e=ns.E_e)
-    require_finite("gap_rate", ns.gap_rate)
-    require_finite("mean_rate", ns.mean_rate)
     hbar = constants.hbar
     return itf.ClockModel(
         E_g=(ns.mean_rate - 0.5 * ns.gap_rate) * hbar,
@@ -201,14 +175,13 @@ def _clock_from(ns) -> itf.ClockModel:
 
 
 def _delta_tau_from(ns, constants: PhysicalConstants) -> float:
-    if ns.delta_tau is not None:
-        delta_tau = ns.delta_tau
-    else:
-        model = st.RotatingMassModel(M=ns.M, J=ns.J)
-        geom = pt.InterferometerGeometry(w=ns.w, L=ns.L_ratio * ns.w, v0=ns.v0)
-        delta_tau = pt.delta_tau_interferometer(model, geom, "closed_form", constants).delta_tau
-    require_finite("delta_tau", delta_tau)
-    return delta_tau
+    """--delta-tau if given, else the geometry's closed form; the geometry is checked either way."""
+    model = st.RotatingMassModel(M=ns.M, J=ns.J)
+    geom = pt.InterferometerGeometry(w=ns.w, L=ns.L_ratio * ns.w, v0=ns.v0)
+    if ns.delta_tau is None:
+        return pt.delta_tau_interferometer(model, geom, "closed_form", constants).delta_tau
+    require_finite("delta_tau", ns.delta_tau)
+    return ns.delta_tau
 
 
 def _check_phases(delta_tau: float, constants: PhysicalConstants, **energies: float) -> None:
@@ -218,23 +191,19 @@ def _check_phases(delta_tau: float, constants: PhysicalConstants, **energies: fl
             raise DomainError(f"delta_tau {delta_tau!r} makes the {name} phase overflow")
 
 
-_GEOMETRY_DEFAULTS = {"M": 0.0, "J": 1.0, "w": 1e-3, "v0": 0.0, "L_ratio": 1e3}
-_CLOCK_DEFAULTS = {"E_g": None, "E_e": None, "gap_rate": 1e15, "mean_rate": 5e14, "delta_tau": None}
-
-
 def _add_geometry(parser: _Parser) -> None:
-    parser.add_argument("--M", type=float, help="source mass, kg (default 0)")
-    parser.add_argument("--J", type=float, help="source angular momentum, kg m^2/s (default 1)")
-    parser.add_argument("--w", type=float, help="arm separation, m (default 1e-3)")
-    parser.add_argument("--v0", type=float, help="asymptotic speed, m/s (default 0)")
-    parser.add_argument("--L-ratio", dest="L_ratio", type=float, help="arm half-length / w (default 1e3)")
+    parser.add_argument("--M", type=float, default=0.0, help="source mass, kg (default 0)")
+    parser.add_argument("--J", type=float, default=1.0, help="source angular momentum, kg m^2/s (default 1)")
+    parser.add_argument("--w", type=float, default=1e-3, help="arm separation, m (default 1e-3)")
+    parser.add_argument("--v0", type=float, default=0.0, help="asymptotic speed, m/s (default 0)")
+    parser.add_argument("--L-ratio", dest="L_ratio", type=float, default=1e3, help="arm half-length / w (default 1e3)")
 
 
 def _add_clock(parser: _Parser) -> None:
     parser.add_argument("--E-g", dest="E_g", type=float, help="ground energy, J")
     parser.add_argument("--E-e", dest="E_e", type=float, help="excited energy, J")
-    parser.add_argument("--gap-rate", dest="gap_rate", type=float, help="dE/hbar, rad/s (default 1e15)")
-    parser.add_argument("--mean-rate", dest="mean_rate", type=float, help="Ebar/hbar, rad/s (default 5e14)")
+    parser.add_argument("--gap-rate", dest="gap_rate", type=float, default=1e15, help="dE/hbar, rad/s (default 1e15)")
+    parser.add_argument("--mean-rate", dest="mean_rate", type=float, default=5e14, help="Ebar/hbar, rad/s (default 5e14)")
     parser.add_argument("--delta-tau", dest="delta_tau", type=float, help="arm proper-time difference, s (overrides geometry)")
 
 
@@ -244,45 +213,40 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
     sub.required = True
 
-    p = sub.add_parser("delta-tau", argument_default=argparse.SUPPRESS,
-                       help="arm proper-time difference of the interferometer")
+    p = sub.add_parser("delta-tau", help="arm proper-time difference of the interferometer")
     _add_common(p)
     _add_geometry(p)
-    p.add_argument("--mode", choices=("closed_form", "quadrature", "both"), help="evaluation route (default closed_form)")
+    p.add_argument("--mode", choices=("closed_form", "quadrature", "both"), default="closed_form",
+                   help="evaluation route (default closed_form)")
 
-    p = sub.add_parser("interfere", argument_default=argparse.SUPPRESS,
-                       help="visibility and detection probabilities")
+    p = sub.add_parser("interfere", help="visibility and detection probabilities")
     _add_common(p)
     _add_geometry(p)
     _add_clock(p)
 
-    p = sub.add_parser("gme", argument_default=argparse.SUPPRESS,
-                       help="gravity-mediated entanglement measures")
+    p = sub.add_parser("gme", help="gravity-mediated entanglement measures")
     _add_common(p)
     _add_geometry(p)
     _add_clock(p)
 
-    p = sub.add_parser("qep", argument_default=argparse.SUPPRESS,
-                       help="equivalence-principle test-theory observables")
+    p = sub.add_parser("qep", help="equivalence-principle test-theory observables")
     _add_common(p)
     _add_geometry(p)
     _add_clock(p)
-    p.add_argument("--theta", type=float, help="eigenbasis mixing angle, rad (default 0)")
-    p.add_argument("--varphi", type=float, help="relative phase of the mixed eigenstate (default 0)")
+    p.add_argument("--theta", type=float, default=0.0, help="eigenbasis mixing angle, rad (default 0)")
+    p.add_argument("--varphi", type=float, default=0.0, help="relative phase of the mixed eigenstate (default 0)")
     p.add_argument("--prime-gap-rate", dest="prime_gap_rate", type=float, help="dE'/hbar, rad/s (default --gap-rate)")
     p.add_argument("--prime-mean-rate", dest="prime_mean_rate", type=float, help="Ebar'/hbar, rad/s (default --mean-rate)")
 
-    p = sub.add_parser("detect", argument_default=argparse.SUPPRESS,
-                       help="log-domain phase estimates and required angular momentum")
+    p = sub.add_parser("detect", help="log-domain phase estimates and required angular momentum")
     _add_common(p)
-    p.add_argument("--clock-rate", dest="clock_rate", type=float, help="dE/hbar, rad/s (default 1e15)")
-    p.add_argument("--w", type=float, help="arm separation, m (default 1e-3)")
-    p.add_argument("--v0", type=float, help="asymptotic speed, m/s (default 0)")
+    p.add_argument("--clock-rate", dest="clock_rate", type=float, default=1e15, help="dE/hbar, rad/s (default 1e15)")
+    p.add_argument("--w", type=float, default=1e-3, help="arm separation, m (default 1e-3)")
+    p.add_argument("--v0", type=float, default=0.0, help="asymptotic speed, m/s (default 0)")
     p.add_argument("--ell-log10", dest="ell_log10", type=float, help="log10 of J/hbar")
     p.add_argument("--target-phase", dest="target_phase", type=float, help="phase (rad) to solve the required ell for")
 
-    p = sub.add_parser("sweep", argument_default=argparse.SUPPRESS,
-                       help="tabulate quantities along one parameter axis")
+    p = sub.add_parser("sweep", help="tabulate quantities along one parameter axis")
     _add_common(p)
     p.add_argument("--axis", help=f"one of {', '.join(det.AXES)}")
     p.add_argument("--values", help="comma-separated axis values")
@@ -294,17 +258,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--ell-log10", dest="ell_log10", type=float, help="log10 of J/hbar")
     p.add_argument("--theta", type=float, help="test-theory mixing angle, rad")
 
-    p = sub.add_parser("verify", argument_default=argparse.SUPPRESS,
-                       help="extremal-path residual study in exaggerated units")
+    p = sub.add_parser("verify", help="extremal-path residual study in exaggerated units")
     _add_common(p)
-    p.add_argument("--n-segments", dest="n_segments", type=int, help="trajectory segments (default 512)")
-    p.add_argument("--scales", help="comma-separated perturbation scales (default 0.08..8)")
+    p.add_argument("--n-segments", dest="n_segments", type=int, default=512, help="trajectory segments (default 512)")
+    p.add_argument("--scales", default="0.08,0.16,0.32,0.64,1.28,2.56,5.12,8.0",
+                   help="comma-separated perturbation scales (default 0.08..8)")
 
-    p = sub.add_parser("selftest", argument_default=argparse.SUPPRESS,
-                       help="closed-form versus oracle equivalence suites")
+    p = sub.add_parser("selftest", help="closed-form versus oracle equivalence suites")
     _add_common(p)
-    p.add_argument("--seed", type=int, help="random seed for sampled suites (default 0)")
-    p.add_argument("--samples", type=int, help="random samples per suite (default 2000)")
+    p.add_argument("--seed", type=int, default=0, help="random seed for sampled suites (default 0)")
+    p.add_argument("--samples", type=int, default=2000, help="random samples per suite (default 2000)")
 
     return parser
 
@@ -406,6 +369,7 @@ def _cmd_detect(ns) -> int:
     columns = ["phase_per_unit_ell_log10"]
     row = [per_unit]
     if ns.ell_log10 is not None:
+        require_finite("ell_log10", ns.ell_log10)
         inputs["ell_log10"] = ns.ell_log10
         q = det.DetectabilityQuery(ns.clock_rate, ns.w, ns.v0, SignedLog.from_log10(ns.ell_log10))
         columns.append("phase_log10")
@@ -556,28 +520,6 @@ def _cmd_selftest(ns) -> int:
     return EXIT_OK if all(val <= tol for _, val, tol in checks) else 1
 
 
-_DEFAULTS = {
-    "delta-tau": {**_GEOMETRY_DEFAULTS, "mode": "closed_form"},
-    "interfere": {**_GEOMETRY_DEFAULTS, **_CLOCK_DEFAULTS},
-    "gme": {**_GEOMETRY_DEFAULTS, **_CLOCK_DEFAULTS},
-    "qep": {
-        **_GEOMETRY_DEFAULTS,
-        **_CLOCK_DEFAULTS,
-        "theta": 0.0,
-        "varphi": 0.0,
-        "prime_gap_rate": None,
-        "prime_mean_rate": None,
-    },
-    "detect": {"clock_rate": 1e15, "w": 1e-3, "v0": 0.0, "ell_log10": None, "target_phase": None},
-    "sweep": {
-        "axis": None, "values": None, "outputs": None,
-        "clock_rate": None, "mean_rate": None, "w": None, "v0": None,
-        "ell_log10": None, "theta": None,
-    },
-    "verify": {"n_segments": 512, "scales": "0.08,0.16,0.32,0.64,1.28,2.56,5.12,8.0"},
-    "selftest": {"seed": 0, "samples": 2000},
-}
-
 _HANDLERS = {
     "delta-tau": _cmd_delta_tau,
     "interfere": _cmd_interfere,
@@ -592,11 +534,13 @@ _HANDLERS = {
 
 def run_command(argv=None) -> int:
     """Parse argv, dispatch, and return the process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        ns = _merge(args, _DEFAULTS[args.command])
-        return _HANDLERS[args.command](ns)
+        if args.config:
+            args = _with_config(parser, argv, args)
+        return _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -606,7 +550,7 @@ def run_command(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ConfigError, DomainError, GravclockError, ValueError) as exc:
+    except (GravclockError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

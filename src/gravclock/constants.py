@@ -37,13 +37,12 @@ class PhysicalConstants:
 CODATA = PhysicalConstants()
 
 
-def load_constants_file(path: str) -> PhysicalConstants:
-    """Read constants overrides from a flat ``key = value`` text file.
+def read_key_values(path: str) -> list[tuple[int, str, str]]:
+    """The stripped (line number, key, value) entries of a flat ``key = value`` file.
 
-    Recognized keys: ``c``, ``G``, ``hbar``.  Missing keys keep their CODATA
-    defaults; unknown keys raise :class:`ConfigError`.
+    ``#`` starts a comment; a non-blank line without ``=`` raises :class:`ConfigError`.
     """
-    values = {"c": CODATA.c, "G": CODATA.G, "hbar": CODATA.hbar}
+    entries = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -52,13 +51,24 @@ def load_constants_file(path: str) -> PhysicalConstants:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, text = line.partition("=")
-            key = key.strip()
-            if key not in values:
-                raise ConfigError(f"{path}:{lineno}: unknown constant {key!r}")
-            try:
-                values[key] = float(text.strip())
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad float {text.strip()!r}") from exc
+            entries.append((lineno, key.strip(), text.strip()))
+    return entries
+
+
+def load_constants_file(path: str) -> PhysicalConstants:
+    """Read constants overrides from a flat ``key = value`` text file.
+
+    Recognized keys: ``c``, ``G``, ``hbar``.  Missing keys keep their CODATA
+    defaults; unknown keys raise :class:`ConfigError`.
+    """
+    values = {"c": CODATA.c, "G": CODATA.G, "hbar": CODATA.hbar}
+    for lineno, key, text in read_key_values(path):
+        if key not in values:
+            raise ConfigError(f"{path}:{lineno}: unknown constant {key!r}")
+        try:
+            values[key] = float(text)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad float {text!r}") from exc
     return PhysicalConstants(**values)
 
 

@@ -9,7 +9,10 @@ Laboratory clocks sit near dE/hbar ~ 1e15 rad/s and w ~ 1 mm, which makes
 the phase per unit ell about 1e-59 rad; a detectable shift needs ell near
 1e60.  Numbers of both magnitudes appear in the same products, so every
 ell-bearing computation here stays in (sign, log10) form and linear values
-are only materialized when they are representable.
+are only materialized when they are representable.  The proper-time
+difference is :func:`gravclock.propertime.closed_form_log` with ell in units
+of hbar.  Evaluations raise :class:`DomainError` naming the parameter unless
+clock_rate and w are finite and positive and 0 <= v0 < c.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import propertime as pt
 from . import qep as qep_mod
 from .constants import CODATA, PhysicalConstants
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, require_finite, require_positive
 from .interferometry import (
     ClockModel,
     detection_probabilities,
@@ -47,26 +51,17 @@ class DetectabilityQuery:
     ell: SignedLog
 
     def __post_init__(self) -> None:
-        if self.clock_rate <= 0 or self.w <= 0:
-            raise DomainError("clock_rate and w must be positive")
-        if self.v0 < 0:
-            raise DomainError("v0 must be non-negative")
-
-
-def _k_factor(v0: float, constants: PhysicalConstants) -> float:
-    return 1.0 + 0.5 * v0 * v0 / (constants.c * constants.c)
+        require_positive("clock_rate", self.clock_rate)
+        require_positive("w", self.w)
 
 
 def phase_per_unit_ell_log10(
     clock_rate: float, w: float, v0: float = 0.0, constants: PhysicalConstants = CODATA
 ) -> float:
     """log10 of the gap phase (rad) at ell = 1."""
-    return (
-        math.log10(clock_rate)
-        + math.log10(16.0 * constants.G * constants.hbar * _k_factor(v0, constants))
-        - 4.0 * math.log10(constants.c)
-        - math.log10(w)
-    )
+    require_positive("clock_rate", clock_rate)
+    unit_ell = SignedLog.from_log10(0.0)
+    return math.log10(clock_rate) + pt.closed_form_log(unit_ell, w, v0, constants, constants.hbar).log10
 
 
 def phase_shift_estimate(q: DetectabilityQuery, constants: PhysicalConstants = CODATA) -> float:
@@ -82,8 +77,7 @@ def required_ell(
     constants: PhysicalConstants = CODATA,
 ) -> float:
     """log10 of the dimensionless angular momentum giving `target_phase` rad."""
-    if target_phase <= 0:
-        raise DomainError("target phase must be positive")
+    require_positive("target_phase", target_phase)
     return math.log10(target_phase) - phase_per_unit_ell_log10(clock_rate, w, v0, constants)
 
 
@@ -165,21 +159,17 @@ def _resolve(params: dict) -> dict:
         merged["prime_rate"] = merged["clock_rate"]
     if merged["prime_mean_rate"] is None:
         merged["prime_mean_rate"] = merged["mean_rate"]
-    if np.any(merged["w"] <= 0) or np.any(merged["clock_rate"] <= 0) or np.any(merged["v0"] < 0):
-        raise ConfigError("w and clock_rate must be positive, v0 non-negative")
+    for key, value in merged.items():
+        require_finite(key, value)
+    require_positive("clock_rate", merged["clock_rate"])  # w and v0 are checked by the closed form
     return merged
 
 
 def delta_tau_log(params: dict, constants: PhysicalConstants = CODATA) -> SignedLog:
     """Arm proper-time difference 16 G (ell hbar) K / (c^4 w) as sign+log10."""
     p = _resolve(params)
-    magnitude = (
-        per_element(math.log10, 16.0 * constants.G * constants.hbar * _k_factor(p["v0"], constants))
-        - 4.0 * math.log10(constants.c)
-        - per_element(math.log10, p["w"])
-        + p["ell_log10"]
-    )
-    return SignedLog.from_log10(magnitude, int(math.copysign(1.0, p["ell_sign"])))
+    ell = SignedLog.from_log10(p["ell_log10"], int(math.copysign(1.0, p["ell_sign"])))
+    return pt.closed_form_log(ell, p["w"], p["v0"], constants, constants.hbar)
 
 
 def _tiny_entropy_log10(y_log10: float) -> float:

@@ -19,6 +19,15 @@ def require_finite(name: str, value) -> None:
         raise DomainError(f"{name} must be finite, got {float(bad[0])!r}")
 
 
+def require_positive(name: str, value) -> None:
+    """Raise DomainError naming `name` unless every element of `value` is finite and > 0."""
+    require_finite(name, value)
+    values = np.asarray(value, dtype=float)
+    bad = values[values <= 0]
+    if bad.size:
+        raise DomainError(f"{name} must be positive, got {float(bad[0])!r}")
+
+
 class WeakFieldViolation(DomainError):
     """The compactness 2GM/(c^2 r) exceeds the configured weak-field bound."""
 

@@ -311,7 +311,10 @@ def verify_first_order(
     largest scaled J stays perturbative: its h_tphi term, against the
     background, along the straight line from the start event (see
     :func:`~gravclock.spacetime.perturbation_validity`) must stay below
-    ``DEFAULT_WEAK_FIELD_THRESHOLD``.
+    ``DEFAULT_WEAK_FIELD_THRESHOLD``.  After the solves it also raises
+    :class:`DomainError`, naming the scales, for any residual below the
+    rounding floor n_segments * eps_mach * |tau| of the exact shift, where
+    the fit would measure roundoff instead of the formula.
     """
     eps = np.asarray(list(scale_sequence), dtype=float)
     if not np.all(np.isfinite(eps)):
@@ -352,16 +355,18 @@ def verify_first_order(
 
     predicted = eps * prediction_unit
     residuals = np.abs(exact - predicted)
-    mask = residuals > 0
-    if mask.sum() >= 2:
-        slope = float(np.polyfit(np.log(eps[mask]), np.log(residuals[mask]), 1)[0])
-    else:
-        slope = math.nan
+    # each shift is a difference of two n_segments-term sums of size |tau|
+    floor = n_segments * np.finfo(float).eps * abs(base.proper_time)
+    if np.any(residuals < floor):
+        raise DomainError(
+            f"scales {', '.join(f'{e:g}' for e in eps[residuals < floor])} leave residuals below "
+            f"the rounding floor n_segments * eps_mach * |tau| = {floor:.3g} of the exact shift"
+        )
     return FirstOrderReport(
         epsilons=eps,
         exact_shifts=exact,
         predicted_shifts=predicted,
         residuals=residuals,
-        slope=slope,
+        slope=float(np.polyfit(np.log(eps), np.log(residuals), 1)[0]),
         all_converged=all_converged,
     )

@@ -19,7 +19,8 @@ gains proper time and the counter-rotating one loses it.  The arm labeled
 
 and the arm-asymmetry amplitude fed to the interference formulas is the
 published closed form 16 G J K / (c^4 w), which equals half the right-left
-pair difference produced by the quadrature route.
+pair difference produced by the quadrature route.  :func:`closed_form_log`
+holds the one copy of that closed form, as a sum of log10 terms.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 
 from . import kernels
 from .constants import CODATA, PhysicalConstants
-from .errors import DomainError, NoConvergence, NotTimelike, require_finite
-from .logdomain import SignedLog
+from .errors import DomainError, NoConvergence, NotTimelike, require_finite, require_positive
+from .logdomain import SignedLog, per_element, squared
 from .spacetime import RotatingMassModel, SpacetimePoint
 
 QUADRATURE_REL_TOL = 1e-10
@@ -144,10 +145,6 @@ class PhaseBundle:
         return self.delta_tau_log.log10
 
 
-def _bundle_from_delta_tau(delta_tau: float) -> PhaseBundle:
-    return PhaseBundle(delta_tau=delta_tau, delta_tau_log=SignedLog.from_linear(delta_tau))
-
-
 def attach_phases(bundle: PhaseBundle, mean_rate: float, gap_rate: float) -> PhaseBundle:
     """Fill phase fields from clock rates Ebar/hbar and dE/hbar (rad/s)."""
     mean_log = bundle.delta_tau_log.scaled(mean_rate)
@@ -188,7 +185,7 @@ def _check_timelike(model: RotatingMassModel, path: PathSpec, constants: Physica
         path.r, path.theta, path.dr_dt, path.dtheta_dt, path.dphi_dt,
         constants.G * model.M, constants.G * model.J, constants.c, 0,
     )
-    if np.any(rad <= 0.0):
+    if not np.all(rad > 0.0):  # a NaN radicand too, which would refine to the sample cap
         raise NotTimelike("path contains samples that are not timelike in the background")
 
 
@@ -301,6 +298,8 @@ def build_straight_arm(
     if geom.v0 <= 0:
         raise DomainError("building arm paths requires v0 > 0")
     w, L, v0 = geom.w, geom.L, geom.v0
+    if not math.isfinite(2.0 * L / v0):  # the last sample time
+        raise DomainError(f"speed v0 = {v0!r} puts the arm's sample times beyond double range")
     direction = 1.0 if side == "right" else -1.0
     half_w = 0.5 * w
     phi_max = math.atan(2.0 * L / w)
@@ -364,9 +363,37 @@ def build_circular_arc(
     return sampler(n_samples)
 
 
-def k_factor(geom: InterferometerGeometry, constants: PhysicalConstants = CODATA) -> float:
-    """Energy ratio far from the mass, K = 1 + v0^2 / (2 c^2)."""
-    return 1.0 + 0.5 * geom.v0**2 / constants.c**2
+def k_factor(v0, constants: PhysicalConstants = CODATA):
+    """Energy ratio far from the mass, K = 1 + (v0/c)^2 / 2, for a float or an array v0.
+
+    (v0/c)^2, squared as Python squares (see :func:`~gravclock.logdomain.squared`),
+    is finite for any c.  Raises :class:`DomainError`, naming v0, unless 0 <= v0 < c.
+    """
+    require_finite("v0", v0)
+    speeds = np.asarray(v0, dtype=float)
+    for bad, bound in ((speeds < 0.0, "non-negative"), (speeds >= constants.c, f"below c = {constants.c!r}")):
+        if np.any(bad):
+            raise DomainError(f"speed v0 must be {bound}, got {float(speeds[bad][0])!r}")
+    return 1.0 + 0.5 * squared(v0 / constants.c)
+
+
+def closed_form_log(
+    amount: SignedLog, w, v0, constants: PhysicalConstants = CODATA, unit: float = 1.0
+) -> SignedLog:
+    """Arm proper-time difference 16 G J K / (c^4 w), J = unit * amount, in the log domain.
+
+    ``amount`` is J (``unit`` 1) or ell = J/hbar (``unit`` hbar); w, v0 and
+    ``amount.log10`` may be arrays of one shape.  Raises :class:`DomainError`
+    naming w unless w > 0, and v0 unless 0 <= v0 < c.
+    """
+    require_positive("w", w)
+    magnitude = (
+        per_element(math.log10, 16.0 * constants.G * unit * k_factor(v0, constants))
+        - 4.0 * math.log10(constants.c)
+        - per_element(math.log10, w)
+        + amount.log10
+    )
+    return SignedLog.from_log10(magnitude, amount.sign)
 
 
 def delta_tau_interferometer(
@@ -378,27 +405,34 @@ def delta_tau_interferometer(
     """Arm proper-time difference of the interferometer.
 
     "closed_form" returns 16 G J K / (c^4 w) (infinite-arm limit, K evaluated
-    far from the mass).  "quadrature" integrates the time-reversed-pair
+    far from the mass) from :func:`closed_form_log`, its linear value and its
+    log10 both, and raises :class:`DomainError`, naming J and w, when the
+    linear value overflows.  "quadrature" integrates the time-reversed-pair
     difference over a finite right arm, sampled uniformly in the azimuth
     (see :func:`build_straight_arm`), and halves it, which matches the
     closed form's normalization; the two agree as L/w grows, with relative
     truncation error 1 - sin(arctan(2L/w)).  Raises :class:`NoConvergence`,
     naming L/w, if the quadrature reaches its sample cap, and
-    :class:`DomainError`, naming v0, unless v0 < c.
+    :class:`DomainError`, naming v0, unless 0 <= v0 < c, or naming J, w and
+    v0 when the quadrature's value leaves double range.
     """
-    if not geom.v0 < constants.c:
-        raise DomainError(f"speed v0 must be below c = {constants.c!r}, got {geom.v0!r}")
     if mode == "closed_form":
-        value = (
-            16.0 * constants.G * model.J * k_factor(geom, constants)
-            / (constants.c**4 * geom.w)
-        )
-        return _bundle_from_delta_tau(value)
+        log = closed_form_log(SignedLog.from_linear(model.J), geom.w, geom.v0, constants)
+        value = log.linear
+        if not math.isfinite(value):
+            raise DomainError(f"delta_tau = 10^{log.log10:.6g} s at J = {model.J!r} and w = {geom.w!r} overflows")
+        return PhaseBundle(delta_tau=value, delta_tau_log=log)
     if mode == "quadrature":
+        k_factor(geom.v0, constants)  # raises unless 0 <= v0 < c
         arm = build_straight_arm(geom, "right")
         try:
             value = 0.5 * delta_tau_pair(model, arm, constants)
         except NoConvergence as exc:
             raise NoConvergence(f"arm with L/w = {geom.L / geom.w:.6g}: {exc}") from exc
-        return _bundle_from_delta_tau(value)
+        # its integrand, ~ G J v0 / (c^4 r^3), can leave double range where the closed form does not
+        if not (math.isfinite(value) and (model.J == 0.0 or abs(value) >= np.finfo(float).tiny)):
+            raise DomainError(
+                f"the arm quadrature at J = {model.J!r}, w = {geom.w!r}, v0 = {geom.v0!r} leaves double range"
+            )
+        return PhaseBundle(delta_tau=value, delta_tau_log=SignedLog.from_linear(value))
     raise DomainError(f"mode must be 'closed_form' or 'quadrature', got {mode!r}")

@@ -117,7 +117,11 @@ def test_validation_error_exit_code(capsys):
 
 @pytest.mark.parametrize(
     "scales, reason",
-    [("inf", "finite"), ("nan", "finite"), ("1", "two distinct")],
+    [
+        ("inf", "finite"), ("nan", "finite"), ("1", "two distinct"),
+        # the 1e-6 and 1e-5 shifts sit at the rounding floor of tau ~ 30
+        ("1e-6,1e-5,1e-2", "rounding floor"),
+    ],
 )
 def test_verify_rejects_unusable_scales(capsys, scales, reason):
     code, out, err = run_cli(capsys, "verify", "--scales", scales)
@@ -150,6 +154,11 @@ def test_verify_rejects_scales_outside_the_perturbative_regime(capsys):
         (("qep", "--delta-tau", "1e-15", "--prime-gap-rate", "inf"), "E_g_prime"),
         (("sweep", "--axis", "ell_log10", "--values", "60", "--outputs", "ee_spc", "--w", "nan"), "w"),
         (("sweep", "--axis", "ell_log10", "--values", "60", "--outputs", "delta_tau", "--mean-rate", "nan"), "mean_rate"),
+        (("detect", "--w", "nan"), "w"),
+        (("detect", "--ell-log10", "inf"), "ell_log10"),
+        (("detect", "--target-phase", "nan"), "target_phase"),
+        (("interfere", "--delta-tau", "1e-15", "--w", "nan"), "w"),
+        (("gme", "--E-g", "0", "--E-e", "1e-19", "--gap-rate", "inf"), "gap_rate"),
     ],
 )
 def test_non_finite_inputs_are_validation_errors(capsys, argv, field):
@@ -166,6 +175,8 @@ def test_non_finite_inputs_are_validation_errors(capsys, argv, field):
         ("delta-tau", "--v0", "3e9"),
         ("delta-tau", "--mode", "quadrature", "--v0", "3e9"),
         ("delta-tau", "--v0", "299792458"),
+        ("detect", "--v0", "3e9"),
+        ("sweep", "--axis", "v0", "--values", "3e9", "--ell-log10", "55", "--outputs", "delta_tau"),
     ],
 )
 def test_speeds_not_below_c_are_validation_errors(capsys, argv):
@@ -173,6 +184,78 @@ def test_speeds_not_below_c_are_validation_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert "v0 must be below c" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("detect", "--w", "-1"), "w must be positive, got -1.0"),
+        (("detect", "--clock-rate", "0"), "clock_rate must be positive, got 0.0"),
+        (("detect", "--target-phase", "-1"), "target_phase must be positive"),
+        (("sweep", "--axis", "clock_rate", "--values", "1e15,0", "--outputs", "delta_tau"),
+         "clock_rate must be positive, got 0.0"),
+        (("delta-tau", "--J", "1e308", "--w", "1e-300"), "J = 1e+308 and w = 1e-300"),
+        (("delta-tau", "--mode", "quadrature", "--v0", "1e-300"), "v0 = 1e-300"),
+        (("delta-tau", "--mode", "quadrature", "--v0", "1e-310"), "v0 = 1e-310"),
+    ],
+)
+def test_out_of_domain_inputs_are_named(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Warning" not in err
+
+
+def test_delta_tau_log10_survives_linear_underflow(capsys):
+    # 16 G K / (c^4 w) at w = 1e300 m is ~1e-343 s: below the smallest double
+    code, out, _ = run_cli(capsys, "delta-tau", "--w", "1e300")
+    assert code == 0
+    header, values = parse_csv(out)
+    row = dict(zip(header, map(float, values[0])))
+    assert row["delta_tau"] == 0.0
+    assert row["delta_tau_log10"] == pytest.approx(math.log10(EXPECTED_DELTA_TAU) - 303.0, abs=1e-12)
+
+
+def test_huge_c_gives_finite_values(tmp_path, capsys):
+    override = tmp_path / "constants.cfg"
+    override.write_text("c = 1e300\n")
+    code, out, err = run_cli(capsys, "delta-tau", "--constants", str(override), "--v0", "1e200")
+    assert code == 0, err
+    _, values = parse_csv(out)
+    assert all(math.isfinite(float(v)) for v in values[0])
+
+
+@pytest.mark.parametrize(
+    "command, line, key",
+    [
+        ("delta-tau", "format = xml", "format"),
+        ("delta-tau", "mode = bogus", "mode"),
+        ("verify", "n_segments = 2.7", "n_segments"),
+        ("interfere", "gap-rate = fast", "gap_rate"),
+        ("delta-tau", "n_segments = 64", "n_segments"),
+        ("gme", "gap = 1e15", "gap"),  # a prefix of --gap-rate is still unknown
+    ],
+)
+def test_bad_config_entries_name_the_key_and_line(tmp_path, capsys, command, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# header\n{line}\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert f"{cfg}:2: config key {key!r}" in err
+
+
+def test_config_values_are_not_read_as_options(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scales = -1,2\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    assert "perturbation scales must be positive" in err
+    cfg.write_text("format = json\nn_segments = 16\nscales = 0.5,1\n")
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--format", "csv")
+    assert code == 0
+    assert out.startswith("epsilon,")
 
 
 @pytest.mark.parametrize("line, name", [("c = nan", "c"), ("G = inf", "G"), ("hbar = nan", "hbar")])
@@ -216,6 +299,17 @@ def test_quadrature_at_the_sample_cap_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "no convergence" in err and "L/w = 1000" in err
+
+
+def test_quadrature_with_a_nan_radicand_exits_2_before_refining(capsys, monkeypatch):
+    # r^2 underflows at w = 1e-300; without the check the NaN samples refine to the cap
+    monkeypatch.setattr(propertime, "MAX_QUADRATURE_SAMPLES", 1024)
+    code, out, err = run_cli(
+        capsys, "delta-tau", "--mode", "quadrature", "--J", "1e300", "--w", "1e-300", "--v0", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "not timelike" in err
 
 
 def test_constants_override_via_env(tmp_path, capsys, monkeypatch):

@@ -175,7 +175,7 @@ def test_sweep_rows_are_evaluate_point_bit_for_bit(axis, values, fixed):
 def test_sweep_validation_names_the_parameter():
     with pytest.raises(ConfigError, match="w must be finite, got nan"):
         SweepConfig(axis="ell_log10", values=(60.0,), outputs=("delta_tau",), fixed={"w": math.nan})
-    with pytest.raises(ConfigError, match="w and clock_rate must be positive"):
+    with pytest.raises(DomainError, match=r"^w must be positive, got -0\.001$"):
         run_sweep(SweepConfig(axis="w", values=(1e-3, -1e-3), outputs=("delta_tau",), fixed={}))
     with pytest.raises(DomainError, match=r"theta must lie in \[0, pi/2\]"):
         run_sweep(SweepConfig(axis="theta", values=(0.1, 1.6), outputs=("qep_visibility",), fixed={}))

@@ -261,7 +261,17 @@ def test_phase_bundle_log_consistency():
 
 def test_k_factor_definition():
     geom = InterferometerGeometry(w=1e-3, L=1.0, v0=3e4)
-    assert k_factor(geom) == 1.0 + 0.5 * (3e4 / CODATA.c) ** 2
+    assert k_factor(geom.v0) == 1.0 + 0.5 * (3e4 / CODATA.c) ** 2
+    speeds = np.array([0.0, 3e4, 2.9e8])
+    np.testing.assert_array_equal(k_factor(speeds), [k_factor(v) for v in speeds])
+    # v0^2 alone would overflow; (v0/c)^2 does not
+    assert k_factor(1e200, PhysicalConstants(c=1e300)) == 1.0
+
+
+@pytest.mark.parametrize("v0", [-1.0, CODATA.c, 3e9, math.nan, np.array([0.0, 3e9])])
+def test_k_factor_rejects_speeds_outside_zero_to_c(v0):
+    with pytest.raises(DomainError, match="v0 must be"):
+        k_factor(v0)
 
 
 def test_signed_log_roundtrip():
