@@ -42,12 +42,15 @@ from .clockstate import (
 )
 from .constants import PhysicalConstants, read_key_values, resolve_constants
 from .errors import ConfigError, DomainError, GravclockError, NoConvergence, require_finite
-from .logdomain import SignedLog
+from .logdomain import SignedLog, per_element
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_USAGE = 64
+
+# samples per stacked call in selftest, so its memory does not grow with --samples
+SELFTEST_BLOCK = 512
 
 
 class _UsageError(Exception):
@@ -439,78 +442,99 @@ def _cmd_verify(ns) -> int:
     return EXIT_OK if report.all_converged and radial.converged else EXIT_NO_CONVERGENCE
 
 
+def _gme_errors(gap_phase: np.ndarray, mean_phase: np.ndarray, constants: PhysicalConstants):
+    """|closed form - state| of E_E, E_F, the witness and Pr(L') at each GME grid point."""
+    hbar = constants.hbar
+    clock = itf.ClockModel(
+        E_g=(mean_phase - 0.5 * gap_phase) * hbar,
+        E_e=(mean_phase + 0.5 * gap_phase) * hbar,
+    )
+    res = itf.gme_entanglement(clock, 1.0, constants)
+    state = itf.gme_final_state(clock, 1.0, constants)
+    pair = reduced_density(state, ["S", "P"])
+    pl = np.real(reduced_density(itf.interferometer_state(clock, 1.0, constants), ["P"]).matrix[..., 0, 0])
+    return (
+        np.abs(res.ee_spc - von_neumann_entropy(reduced_density(state, ["S"]))),
+        np.abs(res.ef_sp - entanglement_of_formation(pair)),
+        np.abs(res.witness - witness_value(pair)),
+        np.abs(itf.detection_probabilities(clock, 1.0, constants).pr_left - pl),
+    )
+
+
+def _qep_errors(draws: np.ndarray, constants: PhysicalConstants):
+    """|closed form - state| of V, E_E, E_F and Pr(L') for each (theta, gap, mean, varphi) row."""
+    hbar = constants.hbar
+    theta, gap, mean, varphi = draws.T
+    tt = qep_mod.QepTestTheory(
+        H_N=np.diag([0.0, hbar]),
+        E_g_prime=(mean - 0.5 * gap) * hbar,
+        E_e_prime=(mean + 0.5 * gap) * hbar,
+        theta=theta,
+        varphi=varphi,
+    )
+    res = qep_mod.qep_gme_entanglement(tt, None, 1.0, constants)
+    chi1, chi2 = qep_mod.qep_arm_states(tt, 1.0, constants)
+    # <chi1|chi2> by the BLAS dot np.vdot uses, and its modulus as Python's abs rounds it
+    overlap = per_element(abs, (chi1.conj()[:, None, :] @ chi2[:, :, None])[:, 0, 0])
+    state = qep_mod.qep_final_state(tt, None, 1.0, constants)
+    pl = np.real(reduced_density(state, ["P"]).matrix[..., 0, 0])
+    return (
+        np.abs(overlap - res.visibility),
+        np.abs(res.ee_spc - von_neumann_entropy(reduced_density(state, ["S"]))),
+        np.abs(res.ef_sp - entanglement_of_formation(reduced_density(state, ["S", "P"]))),
+        np.abs(qep_mod.qep_probabilities(tt, None, 1.0, constants).pr_left - pl),
+    )
+
+
+def _product_witness(normals: np.ndarray):
+    """Witness of the product state drawn from each (4, 2) block of normals.
+
+    Rows 0 and 1 are the real and imaginary source amplitudes, rows 2 and 3
+    the path's.
+    """
+    source = state_vector(normals[:, 0] + 1j * normals[:, 1], [("S", 2)])
+    path = state_vector(normals[:, 2] + 1j * normals[:, 3], [("P", 2)])
+    return (witness_value(density_from_state(tensor_state([source, path]))),)
+
+
+def _worst(n: int, errors) -> list[float]:
+    """Largest of each error over n samples, never below 0, taken SELFTEST_BLOCK samples at a time.
+
+    ``errors(start, stop)`` returns one array per check for samples start..stop-1.
+    """
+    blocks = [
+        [np.max(e) for e in errors(start, min(n, start + SELFTEST_BLOCK))]
+        for start in range(0, n, SELFTEST_BLOCK)
+    ]
+    return [max(0.0, *column) for column in zip(*blocks)]
+
+
 def _cmd_selftest(ns) -> int:
+    if ns.samples < 1:
+        raise DomainError(f"samples must be positive, got {ns.samples}")
     constants = resolve_constants(ns.constants)
     rng = np.random.default_rng(ns.seed)
-    hbar = constants.hbar
     checks: list[tuple[str, float, float]] = []  # name, worst error, tolerance
 
-    worst_ee = worst_ef = worst_w = worst_pr = 0.0
-    for gap_phase in np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False):
-        for mean_phase in np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False):
-            clock = itf.ClockModel(
-                E_g=(mean_phase - 0.5 * gap_phase) * hbar,
-                E_e=(mean_phase + 0.5 * gap_phase) * hbar,
-            )
-            res = itf.gme_entanglement(clock, 1.0, constants)
-            state = itf.gme_final_state(clock, 1.0, constants)
-            pair = reduced_density(state, ["S", "P"])
-            worst_ee = max(worst_ee, abs(res.ee_spc - von_neumann_entropy(reduced_density(state, ["S"]))))
-            worst_ef = max(worst_ef, abs(res.ef_sp - entanglement_of_formation(pair)))
-            worst_w = max(worst_w, abs(res.witness - witness_value(pair)))
-            state = itf.interferometer_state(clock, 1.0, constants)
-            pl = float(np.real(reduced_density(state, ["P"]).matrix[0, 0]))
-            worst_pr = max(
-                worst_pr, abs(itf.detection_probabilities(clock, 1.0, constants).pr_left - pl)
-            )
-    checks.append(("gme_entropy_vs_oracle", worst_ee, 1e-10))
-    checks.append(("gme_formation_vs_oracle", worst_ef, 1e-10))
-    checks.append(("gme_witness_vs_oracle", worst_w, 1e-10))
-    checks.append(("probabilities_vs_state", worst_pr, 1e-12))
+    phases = np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)
+    gap_phase, mean_phase = (p.ravel() for p in np.meshgrid(phases, phases, indexing="ij"))
+    worst = _worst(gap_phase.size, lambda a, b: _gme_errors(gap_phase[a:b], mean_phase[a:b], constants))
+    checks.append(("gme_entropy_vs_oracle", worst[0], 1e-10))
+    checks.append(("gme_formation_vs_oracle", worst[1], 1e-10))
+    checks.append(("gme_witness_vs_oracle", worst[2], 1e-10))
+    checks.append(("probabilities_vs_state", worst[3], 1e-12))
 
-    worst_q = worst_qee = worst_qef = worst_qpr = 0.0
-    for _ in range(100):
-        theta = rng.uniform(0.0, 0.5 * math.pi)
-        gap = rng.uniform(0.0, 2.0 * math.pi)
-        mean = rng.uniform(0.0, 2.0 * math.pi)
-        varphi = rng.uniform(0.0, 2.0 * math.pi)
-        tt = qep_mod.QepTestTheory(
-            H_N=np.diag([0.0, hbar]),
-            E_g_prime=(mean - 0.5 * gap) * hbar,
-            E_e_prime=(mean + 0.5 * gap) * hbar,
-            theta=theta,
-            varphi=varphi,
-        )
-        res = qep_mod.qep_gme_entanglement(tt, None, 1.0, constants)
-        chi1, chi2 = qep_mod.qep_arm_states(tt, 1.0, constants)
-        worst_q = max(worst_q, abs(abs(np.vdot(chi1, chi2)) - res.visibility))
-        state = qep_mod.qep_final_state(tt, None, 1.0, constants)
-        worst_qee = max(
-            worst_qee, abs(res.ee_spc - von_neumann_entropy(reduced_density(state, ["S"])))
-        )
-        worst_qef = max(
-            worst_qef,
-            abs(res.ef_sp - entanglement_of_formation(reduced_density(state, ["S", "P"]))),
-        )
-        pl = float(np.real(reduced_density(state, ["P"]).matrix[0, 0]))
-        worst_qpr = max(
-            worst_qpr, abs(qep_mod.qep_probabilities(tt, None, 1.0, constants).pr_left - pl)
-        )
-    checks.append(("qep_visibility_vs_overlap", worst_q, 1e-10))
-    checks.append(("qep_entropy_vs_oracle", worst_qee, 1e-10))
+    # theta, gap, mean and varphi of each sample, drawn in that order
+    highs = [0.5 * math.pi, 2.0 * math.pi, 2.0 * math.pi, 2.0 * math.pi]
+    worst = _worst(100, lambda a, b: _qep_errors(rng.uniform(0.0, highs, size=(b - a, 4)), constants))
+    checks.append(("qep_visibility_vs_overlap", worst[0], 1e-10))
+    checks.append(("qep_entropy_vs_oracle", worst[1], 1e-10))
     # the spectral concurrence resolves only ~sqrt(eps) near rank deficiency
-    checks.append(("qep_formation_vs_oracle", worst_qef, 1e-6))
-    checks.append(("qep_probabilities_vs_state", worst_qpr, 1e-12))
+    checks.append(("qep_formation_vs_oracle", worst[2], 1e-6))
+    checks.append(("qep_probabilities_vs_state", worst[3], 1e-12))
 
-    worst_w = 0.0
-    for _ in range(ns.samples):
-        amps_s = rng.normal(size=2) + 1j * rng.normal(size=2)
-        amps_p = rng.normal(size=2) + 1j * rng.normal(size=2)
-        state = tensor_state(
-            [state_vector(amps_s, [("S", 2)]), state_vector(amps_p, [("P", 2)])]
-        )
-        worst_w = max(worst_w, witness_value(density_from_state(state)))
-    checks.append(("witness_on_product_states", worst_w, 1.0 + 1e-9))
+    worst = _worst(ns.samples, lambda a, b: _product_witness(rng.normal(size=(b - a, 4, 2))))
+    checks.append(("witness_on_product_states", worst[0], 1.0 + 1e-9))
 
     columns = ("check", "value", "bound", "passed")
     rows = [(name, val, tol, val <= tol) for name, val, tol in checks]

@@ -23,12 +23,13 @@ Beam splitters are the symmetric 50/50 convention
 
 The closed forms take the clock energies and delta_tau as floats or numpy
 arrays and broadcast over them, so a parameter sweep evaluates each one once
-over its whole axis.  The state-vector constructions take scalars.
+over its whole axis.  The unitaries and state-vector constructions broadcast
+the same way: array energies give a stack of matrices or states with the
+batch axes leading (see :mod:`gravclock.clockstate`).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -83,14 +84,17 @@ class GmeResult:
 
 
 def clock_unitary(clock: ClockModel, tau: float, constants: PhysicalConstants = CODATA) -> np.ndarray:
-    """diag(exp(E_g tau / i hbar), exp(E_e tau / i hbar)) in the {|g>, |e>} basis."""
+    """diag(exp(E_g tau / i hbar), exp(E_e tau / i hbar)) in the {|g>, |e>} basis.
+
+    Energies and tau broadcast; a stack of clocks gives matrices of shape (..., 2, 2).
+    """
     hbar = constants.hbar
-    return np.diag(
-        [
-            cmath.exp(-1j * clock.E_g * tau / hbar),
-            cmath.exp(-1j * clock.E_e * tau / hbar),
-        ]
-    )
+    phase_g = -clock.E_g * tau / hbar
+    phase_e = -clock.E_e * tau / hbar
+    u = np.zeros(np.broadcast(phase_g, phase_e).shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = np.exp(1j * phase_g)
+    u[..., 1, 1] = np.exp(1j * phase_e)
+    return u
 
 
 def relative_evolution(clock: ClockModel, delta_tau: float, constants: PhysicalConstants = CODATA) -> np.ndarray:
@@ -106,7 +110,10 @@ def _effective_clock(clock: ClockModel) -> ClockModel:
 def arm_unitaries(
     clock: ClockModel, delta_tau: float, constants: PhysicalConstants = CODATA
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Clock unitaries of the two arms under the closed-form phase convention."""
+    """Clock unitaries of the two arms under the closed-form phase convention.
+
+    A stack of clocks gives two stacks of shape (..., 2, 2).
+    """
     eff = _effective_clock(clock)
     return (
         clock_unitary(eff, -0.5 * delta_tau, constants),
@@ -174,25 +181,28 @@ def interferometer_state(
 
     Built by the physical sequence: split, evolve the clock along each arm,
     recombine.  Path axis is stored in the after-splitter {|L'>, |R'>} basis.
+    A stack of clocks gives a stack of states; ``initial_clock`` is one ket.
     """
     xi0 = _KET_XI0 if initial_clock is None else np.asarray(initial_clock, dtype=complex)
     u1, u2 = arm_unitaries(clock, delta_tau, constants)
-    pre = np.zeros((2, 2), dtype=complex)  # [path, clock]
-    pre[0] = (u1 @ xi0) / math.sqrt(2.0)
-    pre[1] = (u2 @ xi0) / math.sqrt(2.0)
+    pre = np.stack([u1 @ xi0, u2 @ xi0], axis=-2) / math.sqrt(2.0)  # [..., path, clock]
     post = _BEAM_SPLITTER @ pre
-    return cs.StateVector(post.reshape(-1), (("P", 2), ("C", 2)))
+    return cs.StateVector(post.reshape(post.shape[:-2] + (4,)), (("P", 2), ("C", 2)))
 
 
 def _gme_state(chi1: np.ndarray, chi2: np.ndarray) -> cs.StateVector:
-    """Source (x) path (x) clock state from the clock kets after arms 1 and 2."""
-    pre = np.zeros((2, 2, 2), dtype=complex)  # [source, path, clock]
-    pre[0, 0] = 0.5 * chi1
-    pre[0, 1] = 0.5 * chi2
-    pre[1, 0] = 0.5 * chi2
-    pre[1, 1] = 0.5 * chi1
-    post = np.einsum("pq,sqc->spc", _BEAM_SPLITTER, pre)
-    return cs.StateVector(post.reshape(-1), (("S", 2), ("P", 2), ("C", 2)))
+    """Source (x) path (x) clock state from the clock kets after arms 1 and 2.
+
+    The kets may be stacks of shape (..., 2), giving a stack of states.
+    """
+    batch = np.broadcast(chi1[..., 0], chi2[..., 0]).shape
+    pre = np.zeros(batch + (2, 2, 2), dtype=complex)  # [..., source, path, clock]
+    pre[..., 0, 0, :] = 0.5 * chi1
+    pre[..., 0, 1, :] = 0.5 * chi2
+    pre[..., 1, 0, :] = 0.5 * chi2
+    pre[..., 1, 1, :] = 0.5 * chi1
+    post = np.einsum("pq,...sqc->...spc", _BEAM_SPLITTER, pre)
+    return cs.StateVector(post.reshape(batch + (8,)), (("S", 2), ("P", 2), ("C", 2)))
 
 
 def gme_final_state(
@@ -206,7 +216,8 @@ def gme_final_state(
     The source qubit S records the rotation sense; reversing the sense swaps
     which arm unitary acts on which path.  The superposition preparation and
     its undoing are modeled as ideal maps, so S is returned in its dipole
-    {|0>, |1>} basis.
+    {|0>, |1>} basis.  A stack of clocks gives a stack of states;
+    ``initial_clock`` is one ket.
     """
     xi0 = _KET_XI0 if initial_clock is None else np.asarray(initial_clock, dtype=complex)
     u1, u2 = arm_unitaries(clock, delta_tau, constants)

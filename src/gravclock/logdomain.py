@@ -20,17 +20,17 @@ from typing import Callable
 import numpy as np
 
 
-def per_element(fn: Callable[..., float], *args):
+def per_element(fn: Callable[..., float], *args, dtype: type = float):
     """``fn`` applied to each element of the broadcast arguments.
 
-    Scalar arguments give ``fn``'s own float; any array argument gives a
-    float array of the broadcast shape.
+    Scalar arguments give ``fn``'s own result; any array argument gives an
+    array of ``dtype`` (float unless given) and of the broadcast shape.
     """
     if not any(np.ndim(a) for a in args):
         return fn(*args)
     arrays = np.broadcast_arrays(*args)
     flat = map(fn, *(a.ravel().tolist() for a in arrays))
-    return np.fromiter(flat, float, arrays[0].size).reshape(arrays[0].shape)
+    return np.fromiter(flat, dtype, arrays[0].size).reshape(arrays[0].shape)
 
 
 def squared(x: float) -> float:

@@ -170,12 +170,32 @@ def _simpson_uniform(y: np.ndarray, x: np.ndarray) -> float:
     return (dx / 3.0) * float(y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
 
 
+class _SubnormalSamples(DomainError):
+    """Samples of an azimuth quadrature fell below the normal double range."""
+
+
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
+
+def _has_subnormal(x: np.ndarray) -> bool:
+    small = np.abs(x) < _TINY
+    return bool(small.any()) and bool(np.any(x[small] != 0.0))
+
+
 def _integrate_samples(path: PathSpec, values: np.ndarray) -> float:
-    """Integral of sampled ``values`` over t, by the rule matching ``path.kind``."""
+    """Integral of sampled ``values`` over t, by the rule matching ``path.kind``.
+
+    The azimuth rule raises :class:`DomainError` when a sample or a dphi/dt
+    is subnormal: 1/(dphi/dt) grows as (r/w)^2 toward an arm's ends and
+    magnifies the absolute rounding of such samples, so the integral would be
+    off in its leading digits, or keep changing until the sample cap.
+    """
     if path.kind == "midpoint":
         dt = path.t[1] - path.t[0]
         return float(dt * values.sum())
     if path.kind == "azimuth":
+        if _has_subnormal(values) or _has_subnormal(path.dphi_dt):
+            raise _SubnormalSamples("samples of the azimuth quadrature fall below the normal double range")
         return _simpson_uniform(values / path.dphi_dt, path.phi)
     return _simpson_uniform(values, path.t)
 
@@ -414,7 +434,8 @@ def delta_tau_interferometer(
     truncation error 1 - sin(arctan(2L/w)).  Raises :class:`NoConvergence`,
     naming L/w, if the quadrature reaches its sample cap, and
     :class:`DomainError`, naming v0, unless 0 <= v0 < c, or naming J, w and
-    v0 when the quadrature's value leaves double range.
+    v0 when the quadrature's value or any of its samples leaves the normal
+    double range (at w = 1e-3 m and L/w = 1e3, once J * v0 < ~1e-261 in SI units).
     """
     if mode == "closed_form":
         log = closed_form_log(SignedLog.from_linear(model.J), geom.w, geom.v0, constants)
@@ -425,14 +446,17 @@ def delta_tau_interferometer(
     if mode == "quadrature":
         k_factor(geom.v0, constants)  # raises unless 0 <= v0 < c
         arm = build_straight_arm(geom, "right")
+        # its integrand, ~ G J v0 / (c^4 r^3), can leave double range where the closed form does not
+        out_of_range = DomainError(
+            f"the arm quadrature at J = {model.J!r}, w = {geom.w!r}, v0 = {geom.v0!r} leaves double range"
+        )
         try:
             value = 0.5 * delta_tau_pair(model, arm, constants)
         except NoConvergence as exc:
             raise NoConvergence(f"arm with L/w = {geom.L / geom.w:.6g}: {exc}") from exc
-        # its integrand, ~ G J v0 / (c^4 r^3), can leave double range where the closed form does not
-        if not (math.isfinite(value) and (model.J == 0.0 or abs(value) >= np.finfo(float).tiny)):
-            raise DomainError(
-                f"the arm quadrature at J = {model.J!r}, w = {geom.w!r}, v0 = {geom.v0!r} leaves double range"
-            )
+        except _SubnormalSamples as exc:
+            raise out_of_range from exc
+        if not (math.isfinite(value) and (model.J == 0.0 or abs(value) >= _TINY)):
+            raise out_of_range
         return PhaseBundle(delta_tau=value, delta_tau_log=SignedLog.from_linear(value))
     raise DomainError(f"mode must be 'closed_form' or 'quadrature', got {mode!r}")

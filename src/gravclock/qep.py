@@ -19,16 +19,16 @@ branch energy.
 
 All matrices are stored in the H_N eigenbasis (ground state first).
 
-The closed forms (:func:`qep_visibility`, :func:`xi_phase`,
-:func:`qep_probabilities`, :func:`qep_gme_entanglement`) broadcast over a
-theory whose energies and angles are numpy arrays, with ``H_N`` a stack of
-2x2 matrices; the matrix routes (arm states, final state, phase operator and
-the commutator diagnostic) need a scalar theory.
+Every route broadcasts over a theory whose energies and angles are numpy
+arrays, with ``H_N`` one 2x2 matrix or a stack of them: the closed forms
+(:func:`qep_visibility`, :func:`xi_phase`, :func:`qep_probabilities`,
+:func:`qep_gme_entanglement`) give arrays, and the matrix routes (H_f, the
+arm states, the final state, the evolutions and the commutator diagnostic)
+give stacks with the batch axes leading.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -42,6 +42,15 @@ from .interferometry import _gme_state
 from .logdomain import per_element, squared
 
 COMMUTATOR_WARN_THRESHOLD = 0.1
+
+
+def _divide(a: float, b: complex) -> complex:
+    # Python's complex division; numpy's multiplies by 1/denominator and rounds differently
+    return float(a) / complex(b)
+
+
+def _spectral_norm(m: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(m, 2, axis=(-2, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +96,10 @@ class QepTestTheory:
         """Dimensionless smallness diagnostic ||[H_N, H_f]|| / (||H_N|| ||H_f||)."""
         h_f = self.h_f_matrix()
         comm = self.H_N @ h_f - h_f @ self.H_N
-        scale = float(np.linalg.norm(self.H_N, 2)) * float(np.linalg.norm(h_f, 2))
-        return float(np.linalg.norm(comm, 2)) / scale if scale > 0 else 0.0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # as float arithmetic did
+            scale = _spectral_norm(self.H_N) * _spectral_norm(h_f)
+            ratio = _spectral_norm(comm) / scale
+        return np.where(scale > 0, ratio, 0.0)[()]
 
     @property
     def gap_prime(self) -> float:
@@ -103,18 +114,20 @@ class QepTestTheory:
         return self.commutator_ratio > COMMUTATOR_WARN_THRESHOLD
 
     def primed_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Kets |g'>, |e'> as columns in the H_N eigenbasis."""
-        ct, st = math.cos(self.theta), math.sin(self.theta)
-        phase = cmath.exp(1j * self.varphi)
-        g_prime = np.array([ct, -phase * st], dtype=complex)
-        e_prime = np.array([st / phase, ct], dtype=complex)
+        """Kets |g'>, |e'> in the H_N eigenbasis, of shape (..., 2)."""
+        ct = np.asarray(np.cos(self.theta), dtype=complex)
+        st = np.sin(self.theta)
+        phase = np.exp(1j * np.asarray(self.varphi, dtype=float))
+        e_first = per_element(_divide, st, phase, dtype=complex)  # sin(theta) e^{-i varphi}
+        g_prime = np.stack(np.broadcast_arrays(ct, -phase * st), axis=-1)
+        e_prime = np.stack(np.broadcast_arrays(e_first, ct), axis=-1)
         return g_prime, e_prime
 
     def h_f_matrix(self) -> np.ndarray:
         g_p, e_p = self.primed_basis()
-        return self.E_g_prime * np.outer(g_p, g_p.conj()) + self.E_e_prime * np.outer(
-            e_p, e_p.conj()
-        )
+        e_g = np.asarray(self.E_g_prime)[..., None, None]
+        e_e = np.asarray(self.E_e_prime)[..., None, None]
+        return e_g * cs._outer(g_p, g_p.conj()) + e_e * cs._outer(e_p, e_p.conj())
 
     def initial_ket(self) -> np.ndarray:
         return np.array([1.0, 0.0] if self.initial_state == "ground" else [0.0, 1.0], dtype=complex)
@@ -137,33 +150,39 @@ class QepResult:
 
 
 def _exp_hermitian(h: np.ndarray, factor: complex) -> np.ndarray:
-    """exp(factor * h) for Hermitian h via its spectral decomposition."""
+    """exp(factor * h) for Hermitian h via its spectral decomposition.
+
+    ``h`` may be a stack of shape (..., n, n) and ``factor`` an array over its
+    batch axes.
+    """
     eigvals, eigvecs = np.linalg.eigh(h)
-    return (eigvecs * np.exp(factor * eigvals)) @ eigvecs.conj().T
+    weights = np.exp(np.asarray(factor)[..., None] * eigvals)
+    return (eigvecs * weights[..., None, :]) @ np.swapaxes(eigvecs.conj(), -2, -1)
 
 
 def qep_relative_evolution(
     tt: QepTestTheory, delta_tau: float, constants: PhysicalConstants = CODATA
 ) -> np.ndarray:
     """exp(H_f delta_tau / i hbar) in the H_N eigenbasis."""
-    return _exp_hermitian(tt.h_f_matrix(), -1j * delta_tau / constants.hbar)
+    return _exp_hermitian(tt.h_f_matrix(), 1j * (-delta_tau / constants.hbar))
 
 
 def _doubled_h_f(tt: QepTestTheory) -> np.ndarray:
     # branch energies Ebar' -+ dE' about the mean: closed-form convention
     h_f = tt.h_f_matrix()
-    mean = tt.mean_prime
-    return mean * np.eye(2, dtype=complex) + 2.0 * (h_f - mean * np.eye(2, dtype=complex))
+    mean = np.asarray(tt.mean_prime)[..., None, None]
+    eye = np.eye(2, dtype=complex)
+    return mean * eye + 2.0 * (h_f - mean * eye)
 
 
 def qep_arm_states(
     tt: QepTestTheory, delta_tau: float, constants: PhysicalConstants = CODATA
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Clock states |chi_1>, |chi_2> after traversing the two arms."""
+    """Clock states |chi_1>, |chi_2> after traversing the two arms, of shape (..., 2)."""
     h_eff = _doubled_h_f(tt)
     chi0 = tt.initial_ket()
-    u1 = _exp_hermitian(h_eff, 0.5j * delta_tau / constants.hbar)
-    u2 = _exp_hermitian(h_eff, -0.5j * delta_tau / constants.hbar)
+    u1 = _exp_hermitian(h_eff, 1j * (0.5 * delta_tau / constants.hbar))
+    u2 = _exp_hermitian(h_eff, 1j * (-0.5 * delta_tau / constants.hbar))
     return u1 @ chi0, u2 @ chi0
 
 
@@ -213,13 +232,17 @@ def qep_final_state(
     delta_tau: float,
     constants: PhysicalConstants = CODATA,
 ) -> cs.StateVector:
-    """Source (x) path (x) clock state of the GME sequence under the test theory."""
+    """Source (x) path (x) clock state of the GME sequence under the test theory.
+
+    A stacked theory gives a stack of states.
+    """
     chi1, chi2 = qep_arm_states(tt, delta_tau, constants)
     shift = _mean_energy(tt, mean_energy) - tt.mean_prime
-    if shift != 0.0:
+    if np.any(shift != 0.0):
         # an overridden mean shifts both primed levels, leaving the gap alone
-        chi1 = cmath.exp(0.5j * shift * delta_tau / constants.hbar) * chi1
-        chi2 = cmath.exp(-0.5j * shift * delta_tau / constants.hbar) * chi2
+        angle = 0.5 * shift * delta_tau / constants.hbar
+        chi1 = np.exp(1j * np.asarray(angle))[..., None] * chi1
+        chi2 = np.exp(1j * -np.asarray(angle))[..., None] * chi2
     return _gme_state(chi1, chi2)
 
 

@@ -197,6 +197,11 @@ def test_speeds_not_below_c_are_validation_errors(capsys, argv):
         (("delta-tau", "--J", "1e308", "--w", "1e-300"), "J = 1e+308 and w = 1e-300"),
         (("delta-tau", "--mode", "quadrature", "--v0", "1e-300"), "v0 = 1e-300"),
         (("delta-tau", "--mode", "quadrature", "--v0", "1e-310"), "v0 = 1e-310"),
+        (("delta-tau", "--mode", "both", "--v0", "1e-270"), "v0 = 1e-270"),
+        (("delta-tau", "--mode", "both", "--v0", "1e-280"), "v0 = 1e-280"),
+        (("delta-tau", "--mode", "quadrature", "--v0", "1", "--J", "1e-265"), "J = 1e-265"),
+        (("selftest", "--samples", "0"), "samples must be positive, got 0"),
+        (("selftest", "--samples", "-3"), "samples must be positive, got -3"),
     ],
 )
 def test_out_of_domain_inputs_are_named(capsys, argv, message):
@@ -291,6 +296,26 @@ def test_quadrature_matches_the_finite_arm_closed_form(capsys, ratio):
     row = dict(zip(header, map(float, values[0])))
     finite_arm = row["delta_tau_closed_form"] * math.sin(math.atan(2.0 * float(ratio)))
     assert abs(row["delta_tau_quadrature"] / finite_arm - 1.0) < 1e-9
+
+
+def test_quadrature_at_tiny_v0_is_exact_or_names_v0(capsys):
+    # each sample carries h_tphi dphi/dt ~ v0; subnormal samples lose digits
+    # that the division by dphi/dt magnifies toward the arm's ends
+    def run(v0):
+        code, out, err = run_cli(capsys, "delta-tau", "--mode", "both", "--v0", v0)
+        if code != 0:
+            return code, err
+        header, values = parse_csv(out)
+        return code, float(values[0][header.index("delta_tau_quadrature")])
+
+    code, reference = run("1e-200")
+    assert code == 0
+    for v0 in ("1e-250", "1e-261", "1e-262", "1e-270", "1e-280", "1e-300"):
+        code, result = run(v0)
+        if code == 0:
+            assert abs(result / reference - 1.0) <= 1e-12, v0
+        else:
+            assert code == 2 and f"v0 = {v0}" in result, (v0, code, result)
 
 
 def test_quadrature_at_the_sample_cap_exits_3(capsys, monkeypatch):

@@ -142,21 +142,23 @@ def test_witness_on_maximally_mixed_state_is_zero():
     assert witness_value(rho) < 1e-14
 
 
+def _products(normals):
+    """Product states from normals of shape (..., 4, 2).
+
+    The rows are the source's real and imaginary parts, then the path's, in
+    the order haar_state draws them.
+    """
+    s = state_vector(normals[..., 0, :] + 1j * normals[..., 1, :], [("S", 2)])
+    p = state_vector(normals[..., 2, :] + 1j * normals[..., 3, :], [("P", 2)])
+    return density_from_state(tensor_state([s, p]))
+
+
 def test_witness_bounded_by_one_on_separable_states():
     rng = np.random.default_rng(16)
-    worst = 0.0
-    for _ in range(10_000):
-        s = StateVector(haar_state(rng, 2), (("S", 2),))
-        p = StateVector(haar_state(rng, 2), (("P", 2),))
-        worst = max(worst, witness_value(density_from_state(tensor_state([s, p]))))
-    assert worst <= 1.0 + 1e-9
+    assert witness_value(_products(rng.standard_normal((10_000, 4, 2)))).max() <= 1.0 + 1e-9
     # convex mixtures of products stay separable and bounded
     for _ in range(500):
-        mats = []
-        for _ in range(3):
-            s = StateVector(haar_state(rng, 2), (("S", 2),))
-            p = StateVector(haar_state(rng, 2), (("P", 2),))
-            mats.append(density_from_state(tensor_state([s, p])).matrix)
+        mats = _products(rng.standard_normal((3, 4, 2))).matrix
         weights = rng.dirichlet(np.ones(3))
         rho = DensityMatrix(sum(w * m for w, m in zip(weights, mats)), QQ)
         assert witness_value(rho) <= 1.0 + 1e-9
@@ -188,3 +190,139 @@ def test_density_matrix_validation():
     not_psd = np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex)
     with pytest.raises(DomainError):
         DensityMatrix(not_psd, (("S", 2),))
+
+
+# --- the batch axis --------------------------------------------------------
+
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def _scalar_reference_measures(amplitudes, labels):
+    """The measures as the per-state code computed them before the batch axis."""
+    amps = amplitudes / np.linalg.norm(amplitudes)
+    dims = tuple(d for _, d in labels)
+    psi = amps.reshape(dims[0], -1)
+    rho_s = psi @ psi.conj().T
+    rho_s = 0.5 * (rho_s + rho_s.conj().T)
+    eigs = np.clip(np.linalg.eigvalsh(rho_s), 0.0, None)
+    eigs = eigs[eigs > 1e-12]
+    entropy = 0.0 if eigs.size == 0 else -float(np.sum(eigs * np.log(eigs))) / math.log(2)
+    rho = np.outer(amps, amps.conj())
+    r = rho @ np.kron(SIGMA_Y, SIGMA_Y) @ rho.conj() @ np.kron(SIGMA_Y, SIGMA_Y)
+    lam = np.clip(np.linalg.eigvals(r).real, 0.0, None)
+    lam[lam < 1e-14 * max(1e-300, lam.max())] = 0.0
+    lam = np.sort(np.sqrt(lam))
+    conc = max(0.0, float(lam[3] - lam[2] - lam[1] - lam[0]))
+    witness = abs(float(np.real(np.trace(rho @ np.kron(SIGMA_X, SIGMA_Z))))) + abs(
+        float(np.real(np.trace(rho @ np.kron(SIGMA_Z, SIGMA_Y))))
+    )
+    return amps, entropy, conc, witness
+
+
+def _random_stack(rng, k, dim):
+    return rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))
+
+
+def test_single_state_measures_exactly_as_the_per_state_code():
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        raw = rng.normal(size=4) + 1j * rng.normal(size=4)
+        amps, entropy, conc, witness = _scalar_reference_measures(raw, QQ)
+        state = state_vector(raw, QQ)
+        rho = density_from_state(state)
+        assert np.array_equal(state.amplitudes, amps)
+        assert von_neumann_entropy(reduced_density(state, ["S"])) == entropy
+        assert concurrence(rho) == conc
+        assert witness_value(rho) == witness
+        for value in (concurrence(rho), witness_value(rho), von_neumann_entropy(rho)):
+            assert np.ndim(value) == 0
+
+
+def test_batched_measures_equal_the_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(21)
+    labels = (("S", 2), ("P", 2), ("C", 2))
+    raw = _random_stack(rng, 300, 8)
+    raw[0] = [1, 0, 0, 0, 0, 0, 0, 0]  # product: zero entropies, eigenvalues dropped
+    stack = state_vector(raw, labels)
+    singles = [state_vector(v, labels) for v in raw]
+    for i, single in enumerate(singles):
+        assert np.array_equal(stack.amplitudes[i], single.amplitudes)
+    for keep in (["S"], ["C"], ["S", "P"], ["P", "C"]):
+        rho = reduced_density(stack, keep)
+        via_matrix = reduced_density(density_from_state(stack), keep)
+        measures = [von_neumann_entropy, purity]
+        if rho.dims == (2, 2):
+            measures += [concurrence, entanglement_of_formation, witness_value]
+        batched = {fn: fn(rho) for fn in measures}
+        for i, single in enumerate(singles):
+            one = reduced_density(single, keep)
+            assert np.array_equal(rho.matrix[i], one.matrix)
+            assert np.array_equal(via_matrix.matrix[i], reduced_density(density_from_state(single), keep).matrix)
+            for fn, values in batched.items():
+                assert values[i] == fn(one), (fn.__name__, keep, i)
+
+
+def test_tensor_state_composes_member_by_member_and_broadcasts():
+    rng = np.random.default_rng(22)
+    a = state_vector(_random_stack(rng, 5, 2), [("A", 2)])
+    b = state_vector(_random_stack(rng, 5, 3), [("B", 3)])
+    fixed = state_vector([0.6, 0.8j], [("C", 2)])
+    ab = tensor_state([a, b])
+    abc = tensor_state([a, b, fixed])
+    assert ab.amplitudes.shape == (5, 6) and abc.amplitudes.shape == (5, 12)
+    for i in range(5):
+        single_a = StateVector(a.amplitudes[i], a.labels)
+        single_b = StateVector(b.amplitudes[i], b.labels)
+        assert np.array_equal(ab.amplitudes[i], np.kron(single_a.amplitudes, single_b.amplitudes))
+        assert np.array_equal(abc.amplitudes[i], tensor_state([single_a, single_b, fixed]).amplitudes)
+
+
+def test_stacks_with_two_batch_axes():
+    rng = np.random.default_rng(23)
+    raw = _random_stack(rng, 12, 4).reshape(3, 4, 4)
+    rho = density_from_state(state_vector(raw, QQ))
+    values = witness_value(rho)
+    assert values.shape == (3, 4)
+    assert values[2, 1] == witness_value(density_from_state(state_vector(raw[2, 1], QQ)))
+
+
+def _with_bad_member(index, bad, good):
+    stack = np.stack([np.asarray(good, dtype=complex)] * 5)
+    stack[index] = bad
+    return stack
+
+
+def test_a_bad_stack_member_raises_the_single_message_with_its_index():
+    off_norm = np.array([1.0 + 1e-9, 0.0, 0.0, 0.0], dtype=complex)
+    with pytest.raises(DomainError) as single:
+        StateVector(off_norm, QQ)
+    with pytest.raises(DomainError) as stacked:
+        StateVector(_with_bad_member(3, off_norm, [1.0, 0.0, 0.0, 0.0]), QQ)
+    assert "at stack index" not in str(single.value)
+    assert str(stacked.value) == f"{single.value} at stack index 3"
+
+    good = np.eye(2, dtype=complex) / 2
+    negative = np.diag([1.2, -0.2]).astype(complex)
+    for bad, reason in (
+        (np.array([[0.5, 0.5], [-0.5, 0.5]], dtype=complex), "not Hermitian"),
+        (negative, "negative eigenvalue -0.2"),
+        (np.eye(2, dtype=complex), "trace (2+0j) deviates"),
+    ):
+        with pytest.raises(DomainError) as single:
+            DensityMatrix(bad, (("S", 2),))
+        with pytest.raises(DomainError) as stacked:
+            DensityMatrix(_with_bad_member(2, bad, good), (("S", 2),))
+        assert reason in str(single.value) and "at stack index" not in str(single.value)
+        assert str(stacked.value) == f"{single.value} at stack index 2"
+    nested = np.stack([np.stack([good] * 3)] * 2)
+    nested[1, 2] = negative
+    with pytest.raises(DomainError, match=r"negative eigenvalue -0.2 at stack index \(1, 2\)$"):
+        DensityMatrix(nested, (("S", 2),))
+
+
+def test_zero_vector_in_a_stack_is_named():
+    with pytest.raises(DomainError, match="cannot normalize the zero vector at stack index 1"):
+        state_vector(np.array([[1, 0], [0, 0], [0, 1]], dtype=complex), [("A", 2)])

@@ -254,3 +254,29 @@ def test_closed_forms_broadcast_over_arrays():
         one = gme_entanglement(clock, dt[i])
         assert (gme.ee_spc[i], gme.ef_sp[i], gme.witness[i]) == (one.ee_spc, one.ef_sp, one.witness)
         assert deficit[i] == visibility(clock, dt[i], "deficit")
+
+
+def test_stacked_clocks_build_each_members_state_bit_for_bit():
+    rng = np.random.default_rng(40)
+    gap, mean = rng.uniform(0.0, 2.0 * math.pi, size=(2, 3, 4))
+    stacked = phase_clock(mean, gap)
+    gme = gme_final_state(stacked, 1.0)
+    path_clock = interferometer_state(stacked, 1.0)
+    unitary = clock_unitary(stacked, 0.7)
+    assert gme.amplitudes.shape == (3, 4, 8)
+    assert path_clock.amplitudes.shape == (3, 4, 4)
+    assert unitary.shape == (3, 4, 2, 2)
+    for index in np.ndindex(3, 4):
+        clock = phase_clock(mean[index], gap[index])
+        assert np.array_equal(gme.amplitudes[index], gme_final_state(clock, 1.0).amplitudes)
+        assert np.array_equal(path_clock.amplitudes[index], interferometer_state(clock, 1.0).amplitudes)
+        assert np.array_equal(unitary[index], clock_unitary(clock, 0.7))
+
+
+def test_clock_unitary_rounds_like_complex_exponentials():
+    clock = phase_clock(0.4, 1.1)
+    for tau in (0.0, 0.5, -0.5, 3.0):
+        expected = [cmath.exp(-1j * clock.E_g * tau / HBAR), cmath.exp(-1j * clock.E_e * tau / HBAR)]
+        got = clock_unitary(clock, tau)
+        assert [got[0, 0], got[1, 1]] == expected
+        assert got[0, 1] == 0 and got[1, 0] == 0

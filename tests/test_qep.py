@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -309,3 +310,42 @@ def test_batch_validation_keeps_the_scalar_messages():
         QepTestTheory(H_N=h_n, E_g_prime=0.0, E_e_prime=HBAR, theta=0.1)
     with pytest.raises(DomainError, match="E_g_prime must be finite, got nan"):
         theory(0.1, gap=math.nan)
+
+
+def test_stacked_theory_builds_each_members_matrices_and_states_bit_for_bit():
+    rng = np.random.default_rng(41)
+    theta, gap, mean, varphi = rng.uniform(0.0, 1.0, size=(4, 6)) * np.array(
+        [[0.5 * math.pi], [2.0 * math.pi], [2.0 * math.pi], [2.0 * math.pi]]
+    )
+    stacked = theory(theta, gap, mean, varphi)
+    chi1, chi2 = qep_arm_states(stacked, 1.0)
+    state = qep_final_state(stacked, None, 1.0)
+    h_f = stacked.h_f_matrix()
+    evolution = qep_relative_evolution(stacked, 0.8)
+    ratio = stacked.commutator_ratio
+    assert state.amplitudes.shape == (6, 8) and h_f.shape == (6, 2, 2)
+    for i in range(6):
+        single = theory(theta[i], gap[i], mean[i], varphi[i])
+        one1, one2 = qep_arm_states(single, 1.0)
+        assert np.array_equal(chi1[i], one1) and np.array_equal(chi2[i], one2)
+        assert np.array_equal(state.amplitudes[i], qep_final_state(single, None, 1.0).amplitudes)
+        assert np.array_equal(h_f[i], single.h_f_matrix())
+        assert np.array_equal(evolution[i], qep_relative_evolution(single, 0.8))
+        assert ratio[i] == single.commutator_ratio
+
+
+def test_primed_basis_rounds_like_python_complex_arithmetic():
+    tt = theory(0.9, varphi=2.3)
+    ct, st = math.cos(0.9), math.sin(0.9)
+    phase = cmath.exp(1j * 2.3)
+    g_prime, e_prime = tt.primed_basis()
+    assert list(g_prime) == [ct, -phase * st]
+    assert list(e_prime) == [st / phase, ct]
+
+
+def test_an_overridden_mean_shifts_each_stack_member():
+    stacked = theory(np.array([0.3, 0.6]))
+    state = qep_final_state(stacked, 0.4 * HBAR, 1.0)
+    for i, theta in enumerate((0.3, 0.6)):
+        single = qep_final_state(theory(theta), 0.4 * HBAR, 1.0)
+        assert np.array_equal(state.amplitudes[i], single.amplitudes)
