@@ -35,6 +35,9 @@ _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 def _reject(bad, error: type[Exception], message: Callable[[tuple[int, ...]], str]) -> None:
     """Raise ``error`` if any member of a stack is ``bad``.
 
+    Callers write each check as ``~(value <= tolerance)``, so that a NaN
+    value, which fails every comparison, counts as bad.
+
     ``bad`` has the stack's batch shape, () for a single state.  The message is
     ``message(index)`` for the first bad member, followed by that member's
     stack index when there is a batch axis.
@@ -92,7 +95,7 @@ class StateVector:
             raise DimensionMismatch("subsystem labels must be unique")
         norm = _norms(self.amplitudes)
         _reject(
-            np.abs(norm - 1.0) > NORM_TOL,
+            ~(np.abs(norm - 1.0) <= NORM_TOL),
             DomainError,
             lambda i: f"state norm {float(norm[i])} deviates from 1 beyond {NORM_TOL}",
         )
@@ -124,16 +127,20 @@ class DensityMatrix:
             raise DimensionMismatch(f"matrix shape {m.shape} != ({dim}, {dim})")
         scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
         asymmetry = np.abs(m - _dagger(m)).max(axis=(-2, -1))
-        _reject(asymmetry > NORM_TOL * scale, DomainError, lambda i: "density matrix is not Hermitian")
+        _reject(
+            ~(asymmetry <= NORM_TOL * scale),
+            DomainError,
+            lambda i: f"density matrix is not Hermitian: max |m - m^dagger| = {float(asymmetry[i])}",
+        )
         tr = np.trace(m, axis1=-2, axis2=-1)
         _reject(
-            np.abs(tr - 1.0) > NORM_TOL,
+            ~(np.abs(tr - 1.0) <= NORM_TOL),
             DomainError,
             lambda i: f"trace {complex(tr[i])} deviates from 1 beyond {NORM_TOL}",
         )
         min_eig = np.linalg.eigvalsh(m).min(axis=-1)
         _reject(
-            min_eig < -PSD_TOL,
+            ~(min_eig >= -PSD_TOL),
             DomainError,
             lambda i: f"matrix has negative eigenvalue {float(min_eig[i])}",
         )

@@ -133,14 +133,15 @@ def solve_extremal_path(
 ) -> ExtremalPathResult:
     """Maximize proper time over interior nodes at fixed coordinate times.
 
-    Each sweep assembles the gradient and block-tridiagonal Hessian of the
-    discrete proper time by finite differences and solves for the Newton
-    step.  The result's ``stop`` says why the iteration ended:
+    Each sweep assembles the exact gradient and block-tridiagonal Hessian
+    of the discrete proper time and solves for the Newton step.  The
+    result's ``stop`` says why the iteration ended:
 
     - ``"decrement"``: the step's predicted gain ½ gradᵀ·step (the Newton
       decrement; Boyd and Vandenberghe, *Convex Optimization*, §9.5.1) lies
-      in [0, 4 eps_mach |tau|], below what the functional can resolve, so
-      the sweep stops before any line search;
+      in [0, 4 eps_mach |tau|], below what the functional can resolve: the
+      sweep takes the whole step, which moves tau only by rounding but lands
+      the nodes on the stationary point, keeps it if tau stays finite, and stops;
     - ``"tolerance"``: two successive accepted steps changed tau by less
       than ``tol`` relative;
     - ``"exhausted"``: no step on the damping ladder (diag - d max|diag| I
@@ -164,43 +165,39 @@ def solve_extremal_path(
 
     frac = np.linspace(0.0, 1.0, n_segments + 1)[:, None]
     nodes = (1.0 - frac) * _coords(bc.start)[None, :] + frac * _coords(bc.end)[None, :]
-    nodes = np.ascontiguousarray(nodes, dtype=np.float64)
 
     tau = kernels.path_functional(nodes, dt, gm, gj, constants.c, pert)
     if math.isnan(tau):
         raise NotTimelike("the straight-line starting trajectory is not timelike")
 
-    # finite-difference probes sized in velocity units: a node shift of h
-    # perturbs the adjacent segment velocities by h/dt, which must stay far
-    # below c for the difference quotients to see the local curvature
-    r_scale = max(abs(bc.start.r), abs(bc.end.r))
-    metric_scale = np.array([1.0, r_scale, r_scale])
-    hg = min(1e-4 * constants.c * dt, 3e-5 * r_scale) / metric_scale
-    hh = min(3e-4 * constants.c * dt, 1e-4 * r_scale) / metric_scale
-
     # the Newton decrement: a predicted gain below a few ulps of tau cannot
     # show in the functional, so the step has nothing left to find
     gain_floor = 4.0 * np.finfo(float).eps
-    eye = np.eye(3)
     residual = math.inf
     sweeps = solves = 0
     stop = None
     small_count = 0
     while sweeps < max_sweeps:
         sweeps += 1
-        grad, diag, off = kernels.newton_assemble(nodes, dt, gm, gj, constants.c, pert, hg, hh)
+        grad, diag, off = kernels.newton_assemble(nodes, dt, gm, gj, constants.c, pert)
 
         damping = 0.0
         damping_scale = max(float(np.abs(diag).max()), 1e-300)
-        tau_trial = tau
-        trial = nodes
         improved = False
         while damping < 1e8:
-            diag_eff = diag - damping * damping_scale * eye[None, :, :] if damping else diag
+            diag_eff = diag - damping * damping_scale * np.eye(3) if damping else diag
             step = kernels.block_thomas(diag_eff, off, -grad)
             solves += 1
             if not damping and 0.0 <= 0.5 * float(np.vdot(grad, step)) <= gain_floor * abs(tau):
+                # tau cannot resolve the gain, but the step still carries
+                # the nodes onto the stationary point: take it whole
                 stop = "decrement"
+                candidate = nodes.copy()
+                candidate[1:-1] += step
+                if not np.array_equal(candidate, nodes):
+                    tau_candidate = kernels.path_functional(candidate, dt, gm, gj, constants.c, pert)
+                    if math.isfinite(tau_candidate):
+                        nodes, tau = candidate, tau_candidate
                 break
             alpha = 1.0
             for _ in range(30):
@@ -227,15 +224,12 @@ def solve_extremal_path(
         nodes = trial
         residual = abs(tau_trial - tau) / max(abs(tau_trial), 1e-300)
         tau = tau_trial
-        if residual < tol:
-            # one polish sweep after the first sub-tolerance change lands the
-            # quadratically converging iteration on its noise floor
-            small_count += 1
-            if small_count >= 2:
-                stop = "tolerance"
-                break
-        else:
-            small_count = 0
+        # one polish sweep after the first sub-tolerance change lands the
+        # quadratically converging iteration on its noise floor
+        small_count = small_count + 1 if residual < tol else 0
+        if small_count >= 2:
+            stop = "tolerance"
+            break
 
     if stop is None:
         raise NoConvergence(

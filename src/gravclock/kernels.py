@@ -9,9 +9,9 @@ Kernels take plain float64 arrays plus scalar parameters ``gm = G*M``,
 ``gj = G*J`` and ``c``; they never allocate package types.
 
 The extremal-path solver's Newton step comes from ``newton_assemble``
-(finite-difference gradient and block-tridiagonal Hessian, from one table
-of node shifts evaluated a cache-sized block at a time) and
-``block_thomas``, which solves that system by block cyclic reduction:
+(the exact gradient and block-tridiagonal Hessian of the path functional,
+from the radicand's closed-form derivatives in ``radicand_derivatives``)
+and ``block_thomas``, which solves that system by block cyclic reduction:
 log2(m) levels of batched 3x3 solves instead of m sequential ones.
 """
 
@@ -40,6 +40,41 @@ def radicand_from_terms(eps, v2, h, vph, c, pert):
     if pert:
         rad = rad - 2.0 * h * vph / c
     return rad
+
+
+def radicand_derivatives(r, theta, vr, vth, vph, eps, gj, c, pert):
+    """Gradient (..., 5) and Hessian (..., 5, 5) of the radicand in (r, theta, vr, vth, vph).
+
+    ``eps`` is the compactness that ``weak_field_terms`` gives at the same samples.
+    """
+    q = 1.0 / (c * c)
+    s, s_t, s_tt = np.sin(theta) ** 2, np.sin(2.0 * theta), 2.0 * np.cos(2.0 * theta)
+    e = eps / r  # -d eps / dr
+    w2 = vth * vth + s * vph * vph
+    # (2/c) h_tphi = k sin^2(theta), in the term -(2/c) h_tphi vph
+    k = -8.0 * gj / (c**4 * r) if pert else np.zeros_like(r)
+    d1 = np.stack((
+        e + q * (e * vr * vr - 2.0 * r * w2) + k * s * vph / r,
+        -(q * r * r * vph + k) * s_t * vph,
+        -2.0 * q * (1.0 + eps) * vr,
+        -2.0 * q * r * r * vth,
+        -(2.0 * q * r * r * vph + k) * s,
+    ), axis=-1)
+    d2 = np.zeros(d1.shape + (5,))
+    for (i, j), value in {
+        (0, 0): -2.0 * (e / r * (1.0 + q * vr * vr) + q * w2 + k * s * vph / (r * r)),
+        (0, 1): (k / r - 2.0 * q * r * vph) * s_t * vph,
+        (0, 2): 2.0 * q * e * vr,
+        (0, 3): -4.0 * q * r * vth,
+        (0, 4): (k / r - 4.0 * q * r * vph) * s,
+        (1, 1): -(q * r * r * vph + k) * s_tt * vph,
+        (1, 4): -(2.0 * q * r * r * vph + k) * s_t,
+        (2, 2): -2.0 * q * (1.0 + eps),
+        (3, 3): -2.0 * q * r * r,
+        (4, 4): -2.0 * q * r * r * s,
+    }.items():
+        d2[..., i, j] = d2[..., j, i] = value
+    return d1, d2
 
 
 def energy_ratio_from_speed(r, v2, gm, c):
@@ -75,111 +110,42 @@ def energy_ratio_array(r, theta, vr, vth, vph, gm, c):
     return energy_ratio_from_speed(r, v2, gm, c)
 
 
-def _segment_rates(xl, xr, dt, gm, gj, c, pert):
-    # dtau/dt of each segment from its left and right nodes, coordinate first:
-    # xl[0], xl[1], xl[2] hold r, theta, phi
-    rm = 0.5 * (xl[0] + xr[0])
-    thm = 0.5 * (xl[1] + xr[1])
-    vr = (xr[0] - xl[0]) / dt
-    vth = (xr[1] - xl[1]) / dt
-    vph = (xr[2] - xl[2]) / dt
-    eps, v2, h = weak_field_terms(rm, thm, vr, vth, vph, gm, gj, c)
-    rad = radicand_from_terms(eps, v2, h, vph, c, pert)
-    with np.errstate(invalid="ignore"):
-        return np.sqrt(rad)
+def _segments(x, dt, gm, gj, c, pert):
+    # u = (r, theta) at each segment's midpoint and its (r, theta, phi)
+    # velocity, from its nodes x[i] and x[i + 1] (columns r, theta, phi);
+    # then the compactness and the radicand there
+    xl, xr = x[:-1].T, x[1:].T
+    u = (*(0.5 * (xl[:2] + xr[:2])), *((xr - xl) / dt))
+    eps, v2, h = weak_field_terms(*u, gm, gj, c)
+    return u, eps, radicand_from_terms(eps, v2, h, u[4], c, pert)
 
 
 def path_functional(x, dt, gm, gj, c, pert):
-    rates = _segment_rates(x[:-1].T, x[1:].T, dt, gm, gj, c, pert)
-    return dt * float(np.sum(rates))
+    with np.errstate(invalid="ignore"):
+        return dt * float(np.sum(np.sqrt(_segments(x, dt, gm, gj, c, pert)[2])))
 
 
-# coordinate pairs of one node that share a mixed second derivative
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-
-
-def _probe_layout():
-    """The 85 shifts of a segment's (left, right) nodes that newton_assemble probes.
-
-    ``codes[k, s, j]`` shifts coordinate j of side s (0 left, 1 right) in
-    probe k by +-hg[j] for +-1, by +-hh[j] for +-2, and not at all for 0;
-    probe 0 shifts nothing.  The index arrays name the probes, with sign
-    index 0 for + and 1 for -: ``single[side, sign, step, j]`` shifts one
-    coordinate by +-hg (step 0) or +-hh (step 1); ``same[side, sign_a,
-    sign_b, pair]`` shifts the coordinates (a, b) of a ``_PAIRS`` entry of
-    one node by (+-hh[a], +-hh[b]); ``cross[sign_a, sign_b, a, b]`` shifts
-    left coordinate a by +-hh[a] and right coordinate b by +-hh[b].
-    """
-    codes = [np.zeros((2, 3), dtype=np.intp)]
-
-    def add(*moves):  # (side, coordinate, code) per shifted coordinate
-        codes.append(np.zeros((2, 3), dtype=np.intp))
-        for side, j, code in moves:
-            codes[-1][side, j] = code
-        return len(codes) - 1
-
-    pm = (1, -1)
-    single = [[[[add((side, j, sg * st)) for j in range(3)] for st in (1, 2)]
-               for sg in pm] for side in (0, 1)]
-    same = [[[[add((side, a, 2 * sa), (side, b, 2 * sb)) for a, b in _PAIRS]
-              for sb in pm] for sa in pm] for side in (0, 1)]
-    cross = [[[[add((0, a, 2 * sa), (1, b, 2 * sb)) for b in range(3)]
-               for a in range(3)] for sb in pm] for sa in pm]
-    return np.array(codes), np.array(single), np.array(same), np.array(cross)
-
-
-_PROBE_CODES, _SINGLE, _SAME, _CROSS = _probe_layout()
-# probes evaluated together: (8, n_segments) temporaries stay in cache,
-# where one stack of all 85 probes falls out of it
-_PROBE_BLOCK = 8
-
-
-def newton_assemble(x, dt, gm, gj, c, pert, hg, hh):
-    """Finite-difference gradient and block-tridiagonal Hessian of the functional.
+def newton_assemble(x, dt, gm, gj, c, pert):
+    """Exact gradient and block-tridiagonal Hessian of the path functional.
 
     Returns (grad, diag, off) over the m = n_segments - 1 interior nodes:
-    (m, 3), (m, 3, 3) and (m - 1, 3, 3).  The central differences, with
-    steps ``hg`` (gradient) and ``hh`` (Hessian) per coordinate, need every
-    segment's rate under the 85 shifts of its two nodes in ``_probe_layout``.
-    These are evaluated ``_PROBE_BLOCK`` shifts at a time over a leading
-    probe axis, and each stencil reads its rows of the (85, n_segments)
-    result by index.
+    (m, 3), (m, 3, 3) and (m - 1, 3, 3).  A segment's dt sqrt(R) sees its
+    nodes only through u = (r, theta, v_r, v_theta, v_phi), so its
+    derivatives in u, dt R'/(2 sqrt R) and dt [R'' - R' R'^T/(2 R)]/(2 sqrt R),
+    map to the nodes through the fixed 5x6 matrix A with
+    u = A (left node, right node).
     """
-    n = x.shape[0] - 1
-    m = n - 1
-    steps = np.stack((np.zeros(3), hg, hh))[np.abs(_PROBE_CODES), np.arange(3)]
-    shifts = (np.sign(_PROBE_CODES) * steps).transpose(1, 2, 0)[..., None]
-    # shifts are (side, coordinate, probe, 1), nodes (coordinate, 1, node)
-    xt = np.ascontiguousarray(x.T)[:, None, :]
-    seg = np.empty((_PROBE_CODES.shape[0], n))
-    for k in range(0, seg.shape[0], _PROBE_BLOCK):
-        block = shifts[:, :, k : k + _PROBE_BLOCK]
-        seg[k : k + _PROBE_BLOCK] = dt * _segment_rates(
-            xt[..., :-1] + block[0], xt[..., 1:] + block[1], dt, gm, gj, c, pert
-        )
-
+    u, eps, rad = _segments(x, dt, gm, gj, c, pert)
+    d1, d2 = radicand_derivatives(*u, eps, gj, c, pert)
+    scale = (dt / (2.0 * np.sqrt(rad)))[:, None]
+    g = scale * d1
+    hess = scale[..., None] * (d2 - d1[:, :, None] * d1[:, None, :] / (2.0 * rad[:, None, None]))
+    left = np.vstack((0.5 * np.eye(2, 3), -np.eye(3) / dt))  # midpoint weights, then velocity
+    a = np.hstack((left, np.abs(left)))
+    gs, hs = g @ a, a.T @ hess @ a
     # interior node i + 1 is the right node of segment i and the left node
     # of segment i + 1
-    s = seg[_SINGLE]
-    g = (s[:, 0, 0] - s[:, 1, 0]) / (2.0 * hg[:, None])
-    grad = np.ascontiguousarray((g[1, :, :m] + g[0, :, 1:]).T)
-    # squares by scalar pow, which rounds differently from an array's x*x
-    hh_sq = np.array([h**2 for h in hh])[:, None]
-    d2 = (s[:, 0, 1] - 2.0 * seg[0] + s[:, 1, 1]) / hh_sq
-
-    diag = np.zeros((m, 3, 3))
-    j = np.arange(3)
-    diag[:, j, j] = (d2[1, :, :m] + d2[0, :, 1:]).T
-    s = seg[_SAME]
-    scale = np.array([4.0 * hh[a] * hh[b] for a, b in _PAIRS])[:, None]
-    d2 = (s[:, 0, 0] - s[:, 0, 1] - s[:, 1, 0] + s[:, 1, 1]) / scale
-    a, b = np.array(_PAIRS).T
-    diag[:, a, b] = diag[:, b, a] = (d2[1, :, :m] + d2[0, :, 1:]).T
-
-    s = seg[_CROSS]
-    d2 = (s[0, 0] - s[0, 1] - s[1, 0] + s[1, 1]) / (4.0 * hh[:, None, None] * hh[None, :, None])
-    off = np.ascontiguousarray(d2[:, :, 1 : n - 1].transpose(2, 0, 1))
-    return grad, diag, off
+    return gs[:-1, 3:] + gs[1:, :3], hs[:-1, 3:, 3:] + hs[1:, :3, :3], hs[1:-1, :3, 3:]
 
 
 def block_thomas(diag, off, rhs):

@@ -201,10 +201,13 @@ def _integrate_samples(path: PathSpec, values: np.ndarray) -> float:
 
 
 def _check_timelike(model: RotatingMassModel, path: PathSpec, constants: PhysicalConstants) -> None:
-    rad = kernels.radicand_array(
-        path.r, path.theta, path.dr_dt, path.dtheta_dt, path.dphi_dt,
-        constants.G * model.M, constants.G * model.J, constants.c, 0,
-    )
+    # samples that overflowed or divided by zero give an infinite or NaN
+    # radicand, which the check rejects; numpy need not warn about them first
+    with np.errstate(all="ignore"):
+        rad = kernels.radicand_array(
+            path.r, path.theta, path.dr_dt, path.dtheta_dt, path.dphi_dt,
+            constants.G * model.M, constants.G * model.J, constants.c, 0,
+        )
     if not np.all(rad > 0.0):  # a NaN radicand too, which would refine to the sample cap
         raise NotTimelike("path contains samples that are not timelike in the background")
 
@@ -337,8 +340,11 @@ def build_straight_arm(
         phi = direction * u
         theta = np.full(n, 0.5 * math.pi)
         vy = direction * v0
-        dr_dt = y * vy / r
-        dphi_dt = half_w * vy / (r * r)
+        # an r * r that underflows gives an infinite dphi/dt, which the
+        # quadrature's timelike check rejects
+        with np.errstate(all="ignore"):
+            dr_dt = y * vy / r
+            dphi_dt = half_w * vy / (r * r)
         dtheta_dt = np.zeros(n)
         start = SpacetimePoint(t[0], r[0], theta[0], phi[0])
         end = SpacetimePoint(t[-1], r[-1], theta[-1], phi[-1])

@@ -76,8 +76,8 @@ class QepTestTheory:
             raise DomainError("H_N must be a 2x2 matrix")
         scale = np.maximum(1.0, np.abs(h_n).max(axis=(-2, -1)))
         asymmetry = np.abs(h_n - np.swapaxes(h_n.conj(), -2, -1)).max(axis=(-2, -1))
-        if np.any(asymmetry > 1e-12 * scale):
-            raise DomainError("H_N must be Hermitian")
+        if not np.all(asymmetry <= 1e-12 * scale):  # NaN fails the comparison too
+            raise DomainError("H_N must be finite and Hermitian")
         for name in ("E_g_prime", "E_e_prime", "varphi"):
             require_finite(name, getattr(self, name))
         if not np.all((0.0 <= self.theta) & (self.theta <= 0.5 * math.pi)):
@@ -93,8 +93,24 @@ class QepTestTheory:
 
     @cached_property
     def commutator_ratio(self) -> float:
-        """Dimensionless smallness diagnostic ||[H_N, H_f]|| / (||H_N|| ||H_f||)."""
+        """Dimensionless smallness diagnostic ||[H_N, H_f]|| / (||H_N|| ||H_f||).
+
+        Raises :class:`DomainError`, naming both sets of energies, when
+        max|H_N| * max|H_f| overflows: the products in the commutator would
+        too, and the diagnostic would then be NaN, or 0 for no reason.
+        """
         h_f = self.h_f_matrix()
+        with np.errstate(over="ignore"):
+            bound = np.abs(self.H_N).max(axis=(-2, -1)) * np.abs(h_f).max(axis=(-2, -1))
+        bad = ~np.isfinite(bound)
+        if bad.any():
+            i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            e_n = np.broadcast_to(self.H_N, bad.shape + (2, 2))[i].diagonal().real
+            e_g, e_e = (float(np.broadcast_to(e, bad.shape)[i]) for e in (self.E_g_prime, self.E_e_prime))
+            raise DomainError(
+                f"H_N energies ({e_n[0]:.6g}, {e_n[1]:.6g}) J times primed energies "
+                f"({e_g:.6g}, {e_e:.6g}) J overflow the commutator diagnostic"
+            )
         comm = self.H_N @ h_f - h_f @ self.H_N
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # as float arithmetic did
             scale = _spectral_norm(self.H_N) * _spectral_norm(h_f)

@@ -395,6 +395,18 @@ def test_clock_phases_that_overflow_are_validation_errors(capsys, command):
     assert "Warning" not in err
 
 
+def test_qep_commutator_overflow_is_a_validation_error(capsys):
+    code, out, err = run_cli(
+        capsys, "qep", "--delta-tau", "1e-300", "--E-g", "1e200", "--E-e", "1e201",
+        "--prime-gap-rate", "1e300", "--prime-mean-rate", "1e300", "--theta", "0.5",
+    )
+    assert code == 2
+    assert out == ""
+    assert "H_N energies (1e+200, 1e+201) J times primed energies" in err
+    assert "overflow the commutator diagnostic" in err
+    assert "Warning" not in err
+
+
 def test_sweep_requires_axis(capsys):
     code, _, err = run_cli(capsys, "sweep", "--values", "1,2")
     assert code == 2

@@ -190,6 +190,12 @@ def test_density_matrix_validation():
     not_psd = np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex)
     with pytest.raises(DomainError):
         DensityMatrix(not_psd, (("S", 2),))
+    # NaN fails every comparison, so each check must reject it, not pass it
+    for nan_entry in ((0, 0), (0, 1)):
+        with_nan = np.eye(2, dtype=complex) / 2
+        with_nan[nan_entry] = np.nan
+        with pytest.raises(DomainError):
+            DensityMatrix(with_nan, (("S", 2),))
 
 
 # --- the batch axis --------------------------------------------------------
@@ -296,13 +302,14 @@ def _with_bad_member(index, bad, good):
 
 
 def test_a_bad_stack_member_raises_the_single_message_with_its_index():
-    off_norm = np.array([1.0 + 1e-9, 0.0, 0.0, 0.0], dtype=complex)
-    with pytest.raises(DomainError) as single:
-        StateVector(off_norm, QQ)
-    with pytest.raises(DomainError) as stacked:
-        StateVector(_with_bad_member(3, off_norm, [1.0, 0.0, 0.0, 0.0]), QQ)
-    assert "at stack index" not in str(single.value)
-    assert str(stacked.value) == f"{single.value} at stack index 3"
+    for bad_amplitude, reason in ((1.0 + 1e-9, "state norm 1.000000001"), (np.nan, "state norm nan")):
+        bad = np.array([bad_amplitude, 0.0, 0.0, 0.0], dtype=complex)
+        with pytest.raises(DomainError) as single:
+            StateVector(bad, QQ)
+        with pytest.raises(DomainError) as stacked:
+            StateVector(_with_bad_member(3, bad, [1.0, 0.0, 0.0, 0.0]), QQ)
+        assert reason in str(single.value) and "at stack index" not in str(single.value)
+        assert str(stacked.value) == f"{single.value} at stack index 3"
 
     good = np.eye(2, dtype=complex) / 2
     negative = np.diag([1.2, -0.2]).astype(complex)
@@ -310,6 +317,7 @@ def test_a_bad_stack_member_raises_the_single_message_with_its_index():
         (np.array([[0.5, 0.5], [-0.5, 0.5]], dtype=complex), "not Hermitian"),
         (negative, "negative eigenvalue -0.2"),
         (np.eye(2, dtype=complex), "trace (2+0j) deviates"),
+        (np.diag([np.nan, 0.5]).astype(complex), "not Hermitian: max |m - m^dagger| = nan"),
     ):
         with pytest.raises(DomainError) as single:
             DensityMatrix(bad, (("S", 2),))

@@ -94,9 +94,7 @@ def _node_path(n_segments):
 @pytest.mark.parametrize("damping", [0.0, 1e-8 * 16.0**5])
 def test_block_thomas_matches_dense_solve(n_segments, damping):
     x, dt = _node_path(n_segments)
-    hg = np.full(3, 1e-4 * C * dt)
-    hh = np.full(3, 3e-4 * C * dt)
-    grad, diag, off = kernels.newton_assemble(x, dt, GM, GJ, C, 1, hg, hh)
+    grad, diag, off = kernels.newton_assemble(x, dt, GM, GJ, C, 1)
     if damping:
         # the solver's damping ladder: diag - damping * max|diag| * I
         diag = diag - damping * np.abs(diag).max() * np.eye(3)[None, :, :]
@@ -160,16 +158,81 @@ def _per_probe_assemble(x, dt, gm, gj, c, pert, hg, hh):
     return grad, diag, off
 
 
-@pytest.mark.parametrize("n_segments", [2, 3, 5, 512])
-@pytest.mark.parametrize("pert", [0, 1])
-def test_newton_assemble_matches_the_per_probe_oracle_bit_for_bit(n_segments, pert):
+def _perturbed_path(n_segments):
     x, dt = _node_path(n_segments)
     rng = np.random.default_rng(n_segments)
     x[1:-1] += 1e-3 * rng.standard_normal((n_segments - 1, 3))
-    hg = np.array([1e-4 * dt, 3e-5, 3e-5]) * (1.0 + rng.random(3))
-    hh = np.array([3e-4 * dt, 1e-4, 1e-4]) * (1.0 + rng.random(3))
+    return x, dt
+
+
+@pytest.mark.parametrize("n_segments", [2, 3, 5, 512])
+@pytest.mark.parametrize("pert", [0, 1])
+def test_newton_gradient_matches_a_complex_step_derivative(n_segments, pert):
+    # f(x + i h) = f(x) + i h f'(x) + O(h^2) has no subtraction to round, so
+    # Im f / h is f' to working precision; shifting every third interior
+    # node at once keeps each segment's two nodes apart
+    x, dt = _perturbed_path(n_segments)
+    grad, _, _ = kernels.newton_assemble(x, dt, GM, GJ, C, pert)
+    h = 1e-30
+    expected = np.empty_like(grad)
+    for j in range(3):
+        for first in range(1, min(4, n_segments)):
+            nodes = np.arange(first, n_segments, 3)
+            shifted = x.astype(complex)
+            shifted[nodes, j] += 1j * h
+            seg = dt * np.sqrt(kernels._segments(shifted, dt, GM, GJ, C, pert)[2]).imag / h
+            expected[nodes - 1, j] = seg[nodes - 1] + seg[nodes]
+    np.testing.assert_allclose(grad, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("n_segments", [2, 3, 5, 512])
+@pytest.mark.parametrize("pert", [0, 1])
+def test_newton_hessian_matches_a_richardson_difference_of_the_gradient(n_segments, pert):
+    # the Hessian's columns are derivatives of the exact gradient; central
+    # differences at h and h/2, Richardson-combined, are good to O(h^4)
+    x, dt = _perturbed_path(n_segments)
+    _, diag, off = kernels.newton_assemble(x, dt, GM, GJ, C, pert)
+    m = n_segments - 1
+    steps = np.full(3, 1e-3 * dt)
+
+    def column(node, j, h):
+        up, down = x.copy(), x.copy()
+        up[node, j] += h
+        down[node, j] -= h
+        grad_up = kernels.newton_assemble(up, dt, GM, GJ, C, pert)[0]
+        grad_down = kernels.newton_assemble(down, dt, GM, GJ, C, pert)[0]
+        return (grad_up - grad_down) / (2.0 * h)
+
+    # every node's columns on the short paths; at 512 segments, the first,
+    # middle and last nodes
+    nodes = range(1, m + 1) if m < 8 else (1, 2, 3, m // 2, m - 1, m)
+    for node in nodes:
+        for j in range(3):
+            col = (4.0 * column(node, j, steps[j] / 2) - column(node, j, steps[j])) / 3.0
+            i = node - 1
+            np.testing.assert_allclose(diag[i, :, j], col[i], rtol=0.0, atol=1e-9 * np.abs(diag).max())
+            if i > 0:
+                np.testing.assert_allclose(off[i - 1, :, j], col[i - 1], rtol=0.0, atol=1e-9 * np.abs(off).max())
+
+
+@pytest.mark.parametrize("n_segments", [2, 3, 5, 512])
+@pytest.mark.parametrize("pert", [0, 1])
+def test_newton_assemble_agrees_with_the_finite_difference_oracle(n_segments, pert):
+    # the finite-difference assembly the solver used before, at its step
+    # sizes: agreement to its truncation error, plus the rounding of its
+    # second differences, eps |dt sqrt(R)| / hh^2, which dominates at the
+    # coarse sizes where dt sqrt(R) is large
+    x, dt = _perturbed_path(n_segments)
+    r_scale = max(abs(x[0, 0]), abs(x[-1, 0]))
+    metric_scale = np.array([1.0, r_scale, r_scale])
+    hg = np.minimum(1e-4 * C * dt, 3e-5 * r_scale) / metric_scale
+    hh = np.minimum(3e-4 * C * dt, 1e-4 * r_scale) / metric_scale
     expected = _per_probe_assemble(x, dt, GM, GJ, C, pert, hg, hh)
-    got = kernels.newton_assemble(x, dt, GM, GJ, C, pert, hg, hh)
-    for want, have in zip(expected, got):
+    got = kernels.newton_assemble(x, dt, GM, GJ, C, pert)
+    seg = dt * np.sqrt(kernels._segments(x, dt, GM, GJ, C, pert)[2])
+    rounding = (0.0, 8.0 * np.finfo(float).eps * seg.max() / hh.min() ** 2)
+    for k, (want, have) in enumerate(zip(expected, got)):
         assert want.shape == have.shape
-        assert np.array_equal(want, have)
+        if want.size:
+            tol = 1e-6 * np.abs(want).max() + rounding[min(k, 1)]
+            np.testing.assert_allclose(have, want, rtol=0.0, atol=tol)

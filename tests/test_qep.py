@@ -273,6 +273,8 @@ def test_commutator_diagnostic():
 def test_hermiticity_and_angle_validation():
     with pytest.raises(DomainError):
         QepTestTheory(H_N=np.array([[0.0, 1.0], [0.0, 0.0]]), E_g_prime=0.0, E_e_prime=1.0, theta=0.1)
+    with pytest.raises(DomainError, match="finite"):
+        QepTestTheory(H_N=np.diag([np.nan, 1.0]), E_g_prime=0.0, E_e_prime=1.0, theta=0.1)
     with pytest.raises(DomainError):
         theory(-0.3)
 
