@@ -39,6 +39,8 @@ from .spacetime import (
 DEFAULT_SEGMENTS = 512
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 10_000
+# the undamped solve, then diag - d max|diag| I for d = 1e-8, 16e-8, ... < 1e8
+_DAMPING_LADDER = (0.0, *(1e-8 * 16.0**k for k in range(14)))
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,20 @@ def _midpoint_path(bc: BoundaryConditions, nodes: np.ndarray) -> PathSpec:
     )
 
 
+def _check_weak_field(nodes, dt, gm, gj, c, sweep) -> None:
+    # the perturbed functional's 8GJ sin^2(theta) v_phi/(c^4 r) term is
+    # unbounded above as r -> 0: a path that heads there has left the weak
+    # field, and Newton steps would climb after it without end
+    if not np.all(nodes[:, 0] > 0.0):
+        raise DomainError(f"sweep {sweep} carried a node to r <= 0")
+    share = kernels.perturbation_share(nodes, dt, gm, gj, c)
+    if not share < DEFAULT_WEAK_FIELD_THRESHOLD:
+        raise DomainError(
+            f"sweep {sweep} left the weak field: |2 h_tphi v_phi / c| is {share:.3g} of "
+            f"|1 - eps - v^2/c^2| on a segment (limit {DEFAULT_WEAK_FIELD_THRESHOLD})"
+        )
+
+
 def solve_extremal_path(
     model: RotatingMassModel,
     bc: BoundaryConditions,
@@ -130,9 +146,13 @@ def solve_extremal_path(
     n_segments: int = DEFAULT_SEGMENTS,
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    start: np.ndarray | None = None,
 ) -> ExtremalPathResult:
     """Maximize proper time over interior nodes at fixed coordinate times.
 
+    The iteration starts from ``start``, an (n_segments + 1, 3) array of
+    nodes (r, theta, phi) whose first and last rows are the boundary events,
+    or, by default, from the nodes linear in (r, theta, phi) between them.
     Each sweep assembles the exact gradient and block-tridiagonal Hessian
     of the discrete proper time and solves for the Newton step.  The
     result's ``stop`` says why the iteration ended:
@@ -147,9 +167,17 @@ def solve_extremal_path(
     - ``"exhausted"``: no step on the damping ladder (diag - d max|diag| I
       for d = 1e-8, 16e-8, ...), each halved up to 30 times, raised tau.
 
+    A block solve that meets a singular 3x3 block (``np.linalg.LinAlgError``)
+    is a failed rung of that ladder: the sweep tries the next damping.
     ``solves`` counts the Newton-step solves: one per sweep plus each damped
-    retry.  Raises :class:`NotTimelike` if no timelike starting trajectory
-    exists and :class:`NoConvergence` when the sweep cap is hit.
+    retry.  With ``include_perturbation``, a sweep that leaves a node at
+    r <= 0, or gives a segment a frame-dragging share
+    |2 h_tphi v_phi / c| / |1 - eps - v^2/c^2| of at least
+    ``DEFAULT_WEAK_FIELD_THRESHOLD``, raises :class:`DomainError`: the path
+    has left the weak field, where the functional is unbounded above.
+    Raises :class:`DomainError` for a ``start`` of the wrong shape or
+    endpoints, :class:`NotTimelike` if the starting trajectory is not
+    timelike, and :class:`NoConvergence` when the sweep cap is hit.
     """
     if n_segments < 2:
         raise DomainError("need at least two segments")
@@ -163,12 +191,22 @@ def solve_extremal_path(
     pert = 1 if include_perturbation else 0
     dt = span / n_segments
 
-    frac = np.linspace(0.0, 1.0, n_segments + 1)[:, None]
-    nodes = (1.0 - frac) * _coords(bc.start)[None, :] + frac * _coords(bc.end)[None, :]
+    ends = np.stack((_coords(bc.start), _coords(bc.end)))
+    if start is None:
+        frac = np.linspace(0.0, 1.0, n_segments + 1)[:, None]
+        nodes = (1.0 - frac) * ends[0] + frac * ends[1]
+    else:
+        nodes = np.array(start, dtype=np.float64)
+        if nodes.shape != (n_segments + 1, 3):
+            raise DomainError(
+                f"start must have shape ({n_segments + 1}, 3), not {nodes.shape}"
+            )
+        if not np.array_equal(nodes[[0, -1]], ends):
+            raise DomainError("start must begin and end at the boundary events")
 
     tau = kernels.path_functional(nodes, dt, gm, gj, constants.c, pert)
     if math.isnan(tau):
-        raise NotTimelike("the straight-line starting trajectory is not timelike")
+        raise NotTimelike("the starting trajectory is not timelike")
 
     # the Newton decrement: a predicted gain below a few ulps of tau cannot
     # show in the functional, so the step has nothing left to find
@@ -181,13 +219,15 @@ def solve_extremal_path(
         sweeps += 1
         grad, diag, off = kernels.newton_assemble(nodes, dt, gm, gj, constants.c, pert)
 
-        damping = 0.0
         damping_scale = max(float(np.abs(diag).max()), 1e-300)
         improved = False
-        while damping < 1e8:
+        for damping in _DAMPING_LADDER:
             diag_eff = diag - damping * damping_scale * np.eye(3) if damping else diag
-            step = kernels.block_thomas(diag_eff, off, -grad)
             solves += 1
+            try:
+                step = kernels.block_thomas(diag_eff, off, -grad)
+            except np.linalg.LinAlgError:
+                continue  # a singular block: this rung gives no step
             if not damping and 0.0 <= 0.5 * float(np.vdot(grad, step)) <= gain_floor * abs(tau):
                 # tau cannot resolve the gain, but the step still carries
                 # the nodes onto the stationary point: take it whole
@@ -214,16 +254,17 @@ def solve_extremal_path(
                 alpha *= 0.5
             if improved:
                 break
-            damping = 1e-8 if damping == 0.0 else damping * 16.0
+        if improved:
+            residual = abs(tau_trial - tau) / max(abs(tau_trial), 1e-300)
+            nodes, tau = trial, tau_trial
+        if pert:
+            _check_weak_field(nodes, dt, gm, gj, constants.c, sweeps)
         if not improved:
             # either the decrement or the whole damping ladder says the
             # gradient is numerically exhausted: this is the maximum
             stop = stop or "exhausted"
             residual = 0.0
             break
-        nodes = trial
-        residual = abs(tau_trial - tau) / max(abs(tau_trial), 1e-300)
-        tau = tau_trial
         # one polish sweep after the first sub-tolerance change lands the
         # quadratically converging iteration on its noise floor
         small_count = small_count + 1 if residual < tol else 0
@@ -300,15 +341,25 @@ def verify_first_order(
     epsilon * J and compares the proper-time shift against the first-order
     prediction integrated along the unperturbed path.  The fitted log-log
     slope of the residual approaches 2 when the formula captures everything
-    at first order.  Raises :class:`DomainError` unless the scales are
-    finite, positive and hold at least two distinct values, and unless the
-    largest scaled J stays perturbative: its h_tphi term, against the
-    background, along the straight line from the start event (see
+    at first order.
+
+    Each scaled solve starts from a first-order (Euler) predictor (Allgower
+    and Georg, *Introduction to Numerical Continuation Methods*, ch. 2): the
+    base nodes plus epsilon * t, where t = -H^-1 g is the Newton step at the
+    base nodes with angular momentum J, the tangent of the maximum's path in
+    epsilon.  If that Hessian has a singular block, t = 0.
+
+    Raises :class:`DomainError` unless the scales are finite, positive and
+    hold at least two distinct values, and unless the largest scaled J
+    stays perturbative: its h_tphi term, against the background, along the
+    straight line from the start event (see
     :func:`~gravclock.spacetime.perturbation_validity`) must stay below
-    ``DEFAULT_WEAK_FIELD_THRESHOLD``.  After the solves it also raises
-    :class:`DomainError`, naming the scales, for any residual below the
-    rounding floor n_segments * eps_mach * |tau| of the exact shift, where
-    the fit would measure roundoff instead of the formula.
+    ``DEFAULT_WEAK_FIELD_THRESHOLD``.  A scaled solve's :class:`DomainError`,
+    such as a path that leaves the weak field, is raised again with its
+    scale named.  After the solves it also raises :class:`DomainError`,
+    naming the scales, for any residual below the rounding floor
+    n_segments * eps_mach * |tau| of the exact shift, where the fit would
+    measure roundoff instead of the formula.
     """
     eps = np.asarray(list(scale_sequence), dtype=float)
     if not np.all(np.isfinite(eps)):
@@ -337,13 +388,30 @@ def verify_first_order(
     )
     prediction_unit = delta_tau_first_order(model, base.path, constants)
 
+    # Euler predictor: at J = model.J, one Newton step from the base nodes is
+    # the tangent t of the maximum's path in the scale, so scale e starts
+    # at base + e t, O(e^2) from its maximum
+    tangent = np.zeros_like(base.nodes)
+    grad, diag, off = kernels.newton_assemble(
+        base.nodes, (bc.end.t - bc.start.t) / n_segments,
+        constants.G * model.M, constants.G * model.J, constants.c, 1,
+    )
+    try:
+        tangent[1:-1] = kernels.block_thomas(diag, off, -grad)
+    except np.linalg.LinAlgError:
+        pass  # every scale starts from the base nodes
+
     exact = np.empty_like(eps)
     all_converged = base.converged
     for i, scale in enumerate(eps):
         scaled = RotatingMassModel(M=model.M, J=scale * model.J)
-        solved = solve_extremal_path(
-            scaled, bc, include_perturbation=True, constants=constants, n_segments=n_segments
-        )
+        try:
+            solved = solve_extremal_path(
+                scaled, bc, include_perturbation=True, constants=constants,
+                n_segments=n_segments, start=base.nodes + scale * tangent,
+            )
+        except DomainError as exc:
+            raise type(exc)(f"scale {scale:g}: {exc}") from exc
         all_converged = all_converged and solved.converged
         exact[i] = solved.proper_time - base.proper_time
 

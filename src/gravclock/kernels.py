@@ -11,8 +11,9 @@ Kernels take plain float64 arrays plus scalar parameters ``gm = G*M``,
 The extremal-path solver's Newton step comes from ``newton_assemble``
 (the exact gradient and block-tridiagonal Hessian of the path functional,
 from the radicand's closed-form derivatives in ``radicand_derivatives``)
-and ``block_thomas``, which solves that system by block cyclic reduction:
-log2(m) levels of batched 3x3 solves instead of m sequential ones.
+and ``block_thomas``, which solves that system by block cyclic reduction
+in symmetric storage (the upper blocks only): log2(m) levels, each with one
+batched inverse of 3x3 blocks, instead of m sequential solves.
 """
 
 from __future__ import annotations
@@ -113,16 +114,27 @@ def energy_ratio_array(r, theta, vr, vth, vph, gm, c):
 def _segments(x, dt, gm, gj, c, pert):
     # u = (r, theta) at each segment's midpoint and its (r, theta, phi)
     # velocity, from its nodes x[i] and x[i + 1] (columns r, theta, phi);
-    # then the compactness and the radicand there
+    # then the weak-field terms (eps, v^2, h_tphi) and the radicand there
     xl, xr = x[:-1].T, x[1:].T
     u = (*(0.5 * (xl[:2] + xr[:2])), *((xr - xl) / dt))
-    eps, v2, h = weak_field_terms(*u, gm, gj, c)
-    return u, eps, radicand_from_terms(eps, v2, h, u[4], c, pert)
+    terms = weak_field_terms(*u, gm, gj, c)
+    return u, terms, radicand_from_terms(*terms, u[4], c, pert)
 
 
 def path_functional(x, dt, gm, gj, c, pert):
     with np.errstate(invalid="ignore"):
         return dt * float(np.sum(np.sqrt(_segments(x, dt, gm, gj, c, pert)[2])))
+
+
+def perturbation_share(x, dt, gm, gj, c):
+    """Largest |2 h_tphi v_phi / c| / |1 - eps - v^2/c^2| over the segments of nodes x.
+
+    The frame-dragging term's share of the background radicand, which
+    :func:`gravclock.spacetime.perturbation_validity` gives at one point.
+    """
+    u, (_, _, h), background = _segments(x, dt, gm, gj, c, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.abs(2.0 * h * u[4] / c) / np.abs(background)))
 
 
 def newton_assemble(x, dt, gm, gj, c, pert):
@@ -135,7 +147,7 @@ def newton_assemble(x, dt, gm, gj, c, pert):
     map to the nodes through the fixed 5x6 matrix A with
     u = A (left node, right node).
     """
-    u, eps, rad = _segments(x, dt, gm, gj, c, pert)
+    u, (eps, _, _), rad = _segments(x, dt, gm, gj, c, pert)
     d1, d2 = radicand_derivatives(*u, eps, gj, c, pert)
     scale = (dt / (2.0 * np.sqrt(rad)))[:, None]
     g = scale * d1
@@ -153,61 +165,61 @@ def block_thomas(diag, off, rhs):
 
     Row i reads ``off[i-1].T @ x[i-1] + diag[i] @ x[i] + off[i] @ x[i+1] = rhs[i]``
     for (m, 3, 3) ``diag``, (m-1, 3, 3) ``off`` and (m, 3) ``rhs``.  Block
-    cyclic reduction: each level eliminates the odd-indexed blocks with one
-    batched 3x3 solve, leaving a block-tridiagonal system of half the size on
-    the even-indexed blocks, so m blocks take log2(m) vectorized levels.
+    cyclic reduction in symmetric storage: only the upper blocks are kept,
+    since each lower block is the transpose of the upper block before it.
+    Each level inverts the odd-indexed diagonal blocks with one batched
+    ``np.linalg.inv``, leaving a block-tridiagonal system of half the size
+    on the even-indexed blocks, so m blocks take log2(m) vectorized levels.
     Like block Gaussian elimination it pivots only inside each 3x3 block,
     never across blocks, which is stable for the definite (or damped)
-    Hessians the solver builds.
+    Hessians the solver builds.  A singular block raises
+    ``np.linalg.LinAlgError``.
     """
-    lower = np.zeros_like(diag)
     upper = np.zeros_like(diag)
-    lower[1:] = off.transpose(0, 2, 1)
     upper[:-1] = off
-    return _cyclic_reduction(diag, lower, upper, rhs)
+    return _cyclic_reduction(diag, upper, rhs)
 
 
-def _cyclic_reduction(diag, lower, upper, rhs):
-    # rows read lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i],
-    # with lower[0] and upper[-1] zero
+def _cyclic_reduction(diag, upper, rhs):
+    # rows read upper[i-1].T x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i],
+    # with upper[-1] zero
     m = diag.shape[0]
     if m == 1:
         return np.linalg.solve(diag[0], rhs[0])[None, :]
     n_odd = m // 2
     n_even = m - n_odd
 
-    # odd rows: x = t_b - t_l x[left] - t_u x[right], with [t_l | t_u | t_b]
-    # from one batched solve on diag[odd]
-    coupled = np.concatenate((lower[1::2], upper[1::2], rhs[1::2, :, None]), axis=2)
-    solved = np.linalg.solve(diag[1::2], coupled)
-    t_l, t_u, t_b = solved[:, :, :3], solved[:, :, 3:6], solved[:, :, 6]
+    # odd row 2j+1 couples to even row 2j through a = upper[2j] (as a.T) and
+    # to even row 2j+2 through b = upper[2j+1]:
+    # x[2j+1] = t_b - t_l x[2j] - t_u x[2j+2], with t = [t_l | t_u | t_b]
+    a, b = upper[: 2 * n_odd : 2], upper[1::2]
+    t = np.linalg.inv(diag[1::2]) @ np.concatenate(
+        (a.transpose(0, 2, 1), b, rhs[1::2, :, None]), axis=2
+    )
 
-    # even rows: substitute the odd neighbours, odd k-1 on the left of even
-    # k and odd k on its right
+    # even rows: substitute the odd neighbours, odd j on the right of even j
+    # (through a[j]) and odd j-1 on its left (through b[j-1].T); the left
+    # update's coupling to x[2j-2] is the transpose of the upper block that
+    # the right update gives row j-1, so it is not formed
     diag_r = diag[::2].copy()
-    lower_r = np.zeros_like(diag_r)
     upper_r = np.zeros_like(diag_r)
     rhs_r = rhs[::2].copy()
-    left = lower[2::2]
-    diag_r[1:] -= left @ t_u[: n_even - 1]
-    lower_r[1:] = -(left @ t_l[: n_even - 1])
-    rhs_r[1:] -= np.einsum("kij,kj->ki", left, t_b[: n_even - 1])
-    right = upper[: 2 * n_odd : 2]
-    diag_r[:n_odd] -= right @ t_l
-    upper_r[:n_odd] = -(right @ t_u)
-    rhs_r[:n_odd] -= np.einsum("kij,kj->ki", right, t_b)
+    right = a @ t
+    diag_r[:n_odd] -= right[:, :, :3]
+    upper_r[:n_odd] = -right[:, :, 3:6]
+    rhs_r[:n_odd] -= right[:, :, 6]
+    left = b[: n_even - 1].transpose(0, 2, 1) @ t[: n_even - 1, :, 3:]
+    diag_r[1:] -= left[:, :, :3]
+    rhs_r[1:] -= left[:, :, 3]
 
-    x_even = _cyclic_reduction(diag_r, lower_r, upper_r, rhs_r)
+    x_even = _cyclic_reduction(diag_r, upper_r, rhs_r)
 
-    # back-substitute the odd blocks; the last one has no right neighbour
-    # when m is even
-    x_right = np.zeros((n_odd, 3))
-    x_right[: n_even - 1] = x_even[1:]
+    # back-substitute the odd blocks from their stacked (left, right) even
+    # neighbours; the last one has no right neighbour when m is even
+    neighbours = np.zeros((n_odd, 6))
+    neighbours[:, :3] = x_even[:n_odd]
+    neighbours[: n_even - 1, 3:] = x_even[1:]
     sol = np.empty_like(rhs)
     sol[::2] = x_even
-    sol[1::2] = (
-        t_b
-        - np.einsum("kij,kj->ki", t_l, x_even[:n_odd])
-        - np.einsum("kij,kj->ki", t_u, x_right)
-    )
+    sol[1::2] = t[:, :, 6] - (t[:, :, :6] @ neighbours[:, :, None])[:, :, 0]
     return sol

@@ -115,6 +115,15 @@ def test_validation_error_exit_code(capsys):
     assert "validation" in err
 
 
+def test_verify_rejects_scales_whose_solve_leaves_the_weak_field(capsys):
+    # the scale-15 solve heads for r = 0, where the perturbed functional is
+    # unbounded above; it used to climb for all 10000 sweeps and exit 3
+    code, out, err = run_cli(capsys, "verify", "--scales", "15,30")
+    assert code == 2
+    assert out == ""
+    assert "scale 15:" in err and "weak field" in err
+
+
 @pytest.mark.parametrize(
     "scales, reason",
     [

@@ -281,10 +281,13 @@ def test_verify_solves_stop_on_the_newton_decrement(monkeypatch, capsys):
     from gravclock.cli import run_command
 
     results = []
+    scaled = []
     real = geodesic.solve_extremal_path
 
     def solve(*args, **kwargs):
         results.append(real(*args, **kwargs))
+        if kwargs.get("include_perturbation"):
+            scaled.append(results[-1])
         return results[-1]
 
     monkeypatch.setattr(geodesic, "solve_extremal_path", solve)
@@ -295,3 +298,96 @@ def test_verify_solves_stop_on_the_newton_decrement(monkeypatch, capsys):
         assert res.converged
         assert res.stop == "decrement"
         assert res.solves == res.sweeps
+    # from the predictor, the eight scaled solves take 2-3 sweeps each (3-4
+    # from the chord)
+    assert len(scaled) == 8
+    assert sum(res.sweeps for res in scaled) <= 20
+
+
+def test_predictor_start_reaches_the_maximum_of_the_chord_start(unit_constants, monkeypatch):
+    from gravclock import geodesic
+
+    model = RotatingMassModel(M=1e-6, J=1.25e-3)
+    bc = BoundaryConditions(
+        SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
+    )
+    calls = []
+    real = geodesic.solve_extremal_path
+
+    def solve(*args, **kwargs):
+        calls.append((args, kwargs, real(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(geodesic, "solve_extremal_path", solve)
+    verify_first_order(model, bc, [0.5, 8.0], constants=unit_constants, n_segments=512)
+    monkeypatch.undo()
+
+    base = calls[0][2]
+    assert len(calls) == 3
+    for args, kwargs, predicted in calls[1:]:
+        start = kwargs["start"]
+        assert not np.array_equal(start, base.nodes)
+        chord = solve_extremal_path(*args, **{**kwargs, "start": None})
+        assert predicted.stop == chord.stop == "decrement"
+        assert predicted.sweeps <= chord.sweeps
+        assert abs(predicted.proper_time - chord.proper_time) <= 1e-13 * abs(chord.proper_time)
+
+
+def test_start_must_have_the_node_shape_and_the_boundary_events(unit_constants):
+    bc = BoundaryConditions(
+        SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
+    )
+    frac = np.linspace(0.0, 1.0, 9)[:, None]
+    chord = (1.0 - frac) * np.array([1.0, EQ, 0.0]) + frac * np.array([1.0, EQ, 0.3])
+    moved_start, moved_end = chord.copy(), chord.copy()
+    moved_start[0, 0] += 1e-12
+    moved_end[-1, 2] += 1e-3
+    for start, reason in [
+        (chord[:-1], "shape"), (chord[:, :2], "shape"), (chord.ravel(), "shape"),
+        (moved_start, "boundary events"), (moved_end, "boundary events"),
+    ]:
+        with pytest.raises(DomainError, match=reason):
+            solve_extremal_path(FLAT, bc, constants=unit_constants, n_segments=8, start=start)
+    bent = chord.copy()
+    bent[1:-1, 0] += 0.01
+    from_chord = solve_extremal_path(FLAT, bc, constants=unit_constants, n_segments=8)
+    from_bent = solve_extremal_path(FLAT, bc, constants=unit_constants, n_segments=8, start=bent)
+    assert from_bent.proper_time == pytest.approx(from_chord.proper_time, rel=1e-13)
+
+
+def test_a_singular_block_is_a_failed_rung_of_the_damping_ladder(unit_constants, monkeypatch):
+    from gravclock import kernels
+
+    model = RotatingMassModel(M=1e-6, J=1.25e-3)
+    bc = BoundaryConditions(
+        SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
+    )
+    undisturbed = solve_extremal_path(model, bc, True, unit_constants, 512)
+    real = kernels.block_thomas
+    calls = []
+
+    def solve(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "block_thomas", solve)
+    res = solve_extremal_path(model, bc, True, unit_constants, 512)
+    monkeypatch.undo()
+    # the first sweep retried at the first damping, and the rest ran as before
+    assert not np.array_equal(calls[1][0], calls[0][0])
+    assert res.stop == "decrement"
+    assert res.solves == res.sweeps + 1 == undisturbed.solves + 1
+    assert res.proper_time == pytest.approx(undisturbed.proper_time, rel=1e-13)
+
+
+def test_perturbed_solve_that_leaves_the_weak_field_raises(unit_constants):
+    # above ~13 x 1.25e-3 the Newton steps head for r = 0, where the
+    # 8GJ sin^2(theta) v_phi / (c^4 r) term is unbounded above
+    bc = BoundaryConditions(
+        SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
+    )
+    for j, n_segments, reason in [(0.25, 2, "r <= 0"), (30 * 1.25e-3, 512, "weak field")]:
+        with pytest.raises(DomainError, match=reason):
+            solve_extremal_path(RotatingMassModel(M=1e-6, J=j), bc, True, unit_constants, n_segments)

@@ -12,6 +12,7 @@ from gravclock.spacetime import (
     RotatingMassModel,
     SpacetimePoint,
     energy_ratio,
+    perturbation_validity,
     proper_time_rate,
 )
 
@@ -81,11 +82,25 @@ def test_scalar_spacetime_functions_share_the_array_arithmetic(sample_arrays):
         assert energy_ratio(model, pt, speed[i], constants) == ratios[i]
 
 
-def _node_path(n_segments):
+def _node_path(n_segments, theta=(0.5 * math.pi, 0.5 * math.pi + 0.05)):
     frac = np.linspace(0.0, 1.0, n_segments + 1)[:, None]
-    a = np.array([1.0, 0.5 * math.pi, 0.0])
-    b = np.array([1.1, 0.5 * math.pi + 0.05, 0.3])
+    a = np.array([1.0, theta[0], 0.0])
+    b = np.array([1.1, theta[1], 0.3])
     return np.ascontiguousarray((1 - frac) * a + frac * b), 30.0 / n_segments
+
+
+def _assert_matches_dense_solve(diag, off, rhs, expected=None):
+    m = diag.shape[0]
+    if expected is None:
+        dense = np.zeros((3 * m, 3 * m))
+        for i in range(m):
+            dense[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = diag[i]
+        for i in range(m - 1):
+            dense[3 * i : 3 * i + 3, 3 * i + 3 : 3 * i + 6] = off[i]
+            dense[3 * i + 3 : 3 * i + 6, 3 * i : 3 * i + 3] = off[i].T
+        expected = np.linalg.solve(dense, rhs.ravel()).reshape(m, 3)
+    step = kernels.block_thomas(diag, off, rhs)
+    np.testing.assert_allclose(step, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
 
 
 # m = n_segments - 1 interior blocks: the single-block base case, odd and
@@ -98,16 +113,55 @@ def test_block_thomas_matches_dense_solve(n_segments, damping):
     if damping:
         # the solver's damping ladder: diag - damping * max|diag| * I
         diag = diag - damping * np.abs(diag).max() * np.eye(3)[None, :, :]
-    m = diag.shape[0]
-    dense = np.zeros((3 * m, 3 * m))
+    _assert_matches_dense_solve(diag, off, -grad)
+
+
+@pytest.mark.parametrize("n_segments", [2, 3, 128, 129, 512])
+def test_block_thomas_matches_dense_solve_off_the_equator(n_segments):
+    # theta from 0.4 to 1.1 rad: sin and cos of theta both enter each block
+    x, dt = _node_path(n_segments, theta=(0.4, 1.1))
+    grad, diag, off = kernels.newton_assemble(x, dt, GM, GJ, C, 1)
+    _assert_matches_dense_solve(diag, off, -grad)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 255, 511])
+def test_block_thomas_matches_dense_solve_on_coupled_random_systems(m):
+    # -M M^T for a block lower-bidiagonal M is symmetric, negative definite
+    # and block tridiagonal, with every entry of every block coupled (its
+    # condition number is ~1e2 here); the congruence with S = diag(1, 1e3,
+    # 1e-3) per block makes the coordinate scales as unlike as r, theta and
+    # phi can be.  The dense reference solves the unscaled system, where
+    # partial pivoting is not misled by the scales: x = -S^-1 (M M^T)^-1 S^-1 b
+    rng = np.random.default_rng(m)
+    lower = np.zeros((3 * m, 3 * m))
     for i in range(m):
-        dense[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = diag[i]
-    for i in range(m - 1):
-        dense[3 * i : 3 * i + 3, 3 * i + 3 : 3 * i + 6] = off[i]
-        dense[3 * i + 3 : 3 * i + 6, 3 * i : 3 * i + 3] = off[i].T
-    expected = np.linalg.solve(dense, -grad.ravel()).reshape(m, 3)
-    step = kernels.block_thomas(diag, off, -grad)
-    np.testing.assert_allclose(step, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
+        lower[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = rng.standard_normal((3, 3)) + 5.0 * np.eye(3)
+        if i:
+            lower[3 * i : 3 * i + 3, 3 * i - 3 : 3 * i] = rng.standard_normal((3, 3))
+    unscaled = lower @ lower.T
+    assert np.linalg.eigvalsh(unscaled).min() > 0.0
+    scale = np.tile([1.0, 1e3, 1e-3], m)
+    rhs = rng.standard_normal((m, 3))
+    expected = -(np.linalg.solve(unscaled, rhs.ravel() / scale) / scale).reshape(m, 3)
+    dense = -scale[:, None] * unscaled * scale[None, :]
+    blocks = dense.reshape(m, 3, m, 3).transpose(0, 2, 1, 3)  # blocks[i, j]: block (i, j)
+    k = np.arange(m)
+    _assert_matches_dense_solve(blocks[k, k], blocks[k[:-1], k[1:]], rhs, expected)
+
+
+def test_perturbation_share_matches_the_pointwise_validity():
+    x, dt = _node_path(64, theta=(0.4, 1.1))
+    x[1:-1] += 1e-3 * np.random.default_rng(3).standard_normal((63, 3))
+    model = RotatingMassModel(M=GM, J=GJ)
+    constants = PhysicalConstants(c=C, G=1.0, hbar=1.0)
+    mid, vel = 0.5 * (x[:-1] + x[1:]), (x[1:] - x[:-1]) / dt
+    shares = [
+        perturbation_validity(
+            model, SpacetimePoint(0.0, *mid[i, :2], 0.0), CoordinateVelocity(*vel[i]), constants
+        )
+        for i in range(64)
+    ]
+    assert kernels.perturbation_share(x, dt, GM, GJ, C) == pytest.approx(max(shares), rel=1e-12)
 
 
 def _per_probe_assemble(x, dt, gm, gj, c, pert, hg, hh):
