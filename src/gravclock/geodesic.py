@@ -84,26 +84,6 @@ def _cartesian(pt: SpacetimePoint) -> np.ndarray:
     return pt.r * np.array([s * math.cos(pt.phi), s * math.sin(pt.phi), math.cos(pt.theta)])
 
 
-def functional_value(
-    model: RotatingMassModel,
-    nodes: np.ndarray,
-    t_start: float,
-    t_end: float,
-    include_perturbation: bool,
-    constants: PhysicalConstants = CODATA,
-) -> float:
-    """Discrete proper time of a node trajectory (midpoint rule per segment)."""
-    dt = (t_end - t_start) / (nodes.shape[0] - 1)
-    return kernels.path_functional(
-        np.ascontiguousarray(nodes, dtype=np.float64),
-        dt,
-        constants.G * model.M,
-        constants.G * model.J,
-        constants.c,
-        1 if include_perturbation else 0,
-    )
-
-
 def _midpoint_path(bc: BoundaryConditions, nodes: np.ndarray) -> PathSpec:
     n = nodes.shape[0] - 1
     dt = (bc.end.t - bc.start.t) / n
@@ -124,18 +104,213 @@ def _midpoint_path(bc: BoundaryConditions, nodes: np.ndarray) -> PathSpec:
     )
 
 
-def _check_weak_field(nodes, dt, gm, gj, c, sweep) -> None:
+def _weak_field_errors(nodes, dt, gm, gj, c, sweep) -> list:
     # the perturbed functional's 8GJ sin^2(theta) v_phi/(c^4 r) term is
     # unbounded above as r -> 0: a path that heads there has left the weak
-    # field, and Newton steps would climb after it without end
-    if not np.all(nodes[:, 0] > 0.0):
-        raise DomainError(f"sweep {sweep} carried a node to r <= 0")
-    share = kernels.perturbation_share(nodes, dt, gm, gj, c)
-    if not share < DEFAULT_WEAK_FIELD_THRESHOLD:
-        raise DomainError(
-            f"sweep {sweep} left the weak field: |2 h_tphi v_phi / c| is {share:.3g} of "
-            f"|1 - eps - v^2/c^2| on a segment (limit {DEFAULT_WEAK_FIELD_THRESHOLD})"
-        )
+    # field, and Newton steps would climb after it without end.  One entry
+    # per path of the stack: its DomainError, or None
+    errors = [None] * len(nodes)
+    positive = np.all(nodes[..., 0] > 0.0, axis=-1)
+    inside = np.flatnonzero(positive)
+    shares = kernels.perturbation_share(
+        nodes if inside.size == len(nodes) else nodes[inside], dt, gm, gj[inside], c
+    )
+    for j, share in zip(inside, shares):
+        if not share < DEFAULT_WEAK_FIELD_THRESHOLD:
+            errors[j] = DomainError(
+                f"sweep {sweep} left the weak field: |2 h_tphi v_phi / c| is {share:.3g} of "
+                f"|1 - eps - v^2/c^2| on a segment (limit {DEFAULT_WEAK_FIELD_THRESHOLD})"
+            )
+    for j in np.flatnonzero(~positive):
+        errors[j] = DomainError(f"sweep {sweep} carried a node to r <= 0")
+    return errors
+
+
+def _steps(diag, off, grad) -> list:
+    # one Newton step -H^-1 g per path of the stack, or None where a block
+    # is singular; the batched inverse raises for the whole stack, so a
+    # stack that raises is solved again one path at a time.  Solving for
+    # +g and negating is exact, and spares the stack a negated copy of g
+    try:
+        return [-step for step in kernels.block_thomas(diag, off, grad)]
+    except np.linalg.LinAlgError:
+        if len(diag) == 1:
+            return [None]
+    steps = []
+    for member in zip(diag, off, grad):
+        try:
+            steps.append(-kernels.block_thomas(*member))
+        except np.linalg.LinAlgError:
+            steps.append(None)
+    return steps
+
+
+@dataclass(eq=False)
+class _Member:
+    """One path of a stacked Newton iteration; its nodes are a row of the stack."""
+
+    index: int  # its position in the caller's stack
+    tau: float
+    residual: float = math.inf
+    solves: int = 0
+    small_count: int = 0
+    # the outcome of the current sweep
+    stop: str | None = None
+    improved: bool = False
+    trial: tuple | None = None  # the accepted (nodes, tau)
+
+
+def _ladder(members, nodes, grad, diag, off, dt, gm, gj, c, pert) -> None:
+    # one sweep's damping ladder for every member: each rung solves, in one
+    # stacked call, the members that no earlier rung moved
+    damping_scale = np.maximum(np.abs(diag).max(axis=(-3, -2, -1)), 1e-300)
+    # the Newton decrement: a predicted gain below a few ulps of tau cannot
+    # show in the functional, so the step has nothing left to find
+    gain_floor = 4.0 * np.finfo(float).eps
+    pending = list(range(len(members)))
+    for damping in _DAMPING_LADDER:
+        if not pending:
+            break
+        whole = len(pending) == len(members)
+        d = diag if whole else diag[pending]
+        if damping:
+            d = d - (damping * damping_scale[pending])[:, None, None, None] * np.eye(3)
+        steps = _steps(d, off if whole else off[pending], grad if whole else grad[pending])
+        searching = []
+        for j, step in zip(pending, steps):
+            member = members[j]
+            member.solves += 1
+            if step is None:
+                continue  # a singular block: this rung gives no step
+            gain = 0.5 * float(np.vdot(grad[j], step))
+            if not damping and 0.0 <= gain <= gain_floor * abs(member.tau):
+                # tau cannot resolve the gain, but the step still carries
+                # the nodes onto the stationary point: take it whole
+                member.stop = "decrement"
+            searching.append((j, step))
+        _line_search(members, searching, nodes, dt, gm, gj, c, pert)
+        pending = [j for j in pending if not (members[j].stop or members[j].improved)]
+
+
+def _line_search(members, searching, nodes, dt, gm, gj, c, pert) -> None:
+    # halve each (j, step) of `searching` up to 30 times until tau rises or,
+    # for a member that stops on the decrement, try its whole step once;
+    # each round evaluates the candidates of every member still searching
+    alpha = 1.0
+    for _ in range(30):
+        moved = []
+        for j, step in searching:
+            candidate = nodes[j].copy()
+            candidate[1:-1] += alpha * step
+            # a step that rounds away at every node rounds away at every
+            # smaller alpha too: the candidate can only give back tau
+            if not np.array_equal(candidate, nodes[j]):
+                moved.append((j, step, candidate))
+        if not moved:
+            break
+        if len(moved) == 1:  # one path: no stack to build
+            j, _, candidate = moved[0]
+            values = [kernels.path_functional(candidate, dt, gm, float(gj[j]), c, pert)]
+        else:
+            values = kernels.path_functional(
+                np.stack([candidate for _, _, candidate in moved]),
+                dt, gm, gj[[j for j, _, _ in moved]], c, pert,
+            )
+        searching = []
+        for (j, step, candidate), value in zip(moved, values):
+            member, value = members[j], float(value)
+            if member.stop:
+                if math.isfinite(value):
+                    member.trial = candidate, value
+            elif not math.isnan(value) and value > member.tau:
+                member.trial, member.improved = (candidate, value), True
+            else:
+                searching.append((j, step))
+        alpha *= 0.5
+
+
+def _solve_stack(bc, starts, gm, gj, c, pert, tol, max_sweeps, start_name="starting trajectory"):
+    """The Newton iteration of :func:`solve_extremal_path` over a stack of paths.
+
+    ``starts`` is a (k, n_segments + 1, 3) stack of starting nodes between
+    the events of ``bc`` and ``gj`` holds G J for each.  Every member runs
+    the iteration it would run alone, with its own damping ladder, line
+    search, weak-field check, counts and stop, and bit for bit the same
+    arithmetic: the members only share the kernel calls, each of which
+    treats every path of its stack on its own.  A member leaves the stack
+    when it stops.
+
+    Returns (results, failure).  ``failure`` is None, or (i, exc) for the
+    first member i, in stack order, whose iteration raised ``exc``: a start
+    that is not timelike (named by ``start_name``), a step that leaves the
+    weak field, or the sweep cap.  A failing member drops every member
+    after it, and the members before it still run to their end, so this
+    is the error that solving the members one after another would raise.
+    """
+    dt = (bc.end.t - bc.start.t) / (starts.shape[1] - 1)
+    gj = np.asarray(gj, dtype=np.float64)
+    results = [None] * len(starts)
+    failure = None
+    members = []
+    for i, tau in enumerate(kernels.path_functional(starts, dt, gm, gj, c, pert)):
+        if math.isnan(tau):
+            failure = (i, NotTimelike(f"the {start_name} is not timelike"))
+            break
+        members.append(_Member(i, float(tau)))
+    nodes = np.array(starts[: len(members)], dtype=np.float64)
+    gj = gj[: len(members)]
+    sweep = 0
+    while members and sweep < max_sweeps:
+        sweep += 1
+        for member in members:
+            member.stop, member.improved, member.trial = None, False, None
+        _ladder(members, nodes, *kernels.newton_assemble(nodes, dt, gm, gj, c, pert), dt, gm, gj, c, pert)
+
+        for j, member in enumerate(members):
+            if member.trial is not None:
+                candidate, tau = member.trial
+                if member.improved:
+                    member.residual = abs(tau - member.tau) / max(abs(tau), 1e-300)
+                nodes[j], member.tau = candidate, tau
+        errors = _weak_field_errors(nodes, dt, gm, gj, c, sweep) if pert else [None] * len(members)
+        keep = []
+        for j, member in enumerate(members):
+            if errors[j] is not None:
+                failure = (member.index, errors[j])
+                break  # the members after it no longer matter
+            if not member.improved:
+                # either the decrement or the whole damping ladder says the
+                # gradient is numerically exhausted: this is the maximum
+                member.stop = member.stop or "exhausted"
+                member.residual = 0.0
+            else:
+                # one polish sweep after the first sub-tolerance change lands the
+                # quadratically converging iteration on its noise floor
+                member.small_count = member.small_count + 1 if member.residual < tol else 0
+                if member.small_count >= 2:
+                    member.stop = "tolerance"
+            if not member.stop:
+                keep.append(j)
+                continue
+            results[member.index] = ExtremalPathResult(
+                path=_midpoint_path(bc, nodes[j]),
+                proper_time=member.tau,
+                converged=True,
+                residual_norm=member.residual,
+                sweeps=sweep,
+                nodes=nodes[j].copy(),
+                solves=member.solves,
+                stop=member.stop,
+            )
+        if len(keep) < len(members):
+            members = [members[j] for j in keep]
+            nodes, gj = nodes[keep], gj[keep]
+
+    if members:
+        failure = (members[0].index, NoConvergence(
+            f"no convergence after {sweep} sweeps (last relative change {members[0].residual:.3e})"
+        ))
+    return results, failure
 
 
 def solve_extremal_path(
@@ -177,7 +352,9 @@ def solve_extremal_path(
     has left the weak field, where the functional is unbounded above.
     Raises :class:`DomainError` for a ``start`` of the wrong shape or
     endpoints, :class:`NotTimelike` if the starting trajectory is not
-    timelike, and :class:`NoConvergence` when the sweep cap is hit.
+    timelike, and :class:`NoConvergence` when the sweep cap is hit.  This
+    is the one-path case of the stacked iteration that
+    :func:`verify_first_order` runs over its scales.
     """
     if n_segments < 2:
         raise DomainError("need at least two segments")
@@ -185,11 +362,6 @@ def solve_extremal_path(
     span = bc.end.t - bc.start.t
     if chord >= constants.c * span:
         raise DomainError("endpoints are not timelike-separated (chord speed >= c)")
-
-    gm = constants.G * model.M
-    gj = constants.G * model.J
-    pert = 1 if include_perturbation else 0
-    dt = span / n_segments
 
     ends = np.stack((_coords(bc.start), _coords(bc.end)))
     if start is None:
@@ -204,89 +376,13 @@ def solve_extremal_path(
         if not np.array_equal(nodes[[0, -1]], ends):
             raise DomainError("start must begin and end at the boundary events")
 
-    tau = kernels.path_functional(nodes, dt, gm, gj, constants.c, pert)
-    if math.isnan(tau):
-        raise NotTimelike("the starting trajectory is not timelike")
-
-    # the Newton decrement: a predicted gain below a few ulps of tau cannot
-    # show in the functional, so the step has nothing left to find
-    gain_floor = 4.0 * np.finfo(float).eps
-    residual = math.inf
-    sweeps = solves = 0
-    stop = None
-    small_count = 0
-    while sweeps < max_sweeps:
-        sweeps += 1
-        grad, diag, off = kernels.newton_assemble(nodes, dt, gm, gj, constants.c, pert)
-
-        damping_scale = max(float(np.abs(diag).max()), 1e-300)
-        improved = False
-        for damping in _DAMPING_LADDER:
-            diag_eff = diag - damping * damping_scale * np.eye(3) if damping else diag
-            solves += 1
-            try:
-                step = kernels.block_thomas(diag_eff, off, -grad)
-            except np.linalg.LinAlgError:
-                continue  # a singular block: this rung gives no step
-            if not damping and 0.0 <= 0.5 * float(np.vdot(grad, step)) <= gain_floor * abs(tau):
-                # tau cannot resolve the gain, but the step still carries
-                # the nodes onto the stationary point: take it whole
-                stop = "decrement"
-                candidate = nodes.copy()
-                candidate[1:-1] += step
-                if not np.array_equal(candidate, nodes):
-                    tau_candidate = kernels.path_functional(candidate, dt, gm, gj, constants.c, pert)
-                    if math.isfinite(tau_candidate):
-                        nodes, tau = candidate, tau_candidate
-                break
-            alpha = 1.0
-            for _ in range(30):
-                candidate = nodes.copy()
-                candidate[1:-1] += alpha * step
-                if np.array_equal(candidate, nodes):
-                    # the step rounds away at every node, and so does every
-                    # smaller alpha: the candidate can only give back tau
-                    break
-                tau_candidate = kernels.path_functional(candidate, dt, gm, gj, constants.c, pert)
-                if not math.isnan(tau_candidate) and tau_candidate > tau:
-                    trial, tau_trial, improved = candidate, tau_candidate, True
-                    break
-                alpha *= 0.5
-            if improved:
-                break
-        if improved:
-            residual = abs(tau_trial - tau) / max(abs(tau_trial), 1e-300)
-            nodes, tau = trial, tau_trial
-        if pert:
-            _check_weak_field(nodes, dt, gm, gj, constants.c, sweeps)
-        if not improved:
-            # either the decrement or the whole damping ladder says the
-            # gradient is numerically exhausted: this is the maximum
-            stop = stop or "exhausted"
-            residual = 0.0
-            break
-        # one polish sweep after the first sub-tolerance change lands the
-        # quadratically converging iteration on its noise floor
-        small_count = small_count + 1 if residual < tol else 0
-        if small_count >= 2:
-            stop = "tolerance"
-            break
-
-    if stop is None:
-        raise NoConvergence(
-            f"no convergence after {sweeps} sweeps (last relative change {residual:.3e})"
-        )
-
-    return ExtremalPathResult(
-        path=_midpoint_path(bc, nodes),
-        proper_time=tau,
-        converged=True,
-        residual_norm=residual,
-        sweeps=sweeps,
-        nodes=nodes,
-        solves=solves,
-        stop=stop,
+    results, failure = _solve_stack(
+        bc, nodes[None], constants.G * model.M, [constants.G * model.J], constants.c,
+        1 if include_perturbation else 0, tol, max_sweeps,
     )
+    if failure is not None:
+        raise failure[1]
+    return results[0]
 
 
 def proper_time_along(
@@ -347,16 +443,23 @@ def verify_first_order(
     and Georg, *Introduction to Numerical Continuation Methods*, ch. 2): the
     base nodes plus epsilon * t, where t = -H^-1 g is the Newton step at the
     base nodes with angular momentum J, the tangent of the maximum's path in
-    epsilon.  If that Hessian has a singular block, t = 0.
+    epsilon.  If that Hessian has a singular block, t = 0.  The scaled
+    solves run as one Newton iteration over the stack of their paths (see
+    :func:`solve_extremal_path`), each member exactly as it would run
+    alone, so a default study makes 3 stacked sweeps instead of 18 single
+    ones.
 
     Raises :class:`DomainError` unless the scales are finite, positive and
     hold at least two distinct values, and unless the largest scaled J
     stays perturbative: its h_tphi term, against the background, along the
     straight line from the start event (see
     :func:`~gravclock.spacetime.perturbation_validity`) must stay below
-    ``DEFAULT_WEAK_FIELD_THRESHOLD``.  A scaled solve's :class:`DomainError`,
-    such as a path that leaves the weak field, is raised again with its
-    scale named.  After the solves it also raises :class:`DomainError`,
+    ``DEFAULT_WEAK_FIELD_THRESHOLD``.  A scaled solve's :class:`DomainError`
+    is raised again with its scale named: a predictor start that is not
+    timelike (checked for every scale before the first sweep), or a path
+    that leaves the weak field.  Of several failing scales, the one named is
+    the first in the given order, with its own sweep, as if the scales were
+    solved one after another.  After the solves it also raises :class:`DomainError`,
     naming the scales, for any residual below the rounding floor
     n_segments * eps_mach * |tau| of the exact shift, where the fit would
     measure roundoff instead of the formula.
@@ -401,19 +504,20 @@ def verify_first_order(
     except np.linalg.LinAlgError:
         pass  # every scale starts from the base nodes
 
-    exact = np.empty_like(eps)
-    all_converged = base.converged
-    for i, scale in enumerate(eps):
-        scaled = RotatingMassModel(M=model.M, J=scale * model.J)
-        try:
-            solved = solve_extremal_path(
-                scaled, bc, include_perturbation=True, constants=constants,
-                n_segments=n_segments, start=base.nodes + scale * tangent,
-            )
-        except DomainError as exc:
-            raise type(exc)(f"scale {scale:g}: {exc}") from exc
-        all_converged = all_converged and solved.converged
-        exact[i] = solved.proper_time - base.proper_time
+    # every scale in one stacked Newton iteration, each from its predictor
+    # start; a start that is not timelike fails before the first sweep
+    results, failure = _solve_stack(
+        bc, base.nodes + eps[:, None, None] * tangent, constants.G * model.M,
+        constants.G * (eps * model.J), constants.c, 1, DEFAULT_TOL, DEFAULT_MAX_SWEEPS,
+        start_name="predictor start",
+    )
+    if failure is not None:
+        i, exc = failure
+        if isinstance(exc, DomainError):
+            raise type(exc)(f"scale {eps[i]:g}: {exc}") from exc
+        raise exc
+    exact = np.array([solved.proper_time for solved in results]) - base.proper_time
+    all_converged = base.converged and all(solved.converged for solved in results)
 
     predicted = eps * prediction_unit
     residuals = np.abs(exact - predicted)

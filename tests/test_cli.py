@@ -124,6 +124,32 @@ def test_verify_rejects_scales_whose_solve_leaves_the_weak_field(capsys):
     assert "scale 15:" in err and "weak field" in err
 
 
+_LEFT_THE_WEAK_FIELD = (
+    "scale {}: sweep {} left the weak field: |2 h_tphi v_phi / c| is {} of "
+    "|1 - eps - v^2/c^2| on a segment (limit 0.5)"
+)
+
+
+_FIRST_FAILING_SCALE = [
+    # the scales are solved together, but the error is the one that
+    # solving them in order gives: the first failing scale in the list, at
+    # its own sweep, although scale 30 fails first, at sweep 6
+    ("15,30", _LEFT_THE_WEAK_FIELD.format(15, 13, 0.656)),
+    ("1,15", _LEFT_THE_WEAK_FIELD.format(15, 13, 0.656)),
+    ("30,1", _LEFT_THE_WEAK_FIELD.format(30, 6, 1.55)),
+    ("15,300", _LEFT_THE_WEAK_FIELD.format(15, 13, 0.656)),
+    # from ~300 the predictor start itself is not timelike
+    ("300,1", "scale 300: the predictor start is not timelike"),
+]
+
+
+@pytest.mark.parametrize(
+    "scales, error", _FIRST_FAILING_SCALE, ids=[scales for scales, _ in _FIRST_FAILING_SCALE]
+)
+def test_verify_names_the_first_scale_whose_solve_fails(capsys, scales, error):
+    assert run_cli(capsys, "verify", "--scales", scales) == (2, "", f"validation error: {error}\n")
+
+
 @pytest.mark.parametrize(
     "scales, reason",
     [

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from gravclock import geodesic, kernels
 from gravclock.errors import DomainError
 from gravclock.geodesic import (
     BoundaryConditions,
     energy_ratio_samples,
-    functional_value,
     proper_time_along,
     solve_extremal_path,
     verify_first_order,
@@ -17,6 +17,15 @@ from gravclock.spacetime import RotatingMassModel, SpacetimePoint
 
 FLAT = RotatingMassModel(M=0.0, J=0.0)
 EQ = math.pi / 2
+
+
+def _functional_value(model, nodes, t_start, t_end, include_perturbation, constants):
+    """Discrete proper time of a node trajectory (midpoint rule per segment)."""
+    dt = (t_end - t_start) / (nodes.shape[0] - 1)
+    return kernels.path_functional(
+        np.ascontiguousarray(nodes, dtype=np.float64), dt, constants.G * model.M,
+        constants.G * model.J, constants.c, 1 if include_perturbation else 0,
+    )
 
 
 def _cartesian(pt):
@@ -137,7 +146,7 @@ def test_extremality_random_node_perturbations(unit_constants):
         for delta in (4e-4, 2e-4):
             nodes = res.nodes.copy()
             nodes[node, coord] += delta
-            perturbed = functional_value(model, nodes, bc.start.t, bc.end.t, False, unit_constants)
+            perturbed = _functional_value(model, nodes, bc.start.t, bc.end.t, False, unit_constants)
             drop = res.proper_time - perturbed
             assert drop > 0.0
             drops.append(drop)
@@ -227,8 +236,6 @@ def test_line_search_skips_candidates_equal_to_the_nodes(unit_constants, monkeyp
     # changes nothing but the rounding of the phi nodes (one ulp ~ 7e-9):
     # the last steps then round away at every node while their predicted
     # gain stays above the decrement floor, and the line search reaches them
-    from gravclock import kernels
-
     assembled = []
     repeats = []
     events = []  # "a" assembly, "s" Newton-step solve, "e" functional evaluation
@@ -246,9 +253,12 @@ def test_line_search_skips_candidates_equal_to_the_nodes(unit_constants, monkeyp
         return real_solve(*args)
 
     def functional(x, *args):
+        # one path, or a stack of them, against the one path last assembled
         events.append("e")
-        if assembled and np.array_equal(x, assembled[-1]):
-            repeats.append(len(assembled))
+        if assembled:
+            last = assembled[-1][0]
+            if any(np.array_equal(path, last) for path in x.reshape((-1,) + last.shape)):
+                repeats.append(len(assembled))
         return real_functional(x, *args)
 
     monkeypatch.setattr(kernels, "newton_assemble", assemble)
@@ -265,7 +275,7 @@ def test_line_search_skips_candidates_equal_to_the_nodes(unit_constants, monkeyp
     assert assembled and evaluations > len(assembled)
     assert repeats == []
     assert res.converged
-    again = functional_value(model, res.nodes, bc.start.t, bc.end.t, True, unit_constants)
+    again = _functional_value(model, res.nodes, bc.start.t, bc.end.t, True, unit_constants)
     assert res.proper_time == again
     # a damping level that is followed by a damped retry accepted nothing;
     # fewer than its 30 halvings means the rounded-away step cut it short
@@ -274,63 +284,127 @@ def test_line_search_skips_candidates_equal_to_the_nodes(unit_constants, monkeyp
     assert pruned
 
 
+def _record_stacks(monkeypatch):
+    # every stacked solve, with its starts and the results of its members
+    stacks = []
+    real = geodesic._solve_stack
+
+    def solve(bc, starts, *args, **kwargs):
+        results, failure = real(bc, starts, *args, **kwargs)
+        stacks.append((starts, results))
+        return results, failure
+
+    monkeypatch.setattr(geodesic, "_solve_stack", solve)
+    return stacks
+
+
 def test_verify_solves_stop_on_the_newton_decrement(monkeypatch, capsys):
     # every solve of the default study, the radial one included, ends on
     # the first, undamped solve of its last sweep: one solve per sweep
-    from gravclock import geodesic
     from gravclock.cli import run_command
 
-    results = []
-    scaled = []
-    real = geodesic.solve_extremal_path
-
-    def solve(*args, **kwargs):
-        results.append(real(*args, **kwargs))
-        if kwargs.get("include_perturbation"):
-            scaled.append(results[-1])
-        return results[-1]
-
-    monkeypatch.setattr(geodesic, "solve_extremal_path", solve)
+    stacks = _record_stacks(monkeypatch)
     assert run_command(["verify"]) == 0
     capsys.readouterr()
+    results = [res for _, stack in stacks for res in stack]
     assert len(results) == 10
     for res in results:
         assert res.converged
         assert res.stop == "decrement"
         assert res.solves == res.sweeps
-    # from the predictor, the eight scaled solves take 2-3 sweeps each (3-4
-    # from the chord)
-    assert len(scaled) == 8
-    assert sum(res.sweeps for res in scaled) <= 20
+    # the base solve, the eight scales in one stack, then the radial solve;
+    # from the predictor, the scaled solves take 2-3 sweeps each (3-4 from
+    # the chord)
+    assert [len(stack) for _, stack in stacks] == [1, 8, 1]
+    assert sum(res.sweeps for res in stacks[1][1]) <= 20
+
+
+def test_verify_makes_one_stacked_sweep_for_all_its_scales(monkeypatch, capsys):
+    from gravclock.cli import run_command
+
+    calls = {"newton_assemble": 0, "block_thomas": 0}
+    for name in calls:
+        real = getattr(kernels, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    assert run_command(["verify"]) == 0
+    capsys.readouterr()
+    # base and radial solves, the predictor's one step and the stack's sweeps
+    assert calls["newton_assemble"] <= 9
+    assert calls["block_thomas"] <= 9
 
 
 def test_predictor_start_reaches_the_maximum_of_the_chord_start(unit_constants, monkeypatch):
-    from gravclock import geodesic
-
     model = RotatingMassModel(M=1e-6, J=1.25e-3)
     bc = BoundaryConditions(
         SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
     )
-    calls = []
-    real = geodesic.solve_extremal_path
-
-    def solve(*args, **kwargs):
-        calls.append((args, kwargs, real(*args, **kwargs)))
-        return calls[-1][2]
-
-    monkeypatch.setattr(geodesic, "solve_extremal_path", solve)
+    stacks = _record_stacks(monkeypatch)
     verify_first_order(model, bc, [0.5, 8.0], constants=unit_constants, n_segments=512)
     monkeypatch.undo()
 
-    base = calls[0][2]
-    assert len(calls) == 3
-    for args, kwargs, predicted in calls[1:]:
-        start = kwargs["start"]
+    base = stacks[0][1][0]
+    starts, scaled = stacks[1]
+    assert len(stacks) == 2 and len(scaled) == 2
+    for scale, start, predicted in zip([0.5, 8.0], starts, scaled):
         assert not np.array_equal(start, base.nodes)
-        chord = solve_extremal_path(*args, **{**kwargs, "start": None})
+        chord = solve_extremal_path(
+            RotatingMassModel(M=model.M, J=scale * model.J), bc, True, unit_constants, 512
+        )
         assert predicted.stop == chord.stop == "decrement"
         assert predicted.sweeps <= chord.sweeps
         assert abs(predicted.proper_time - chord.proper_time) <= 1e-13 * abs(chord.proper_time)
+
+
+def test_stacked_solve_matches_one_path_solves(unit_constants, monkeypatch):
+    # the predictor starts of three scales, and a fourth member whose first,
+    # undamped system raises as a singular block would: the stack solves it
+    # again one path at a time, so that member alone goes on to the first
+    # damped rung, and every member must end exactly as it does alone
+    model = RotatingMassModel(M=1e-6, J=1.25e-3)
+    bc = BoundaryConditions(
+        SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
+    )
+    scales = np.array([0.08, 5.12, 8.0, 2.0])
+    dt = 30.0 / 512
+    gm, gj = 1e-6, unit_constants.G * (scales * model.J)
+    base = solve_extremal_path(model, bc, False, unit_constants, 512)
+    grad, diag, off = kernels.newton_assemble(base.nodes, dt, gm, model.J, 1.0, 1)
+    tangent = np.zeros_like(base.nodes)
+    tangent[1:-1] = kernels.block_thomas(diag, off, -grad)
+    starts = base.nodes + scales[:, None, None] * tangent
+
+    singular = kernels.newton_assemble(starts[3], dt, gm, gj[3], 1.0, 1)[1]
+    real = kernels.block_thomas
+
+    def solve(diag, off, rhs):
+        if any(np.array_equal(member, singular) for member in diag.reshape((-1,) + singular.shape)):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(diag, off, rhs)
+
+    monkeypatch.setattr(kernels, "block_thomas", solve)
+    stacked, failure = geodesic._solve_stack(
+        bc, starts, gm, gj, 1.0, 1, geodesic.DEFAULT_TOL, geodesic.DEFAULT_MAX_SWEEPS
+    )
+    alone = [
+        solve_extremal_path(
+            RotatingMassModel(M=model.M, J=scale * model.J), bc, True, unit_constants, 512, start=start
+        )
+        for scale, start in zip(scales, starts)
+    ]
+    monkeypatch.undo()
+
+    assert failure is None
+    for one, many in zip(alone, stacked):
+        assert many.proper_time == one.proper_time
+        assert np.array_equal(many.nodes, one.nodes)
+        assert (many.sweeps, many.solves, many.stop) == (one.sweeps, one.solves, one.stop)
+    assert len({res.sweeps for res in stacked}) > 1  # members leave the stack at different sweeps
+    assert [res.solves - res.sweeps for res in stacked] == [0, 0, 0, 1]
 
 
 def test_start_must_have_the_node_shape_and_the_boundary_events(unit_constants):
@@ -356,8 +430,6 @@ def test_start_must_have_the_node_shape_and_the_boundary_events(unit_constants):
 
 
 def test_a_singular_block_is_a_failed_rung_of_the_damping_ladder(unit_constants, monkeypatch):
-    from gravclock import kernels
-
     model = RotatingMassModel(M=1e-6, J=1.25e-3)
     bc = BoundaryConditions(
         SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)

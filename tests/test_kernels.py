@@ -290,3 +290,47 @@ def test_newton_assemble_agrees_with_the_finite_difference_oracle(n_segments, pe
         if want.size:
             tol = 1e-6 * np.abs(want).max() + rounding[min(k, 1)]
             np.testing.assert_allclose(have, want, rtol=0.0, atol=tol)
+
+
+def _stack(n_segments):
+    # three paths of one size with their own nodes and G J, one of them off
+    # the equator
+    x, dt = _perturbed_path(n_segments)
+    off_equator, _ = _node_path(n_segments, theta=(0.4, 1.1))
+    bent = x.copy()
+    bent[1:-1] += 1e-3 * np.random.default_rng(7).standard_normal((n_segments - 1, 3))
+    return np.stack((x, off_equator, bent)), dt, np.array([GJ, 0.3 * GJ, -2.0 * GJ])
+
+
+@pytest.mark.parametrize("n_segments", [2, 3, 5, 512])
+def test_stacked_kernels_equal_one_path_calls_bit_for_bit(n_segments):
+    xs, dt, gjs = _stack(n_segments)
+    for pert in (0, 1):
+        values = kernels.path_functional(xs, dt, GM, gjs, C, pert)
+        systems = kernels.newton_assemble(xs, dt, GM, gjs, C, pert)
+        steps = kernels.block_thomas(systems[1], systems[2], -systems[0])
+        for i in range(len(xs)):
+            assert values[i] == kernels.path_functional(xs[i], dt, GM, gjs[i], C, pert)
+            alone = kernels.newton_assemble(xs[i], dt, GM, gjs[i], C, pert)
+            for stacked, one in zip(systems, alone):
+                assert stacked[i].shape == one.shape and np.array_equal(stacked[i], one)
+            assert np.array_equal(steps[i], kernels.block_thomas(alone[1], alone[2], -alone[0]))
+    shares = kernels.perturbation_share(xs, dt, GM, gjs, C)
+    for i in range(len(xs)):
+        assert shares[i] == kernels.perturbation_share(xs[i], dt, GM, gjs[i], C)
+
+
+@pytest.mark.parametrize("n_segments", [3, 512])
+def test_a_singular_block_fails_only_its_own_path_of_a_stack(n_segments):
+    xs, dt, gjs = _stack(n_segments)
+    grad, diag, off = kernels.newton_assemble(xs, dt, GM, gjs, C, 1)
+    steps = kernels.block_thomas(diag, off, -grad)
+    # an exactly singular block on the middle path, one that the first
+    # reduction level inverts
+    diag[1, 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        kernels.block_thomas(diag, off, -grad)
+    with pytest.raises(np.linalg.LinAlgError):
+        kernels.block_thomas(diag[1], off[1], -grad[1])
+    for i in (0, 2):
+        assert np.array_equal(kernels.block_thomas(diag[i], off[i], -grad[i]), steps[i])
