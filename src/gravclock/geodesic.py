@@ -208,14 +208,10 @@ def _line_search(members, searching, nodes, dt, gm, gj, c, pert) -> None:
                 moved.append((j, step, candidate))
         if not moved:
             break
-        if len(moved) == 1:  # one path: no stack to build
-            j, _, candidate = moved[0]
-            values = [kernels.path_functional(candidate, dt, gm, float(gj[j]), c, pert)]
-        else:
-            values = kernels.path_functional(
-                np.stack([candidate for _, _, candidate in moved]),
-                dt, gm, gj[[j for j, _, _ in moved]], c, pert,
-            )
+        values = kernels.path_functional(
+            np.stack([candidate for _, _, candidate in moved]),
+            dt, gm, gj[[j for j, _, _ in moved]], c, pert,
+        )
         searching = []
         for (j, step, candidate), value in zip(moved, values):
             member, value = members[j], float(value)
