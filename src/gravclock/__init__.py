@@ -19,16 +19,13 @@ from .spacetime import (
     MetricComponents,
     RotatingMassModel,
     SpacetimePoint,
-    energy_ratio,
     metric_at,
     perturbation_validity,
-    proper_time_rate,
 )
 from .propertime import (
     InterferometerGeometry,
     PathSpec,
     PhaseBundle,
-    build_circular_arc,
     build_straight_arm,
     delta_tau_first_order,
     delta_tau_interferometer,
@@ -39,7 +36,6 @@ from .geodesic import (
     BoundaryConditions,
     ExtremalPathResult,
     FirstOrderReport,
-    proper_time_along,
     solve_extremal_path,
     verify_first_order,
 )
@@ -63,24 +59,18 @@ from .interferometry import (
     detection_probabilities,
     gme_entanglement,
     gme_final_state,
-    relative_evolution,
-    visibility,
 )
 from .qep import (
     QepResult,
     QepTestTheory,
     qep_final_state,
     qep_gme_entanglement,
-    qep_phase_accumulation,
     qep_probabilities,
-    qep_relative_evolution,
     qep_visibility,
 )
 from .detectability import (
-    DetectabilityQuery,
     SweepConfig,
     SweepTable,
-    phase_shift_estimate,
     required_ell,
     run_sweep,
 )

@@ -177,10 +177,16 @@ def _clock_from(ns) -> itf.ClockModel:
     )
 
 
+def _geometry_from(ns) -> pt.InterferometerGeometry:
+    # L_ratio is the flag; the geometry would name only the product L
+    require_finite("L_ratio", ns.L_ratio)
+    return pt.InterferometerGeometry(w=ns.w, L=ns.L_ratio * ns.w, v0=ns.v0)
+
+
 def _delta_tau_from(ns, constants: PhysicalConstants) -> float:
     """--delta-tau if given, else the geometry's closed form; the geometry is checked either way."""
     model = st.RotatingMassModel(M=ns.M, J=ns.J)
-    geom = pt.InterferometerGeometry(w=ns.w, L=ns.L_ratio * ns.w, v0=ns.v0)
+    geom = _geometry_from(ns)
     if ns.delta_tau is None:
         return pt.delta_tau_interferometer(model, geom, "closed_form", constants).delta_tau
     require_finite("delta_tau", ns.delta_tau)
@@ -283,7 +289,7 @@ def _build_parser() -> _Parser:
 def _cmd_delta_tau(ns) -> int:
     constants = resolve_constants(ns.constants)
     model = st.RotatingMassModel(M=ns.M, J=ns.J)
-    geom = pt.InterferometerGeometry(w=ns.w, L=ns.L_ratio * ns.w, v0=ns.v0)
+    geom = _geometry_from(ns)
     inputs = {"M": ns.M, "J": ns.J, "w": ns.w, "v0": ns.v0, "L_ratio": ns.L_ratio, "mode": ns.mode}
     columns: list[str] = []
     row: list[float] = []
@@ -307,8 +313,9 @@ def _cmd_interfere(ns) -> int:
     delta_tau = _delta_tau_from(ns, constants)
     _check_phases(delta_tau, constants, gap=clock.gap, mean=clock.mean_energy)
     res = itf.detection_probabilities(clock, delta_tau, constants)
-    deficit = itf.visibility(clock, delta_tau, "deficit", constants)
-    gap_log = SignedLog.from_linear(itf.gap_phase(clock, delta_tau, constants))
+    gap = itf.gap_phase(clock, delta_tau, constants)
+    deficit = itf.visibility_deficit_from_phase(gap)
+    gap_log = SignedLog.from_linear(gap)
     inputs = {"delta_tau": delta_tau, "E_g": clock.E_g, "E_e": clock.E_e}
     columns = (
         "visibility", "visibility_deficit", "pr_left", "pr_right",
@@ -330,7 +337,7 @@ def _cmd_gme(ns) -> int:
     delta_tau = _delta_tau_from(ns, constants)
     _check_phases(delta_tau, constants, gap=clock.gap, mean=clock.mean_energy)
     res = itf.gme_entanglement(clock, delta_tau, constants)
-    vis = itf.visibility(clock, delta_tau, "direct", constants)
+    vis = np.cos(itf.gap_phase(clock, delta_tau, constants))
     inputs = {"delta_tau": delta_tau, "E_g": clock.E_g, "E_e": clock.E_e}
     columns = ("visibility", "ee_spc", "ef_sp", "witness", "delta_tau")
     row = (vis, res.ee_spc, res.ef_sp, res.witness, delta_tau)
@@ -353,7 +360,7 @@ def _cmd_qep(ns) -> int:
         varphi=ns.varphi,
     )
     _check_phases(delta_tau, constants, gap=tt.gap_prime, mean=tt.mean_prime)
-    res = qep_mod.qep_gme_entanglement(tt, None, delta_tau, constants)
+    res = qep_mod.qep_gme_entanglement(tt, delta_tau, constants)
     inputs = {
         "delta_tau": delta_tau, "theta": ns.theta, "varphi": ns.varphi,
         "E_g_prime": tt.E_g_prime, "E_e_prime": tt.E_e_prime,
@@ -374,9 +381,8 @@ def _cmd_detect(ns) -> int:
     if ns.ell_log10 is not None:
         require_finite("ell_log10", ns.ell_log10)
         inputs["ell_log10"] = ns.ell_log10
-        q = det.DetectabilityQuery(ns.clock_rate, ns.w, ns.v0, SignedLog.from_log10(ns.ell_log10))
         columns.append("phase_log10")
-        row.append(det.phase_shift_estimate(q, constants))
+        row.append(per_unit + ns.ell_log10)
     if ns.target_phase is not None:
         inputs["target_phase"] = ns.target_phase
         columns.append("log10_ell")
@@ -472,17 +478,17 @@ def _qep_errors(draws: np.ndarray, constants: PhysicalConstants):
         theta=theta,
         varphi=varphi,
     )
-    res = qep_mod.qep_gme_entanglement(tt, None, 1.0, constants)
+    res = qep_mod.qep_gme_entanglement(tt, 1.0, constants)
     chi1, chi2 = qep_mod.qep_arm_states(tt, 1.0, constants)
     # <chi1|chi2> by the BLAS dot np.vdot uses, and its modulus as Python's abs rounds it
     overlap = per_element(abs, (chi1.conj()[:, None, :] @ chi2[:, :, None])[:, 0, 0])
-    state = qep_mod.qep_final_state(tt, None, 1.0, constants)
+    state = qep_mod.qep_final_state(tt, 1.0, constants)
     pl = np.real(reduced_density(state, ["P"]).matrix[..., 0, 0])
     return (
         np.abs(overlap - res.visibility),
         np.abs(res.ee_spc - von_neumann_entropy(reduced_density(state, ["S"]))),
         np.abs(res.ef_sp - entanglement_of_formation(reduced_density(state, ["S", "P"]))),
-        np.abs(qep_mod.qep_probabilities(tt, None, 1.0, constants).pr_left - pl),
+        np.abs(qep_mod.qep_probabilities(tt, 1.0, constants).pr_left - pl),
     )
 
 

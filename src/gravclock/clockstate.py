@@ -25,6 +25,7 @@ from .logdomain import per_element
 NORM_TOL = 1e-12
 PSD_TOL = 1e-10
 EIG_CLAMP = 1e-12
+_LN2 = math.log(2)
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -224,20 +225,16 @@ def reduced_density(state: StateVector | DensityMatrix, keep: Iterable[str]) -> 
     return DensityMatrix(rho, labels)
 
 
-def purity(rho: DensityMatrix) -> float:
-    return np.real(np.trace(rho.matrix @ rho.matrix, axis1=-2, axis2=-1))[()]
-
-
-def von_neumann_entropy(rho: DensityMatrix, base: float = 2) -> float:
-    """-sum lambda log lambda over the spectrum, with 0 log 0 := 0; one value per stack member."""
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """-sum lambda log2 lambda over the spectrum, with 0 log 0 := 0; one value per stack member."""
     eigs = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None)
     kept = eigs > EIG_CLAMP
     safe = np.where(kept, eigs, 1.0)
     ent = -np.sum(np.where(kept, safe * np.log(safe), 0.0), axis=-1)
-    return (ent / math.log(base))[()]
+    return (ent / _LN2)[()]
 
 
-def _binary_entropy(x: float, base: float) -> float:
+def _binary_entropy(x: float) -> float:
     if math.isnan(x):
         return math.nan
     if not 0.0 <= x <= 1.0:
@@ -250,15 +247,15 @@ def _binary_entropy(x: float, base: float) -> float:
         acc -= x * math.log(x)
     if x < 1.0:
         acc -= (1.0 - x) * math.log(1.0 - x)
-    return acc / math.log(base)
+    return acc / _LN2
 
 
-def binary_entropy(x: float, base: float = 2) -> float:
-    """h(x) = -x log x - (1-x) log(1-x) in the given base.
+def binary_entropy(x: float) -> float:
+    """h(x) = -x log2 x - (1-x) log2(1-x), in bits.
 
     Elementwise over arrays, with ``math.log`` on each element; NaN gives NaN.
     """
-    return per_element(_binary_entropy, x, base)
+    return per_element(_binary_entropy, x)
 
 
 def _require_two_qubits(rho: DensityMatrix) -> None:
@@ -279,10 +276,10 @@ def concurrence(rho: DensityMatrix) -> float:
     return np.maximum(0.0, lams[..., 3] - lams[..., 2] - lams[..., 1] - lams[..., 0])[()]
 
 
-def entanglement_of_formation(rho: DensityMatrix, base: float = 2) -> float:
-    """h((1 + sqrt(1 - C^2)) / 2) from the concurrence C, one value per stack member."""
+def entanglement_of_formation(rho: DensityMatrix) -> float:
+    """h((1 + sqrt(1 - C^2)) / 2) from the concurrence C, in bits, one value per stack member."""
     conc = concurrence(rho)
-    return binary_entropy(0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - conc * conc))), base)
+    return binary_entropy(0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - conc * conc))))
 
 
 # sigma_x (x) sigma_z and sigma_z (x) sigma_y on the source/path pair

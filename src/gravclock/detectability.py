@@ -41,20 +41,6 @@ _LOG10_4 = math.log10(4.0)
 _ASYMPTOTIC_PHASE = 1e-8
 
 
-@dataclass(frozen=True)
-class DetectabilityQuery:
-    """Clock rate dE/hbar (rad/s), width w (m), speed v0 (m/s), and ell = J/hbar."""
-
-    clock_rate: float
-    w: float
-    v0: float
-    ell: SignedLog
-
-    def __post_init__(self) -> None:
-        require_positive("clock_rate", self.clock_rate)
-        require_positive("w", self.w)
-
-
 def phase_per_unit_ell_log10(
     clock_rate: float, w: float, v0: float = 0.0, constants: PhysicalConstants = CODATA
 ) -> float:
@@ -62,11 +48,6 @@ def phase_per_unit_ell_log10(
     require_positive("clock_rate", clock_rate)
     unit_ell = SignedLog.from_log10(0.0)
     return math.log10(clock_rate) + pt.closed_form_log(unit_ell, w, v0, constants, constants.hbar).log10
-
-
-def phase_shift_estimate(q: DetectabilityQuery, constants: PhysicalConstants = CODATA) -> float:
-    """log10 of the accumulated gap phase (rad), entirely in the log domain."""
-    return phase_per_unit_ell_log10(q.clock_rate, q.w, q.v0, constants) + q.ell.log10
 
 
 def required_ell(
@@ -91,11 +72,7 @@ _PARAMETER_DEFAULTS = {
     "w": 1e-3,
     "v0": 0.0,
     "ell_log10": 0.0,
-    "ell_sign": 1.0,
     "theta": 0.0,
-    "varphi": 0.0,
-    "prime_rate": None,  # dE'/hbar; None -> clock_rate
-    "prime_mean_rate": None,  # Ebar'/hbar; None -> mean_rate
 }
 
 AXES = ("clock_rate", "mean_rate", "w", "v0", "ell_log10", "theta")
@@ -155,10 +132,6 @@ def _resolve(params: dict) -> dict:
     merged.update(params)
     if merged["mean_rate"] is None:
         merged["mean_rate"] = 0.5 * merged["clock_rate"]
-    if merged["prime_rate"] is None:
-        merged["prime_rate"] = merged["clock_rate"]
-    if merged["prime_mean_rate"] is None:
-        merged["prime_mean_rate"] = merged["mean_rate"]
     for key, value in merged.items():
         require_finite(key, value)
     require_positive("clock_rate", merged["clock_rate"])  # w and v0 are checked by the closed form
@@ -168,7 +141,7 @@ def _resolve(params: dict) -> dict:
 def delta_tau_log(params: dict, constants: PhysicalConstants = CODATA) -> SignedLog:
     """Arm proper-time difference 16 G (ell hbar) K / (c^4 w) as sign+log10."""
     p = _resolve(params)
-    ell = SignedLog.from_log10(p["ell_log10"], int(math.copysign(1.0, p["ell_sign"])))
+    ell = SignedLog.from_log10(p["ell_log10"])
     return pt.closed_form_log(ell, p["w"], p["v0"], constants, constants.hbar)
 
 
@@ -257,14 +230,9 @@ def _columns(p: dict, outputs, constants: PhysicalConstants) -> dict:
         h_n = np.zeros(np.shape(e_g) + (2, 2))
         h_n[..., 0, 0] = e_g
         h_n[..., 1, 1] = e_e
-        tt = qep_mod.QepTestTheory(
-            H_N=h_n,
-            E_g_prime=(p["prime_mean_rate"] - 0.5 * p["prime_rate"]) * hbar,
-            E_e_prime=(p["prime_mean_rate"] + 0.5 * p["prime_rate"]) * hbar,
-            theta=p["theta"],
-            varphi=p["varphi"],
-        )
-        qres = qep_mod.qep_gme_entanglement(tt, None, delta_tau, constants)
+        # the frame-dragging sector has the clock's own energies, mixed by theta
+        tt = qep_mod.QepTestTheory(H_N=h_n, E_g_prime=e_g, E_e_prime=e_e, theta=p["theta"])
+        qres = qep_mod.qep_gme_entanglement(tt, delta_tau, constants)
         out.update(
             qep_visibility=qres.visibility,
             qep_xi_phase=qres.xi_delta_tau,

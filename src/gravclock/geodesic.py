@@ -27,7 +27,7 @@ import numpy as np
 from . import kernels
 from .constants import CODATA, PhysicalConstants
 from .errors import DomainError, NoConvergence, NotTimelike
-from .propertime import PathSpec, _integrate_samples, delta_tau_first_order
+from .propertime import PathSpec, delta_tau_first_order
 from .spacetime import (
     DEFAULT_WEAK_FIELD_THRESHOLD,
     CoordinateVelocity,
@@ -379,33 +379,6 @@ def solve_extremal_path(
     if failure is not None:
         raise failure[1]
     return results[0]
-
-
-def proper_time_along(
-    model: RotatingMassModel,
-    path: PathSpec,
-    include_perturbation: bool = False,
-    constants: PhysicalConstants = CODATA,
-) -> float:
-    """Quadrature of the full-metric dtau/dt over a sampled path.
-
-    Uses the quadrature rule matching the path flavor (midpoint-rule samples
-    from the solver integrate with uniform weights, node samples with
-    composite Simpson), so re-evaluating a solver path reproduces the
-    solver's own functional value.  Raises :class:`DomainError` for an
-    "azimuth" path: its rule in phi weights dtau/dt by dt/dphi, which peaks
-    sharply at the ends of a long arm (+129% at L/w = 1e3 on 1025 samples).
-    """
-    if path.kind == "azimuth":
-        raise DomainError("proper_time_along needs samples uniform in t, not an azimuth path")
-    rad = kernels.radicand_array(
-        path.r, path.theta, path.dr_dt, path.dtheta_dt, path.dphi_dt,
-        constants.G * model.M, constants.G * model.J, constants.c,
-        1 if include_perturbation else 0,
-    )
-    if np.any(rad <= 0.0):
-        raise NotTimelike("path contains samples that are not timelike")
-    return _integrate_samples(path, np.sqrt(rad))
 
 
 def energy_ratio_samples(

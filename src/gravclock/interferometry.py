@@ -97,11 +97,6 @@ def clock_unitary(clock: ClockModel, tau: float, constants: PhysicalConstants = 
     return u
 
 
-def relative_evolution(clock: ClockModel, delta_tau: float, constants: PhysicalConstants = CODATA) -> np.ndarray:
-    """U(P1)^dagger U(P2) for arms whose proper times differ by delta_tau."""
-    return clock_unitary(clock, delta_tau, constants)
-
-
 def _effective_clock(clock: ClockModel) -> ClockModel:
     # branch energies Ebar -+ dE: realizes the closed-form phase convention
     return ClockModel(clock.mean_energy - clock.gap, clock.mean_energy + clock.gap)
@@ -130,37 +125,21 @@ def mean_phase(clock: ClockModel, delta_tau: float, constants: PhysicalConstants
 
 
 def visibility_deficit_from_phase(phase: float) -> float:
-    """1 - cos(phase), via a series below 1e-4 rad where cos rounds to 1."""
+    """Visibility deficit 1 - cos(phase), via a series below 1e-4 rad where cos rounds to 1.
+
+    Laboratory-scale phases (~1e-59 rad) make the visibility cos(phase)
+    exactly 1.0 in doubles while the deficit is still a meaningful ~phase^2/2.
+    """
     p2 = phase * phase
     series = p2 * (0.5 - p2 * (1.0 / 24.0 - p2 / 720.0))
     return np.where(np.abs(phase) < SMALL_PHASE, series, 1.0 - np.cos(phase))[()]
-
-
-def visibility(
-    clock: ClockModel,
-    delta_tau: float,
-    mode: str = "direct",
-    constants: PhysicalConstants = CODATA,
-) -> float:
-    """Fringe visibility cos(dE delta_tau / hbar), or its deficit 1 - V.
-
-    The deficit mode exists because laboratory-scale phases (~1e-59 rad) make
-    the direct cosine exactly 1.0 in doubles while the deficit is still a
-    meaningful ~phase^2/2.
-    """
-    phase = gap_phase(clock, delta_tau, constants)
-    if mode == "direct":
-        return np.cos(phase)
-    if mode == "deficit":
-        return visibility_deficit_from_phase(phase)
-    raise DomainError(f"mode must be 'direct' or 'deficit', got {mode!r}")
 
 
 def detection_probabilities(
     clock: ClockModel, delta_tau: float, constants: PhysicalConstants = CODATA
 ) -> InterferenceResult:
     """Output-port probabilities Pr(L'), Pr(R') of the clock interferometer."""
-    vis = visibility(clock, delta_tau, "direct", constants)
+    vis = np.cos(gap_phase(clock, delta_tau, constants))
     phase = mean_phase(clock, delta_tau, constants)
     pr_left = 0.5 * (1.0 + vis * np.cos(phase))
     pr_right = 0.5 * (1.0 - vis * np.cos(phase))
@@ -172,20 +151,17 @@ _BEAM_SPLITTER = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(
 
 
 def interferometer_state(
-    clock: ClockModel,
-    delta_tau: float,
-    constants: PhysicalConstants = CODATA,
-    initial_clock: np.ndarray | None = None,
+    clock: ClockModel, delta_tau: float, constants: PhysicalConstants = CODATA
 ) -> cs.StateVector:
     """Path (x) clock state after the second beam splitter (fixed rotation sense).
 
     Built by the physical sequence: split, evolve the clock along each arm,
-    recombine.  Path axis is stored in the after-splitter {|L'>, |R'>} basis.
-    A stack of clocks gives a stack of states; ``initial_clock`` is one ket.
+    recombine, with the clock starting in (|g> + |e>)/sqrt 2.  Path axis is
+    stored in the after-splitter {|L'>, |R'>} basis.  A stack of clocks gives
+    a stack of states.
     """
-    xi0 = _KET_XI0 if initial_clock is None else np.asarray(initial_clock, dtype=complex)
     u1, u2 = arm_unitaries(clock, delta_tau, constants)
-    pre = np.stack([u1 @ xi0, u2 @ xi0], axis=-2) / math.sqrt(2.0)  # [..., path, clock]
+    pre = np.stack([u1 @ _KET_XI0, u2 @ _KET_XI0], axis=-2) / math.sqrt(2.0)  # [..., path, clock]
     post = _BEAM_SPLITTER @ pre
     return cs.StateVector(post.reshape(post.shape[:-2] + (4,)), (("P", 2), ("C", 2)))
 
@@ -206,29 +182,22 @@ def _gme_state(chi1: np.ndarray, chi2: np.ndarray) -> cs.StateVector:
 
 
 def gme_final_state(
-    clock: ClockModel,
-    delta_tau: float,
-    constants: PhysicalConstants = CODATA,
-    initial_clock: np.ndarray | None = None,
+    clock: ClockModel, delta_tau: float, constants: PhysicalConstants = CODATA
 ) -> cs.StateVector:
     """Source (x) path (x) clock state when the rotation sense is superposed.
 
     The source qubit S records the rotation sense; reversing the sense swaps
     which arm unitary acts on which path.  The superposition preparation and
     its undoing are modeled as ideal maps, so S is returned in its dipole
-    {|0>, |1>} basis.  A stack of clocks gives a stack of states;
-    ``initial_clock`` is one ket.
+    {|0>, |1>} basis.  The clock starts in (|g> + |e>)/sqrt 2, as in
+    :func:`interferometer_state`.  A stack of clocks gives a stack of states.
     """
-    xi0 = _KET_XI0 if initial_clock is None else np.asarray(initial_clock, dtype=complex)
     u1, u2 = arm_unitaries(clock, delta_tau, constants)
-    return _gme_state(u1 @ xi0, u2 @ xi0)
+    return _gme_state(u1 @ _KET_XI0, u2 @ _KET_XI0)
 
 
 def gme_entanglement(
-    clock: ClockModel,
-    delta_tau: float,
-    constants: PhysicalConstants = CODATA,
-    base: float = 2,
+    clock: ClockModel, delta_tau: float, constants: PhysicalConstants = CODATA
 ) -> GmeResult:
     """Closed-form entanglement and witness of the GME state.
 
@@ -242,10 +211,10 @@ def gme_entanglement(
     state-vector reference that ``selftest`` and the tests check all three
     closed forms against.
     """
-    vis = visibility(clock, delta_tau, "direct", constants)
+    vis = np.cos(gap_phase(clock, delta_tau, constants))
     phase = mean_phase(clock, delta_tau, constants)
     sin_phase = np.sin(phase)
-    ee = cs.binary_entropy(0.5 * (1.0 + vis * np.cos(phase)), base)
+    ee = cs.binary_entropy(0.5 * (1.0 + vis * np.cos(phase)))
     ef_arg = 1.0 - vis * vis * squared(sin_phase)
-    ef = cs.binary_entropy(0.5 * (1.0 + np.sqrt(np.maximum(0.0, ef_arg))), base)
+    ef = cs.binary_entropy(0.5 * (1.0 + np.sqrt(np.maximum(0.0, ef_arg))))
     return GmeResult(ee_spc=ee, ef_sp=ef, witness=1.0 + np.abs(vis * sin_phase))

@@ -1,9 +1,9 @@
 """Numpy kernels for the proper-time arithmetic.
 
 ``weak_field_terms`` is the one place the weak-field metric enters: the
-radicands, integrands and energy ratios here, and the scalar functions in
-:mod:`gravclock.spacetime`, are all built from its compactness, squared
-speed and frame-dragging entry.
+radicands, integrands and energy ratios here, and the metric entries of
+:func:`gravclock.spacetime.metric_at`, are all built from its compactness,
+squared speed and frame-dragging entry.
 
 Kernels take plain float64 arrays plus scalar parameters ``gm = G*M``,
 ``gj = G*J`` and ``c``; they never allocate package types.
@@ -259,10 +259,6 @@ def block_thomas(diag, off, rhs):
     Hessians the solver builds.  A singular block anywhere in the stack
     raises ``np.linalg.LinAlgError``.
     """
-    return _cyclic_reduction(diag, off, rhs)
-
-
-def _cyclic_reduction(diag, off, rhs):
     # each level eliminates the odd rows and keeps only their t for the
     # back-substitution, so a level's system is freed once the next is formed
     levels = []

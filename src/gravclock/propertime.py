@@ -26,7 +26,7 @@ holds the one copy of that closed form, as a sum of log10 terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,7 +39,6 @@ from .spacetime import RotatingMassModel, SpacetimePoint
 
 QUADRATURE_REL_TOL = 1e-10
 MAX_QUADRATURE_SAMPLES = 2**20
-DEFAULT_ARM_LENGTH_RATIO = 1e3
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,8 +48,6 @@ class PathSpec:
     ``kind`` records how the samples were produced and therefore which
     quadrature rule matches them:
 
-    - "node" samples are uniform in t, include the endpoints and integrate
-      with composite Simpson in t;
     - "azimuth" samples are uniform in phi, include the endpoints and
       integrate with composite Simpson in phi, each sample weighted by
       dt/dphi = 1/(dphi/dt), so dphi/dt must not vanish.  The rule suits
@@ -70,7 +67,7 @@ class PathSpec:
     dphi_dt: np.ndarray
     start: SpacetimePoint
     end: SpacetimePoint
-    kind: str = "node"
+    kind: str
     sampler: Optional[Callable[[int], "PathSpec"]] = None
 
     def __post_init__(self) -> None:
@@ -78,7 +75,7 @@ class PathSpec:
             raise DomainError("a path needs at least two samples")
         if np.any(np.diff(self.t) <= 0):
             raise DomainError("coordinate time must be strictly increasing")
-        if self.kind not in ("node", "azimuth", "midpoint"):
+        if self.kind not in ("azimuth", "midpoint"):
             raise DomainError(f"unknown path kind {self.kind!r}")
         if self.kind == "azimuth" and np.any(self.dphi_dt == 0):
             raise DomainError("an azimuth-sampled path needs dphi/dt != 0 at every sample")
@@ -86,19 +83,6 @@ class PathSpec:
     @property
     def n_samples(self) -> int:
         return int(self.t.shape[0])
-
-    def samples(self):
-        """Iterate (SpacetimePoint, (dr/dt, dtheta/dt, dphi/dt)) pairs."""
-        from .spacetime import CoordinateVelocity
-
-        for i in range(self.n_samples):
-            yield (
-                SpacetimePoint(self.t[i], self.r[i], self.theta[i], self.phi[i]),
-                CoordinateVelocity(self.dr_dt[i], self.dtheta_dt[i], self.dphi_dt[i]),
-            )
-
-    def without_sampler(self) -> "PathSpec":
-        return replace(self, sampler=None)
 
 
 @dataclass(frozen=True)
@@ -135,27 +119,10 @@ class PhaseBundle:
 
     delta_tau: float
     delta_tau_log: SignedLog
-    phase_mean: Optional[float] = None
-    phase_mean_log: Optional[SignedLog] = None
-    phase_gap: Optional[float] = None
-    phase_gap_log: Optional[SignedLog] = None
 
     @property
     def log10_delta_tau(self) -> float:
         return self.delta_tau_log.log10
-
-
-def attach_phases(bundle: PhaseBundle, mean_rate: float, gap_rate: float) -> PhaseBundle:
-    """Fill phase fields from clock rates Ebar/hbar and dE/hbar (rad/s)."""
-    mean_log = bundle.delta_tau_log.scaled(mean_rate)
-    gap_log = bundle.delta_tau_log.scaled(gap_rate)
-    return replace(
-        bundle,
-        phase_mean=mean_rate * bundle.delta_tau,
-        phase_mean_log=mean_log,
-        phase_gap=gap_rate * bundle.delta_tau,
-        phase_gap_log=gap_log,
-    )
 
 
 def _simpson_uniform(y: np.ndarray, x: np.ndarray) -> float:
@@ -193,11 +160,9 @@ def _integrate_samples(path: PathSpec, values: np.ndarray) -> float:
     if path.kind == "midpoint":
         dt = path.t[1] - path.t[0]
         return float(dt * values.sum())
-    if path.kind == "azimuth":
-        if _has_subnormal(values) or _has_subnormal(path.dphi_dt):
-            raise _SubnormalSamples("samples of the azimuth quadrature fall below the normal double range")
-        return _simpson_uniform(values / path.dphi_dt, path.phi)
-    return _simpson_uniform(values, path.t)
+    if _has_subnormal(values) or _has_subnormal(path.dphi_dt):
+        raise _SubnormalSamples("samples of the azimuth quadrature fall below the normal double range")
+    return _simpson_uniform(values / path.dphi_dt, path.phi)
 
 
 def _check_timelike(model: RotatingMassModel, path: PathSpec, constants: PhysicalConstants) -> None:
@@ -217,12 +182,11 @@ def _quadrature(
     path: PathSpec,
     integrand,
     constants: PhysicalConstants,
-    rel_tol: float = QUADRATURE_REL_TOL,
 ) -> float:
     """Integrate `integrand(path) -> samples` over t, refining when possible.
 
     A path with a sampler is resampled with twice the intervals until two
-    successive values agree to ``rel_tol``.  Raises :class:`NoConvergence`
+    successive values agree to ``QUADRATURE_REL_TOL``.  Raises :class:`NoConvergence`
     when the next level would pass ``MAX_QUADRATURE_SAMPLES`` first.
     """
 
@@ -238,14 +202,14 @@ def _quadrature(
     while True:
         value = evaluate(path.sampler(n + 1))
         change = math.inf if previous is None else abs(value - previous)
-        if change <= rel_tol * max(abs(value), 1e-300):
+        if change <= QUADRATURE_REL_TOL * max(abs(value), 1e-300):
             return value
         if 2 * n > MAX_QUADRATURE_SAMPLES:
             raise NoConvergence(
                 f"quadrature over the {path.kind!r} path stopped at {n + 1} samples, "
                 f"since doubling again would pass MAX_QUADRATURE_SAMPLES = "
                 f"{MAX_QUADRATURE_SAMPLES}; last relative change "
-                f"{change / max(abs(value), 1e-300):.3e} > {rel_tol:.1e}"
+                f"{change / max(abs(value), 1e-300):.3e} > {QUADRATURE_REL_TOL:.1e}"
             )
         previous = value
         n *= 2
@@ -352,38 +316,6 @@ def build_straight_arm(
             t=t, r=r, theta=theta, phi=phi,
             dr_dt=dr_dt, dtheta_dt=dtheta_dt, dphi_dt=dphi_dt,
             start=start, end=end, kind="azimuth", sampler=sampler,
-        )
-
-    return sampler(n_samples)
-
-
-def build_circular_arc(
-    r0: float,
-    speed: float,
-    phi_span: float,
-    theta: float = 0.5 * math.pi,
-    n_samples: int = 513,
-) -> PathSpec:
-    """Constant-radius equatorial arc traversed at constant coordinate speed."""
-    if r0 <= 0 or speed <= 0 or phi_span == 0:
-        raise DomainError("arc needs r0 > 0, speed > 0 and a nonzero phi span")
-    omega = math.copysign(speed / r0, phi_span)
-    total_time = abs(phi_span) * r0 / speed
-
-    def sampler(n: int) -> PathSpec:
-        t = np.linspace(0.0, total_time, n)
-        phi = omega * t
-        start = SpacetimePoint(t[0], r0, theta, phi[0])
-        end = SpacetimePoint(t[-1], r0, theta, phi[-1])
-        return PathSpec(
-            t=t,
-            r=np.full(n, r0),
-            theta=np.full(n, theta),
-            phi=phi,
-            dr_dt=np.zeros(n),
-            dtheta_dt=np.zeros(n),
-            dphi_dt=np.full(n, omega),
-            start=start, end=end, kind="node", sampler=sampler,
         )
 
     return sampler(n_samples)

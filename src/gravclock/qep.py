@@ -21,10 +21,10 @@ All matrices are stored in the H_N eigenbasis (ground state first).
 
 Every route broadcasts over a theory whose energies and angles are numpy
 arrays, with ``H_N`` one 2x2 matrix or a stack of them: the closed forms
-(:func:`qep_visibility`, :func:`xi_phase`, :func:`qep_probabilities`,
+(:func:`qep_visibility`, :func:`qep_probabilities`,
 :func:`qep_gme_entanglement`) give arrays, and the matrix routes (H_f, the
-arm states, the final state, the evolutions and the commutator diagnostic)
-give stacks with the batch axes leading.
+arm states, the final state and the commutator diagnostic) give stacks with
+the batch axes leading.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from .errors import DomainError, require_finite
 from .interferometry import _gme_state
 from .logdomain import per_element, squared
 
-COMMUTATOR_WARN_THRESHOLD = 0.1
+# the clock starts in the H_N ground state
+_GROUND = np.array([1.0, 0.0], dtype=complex)
 
 
 def _divide(a: float, b: complex) -> complex:
@@ -58,9 +59,10 @@ class QepTestTheory:
     """Newtonian-sector Hamiltonian plus a mixed frame-dragging sector.
 
     ``H_N`` is any 2x2 Hermitian matrix (joules); its eigenbasis, ground
-    state first, is the storage basis.  ``E_g_prime``/``E_e_prime`` are the
-    frame-dragging eigenvalues and ``theta``/``varphi`` fix how the H_N
-    ground state decomposes over the primed eigenbasis.
+    state first, is the storage basis, and its ground state is the clock's
+    initial state.  ``E_g_prime``/``E_e_prime`` are the frame-dragging
+    eigenvalues and ``theta``/``varphi`` fix how the H_N ground state
+    decomposes over the primed eigenbasis.
     """
 
     H_N: np.ndarray
@@ -68,7 +70,6 @@ class QepTestTheory:
     E_e_prime: float
     theta: float
     varphi: float = 0.0
-    initial_state: str = "ground"
 
     def __post_init__(self) -> None:
         h_n = np.asarray(self.H_N, dtype=complex)
@@ -82,8 +83,6 @@ class QepTestTheory:
             require_finite(name, getattr(self, name))
         if not np.all((0.0 <= self.theta) & (self.theta <= 0.5 * math.pi)):
             raise DomainError("theta must lie in [0, pi/2]")
-        if self.initial_state not in ("ground", "excited"):
-            raise DomainError("initial_state must be 'ground' or 'excited'")
         # rotate H_N to its own eigenbasis (ascending => ground first)
         eigvals = np.linalg.eigh(h_n)[0]
         diagonal = np.zeros(h_n.shape, dtype=complex)
@@ -125,10 +124,6 @@ class QepTestTheory:
     def mean_prime(self) -> float:
         return 0.5 * (self.E_g_prime + self.E_e_prime)
 
-    @property
-    def commutator_warning(self) -> bool:
-        return self.commutator_ratio > COMMUTATOR_WARN_THRESHOLD
-
     def primed_basis(self) -> tuple[np.ndarray, np.ndarray]:
         """Kets |g'>, |e'> in the H_N eigenbasis, of shape (..., 2)."""
         ct = np.asarray(np.cos(self.theta), dtype=complex)
@@ -145,20 +140,11 @@ class QepTestTheory:
         e_e = np.asarray(self.E_e_prime)[..., None, None]
         return e_g * cs._outer(g_p, g_p.conj()) + e_e * cs._outer(e_p, e_p.conj())
 
-    def initial_ket(self) -> np.ndarray:
-        return np.array([1.0, 0.0] if self.initial_state == "ground" else [0.0, 1.0], dtype=complex)
-
-    def cos2alpha(self) -> float:
-        """cos(2 alpha) for the primed-basis weights of the initial state."""
-        c2 = np.cos(2.0 * self.theta)
-        return c2 if self.initial_state == "ground" else -c2
-
 
 @dataclass(frozen=True)
 class QepResult:
     visibility: float
     xi_delta_tau: float
-    xi: float
     pr_left: float = math.nan
     pr_right: float = math.nan
     ee_spc: float = math.nan
@@ -176,13 +162,6 @@ def _exp_hermitian(h: np.ndarray, factor: complex) -> np.ndarray:
     return (eigvecs * weights[..., None, :]) @ np.swapaxes(eigvecs.conj(), -2, -1)
 
 
-def qep_relative_evolution(
-    tt: QepTestTheory, delta_tau: float, constants: PhysicalConstants = CODATA
-) -> np.ndarray:
-    """exp(H_f delta_tau / i hbar) in the H_N eigenbasis."""
-    return _exp_hermitian(tt.h_f_matrix(), 1j * (-delta_tau / constants.hbar))
-
-
 def _doubled_h_f(tt: QepTestTheory) -> np.ndarray:
     # branch energies Ebar' -+ dE' about the mean: closed-form convention
     h_f = tt.h_f_matrix()
@@ -196,131 +175,73 @@ def qep_arm_states(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clock states |chi_1>, |chi_2> after traversing the two arms, of shape (..., 2)."""
     h_eff = _doubled_h_f(tt)
-    chi0 = tt.initial_ket()
     u1 = _exp_hermitian(h_eff, 1j * (0.5 * delta_tau / constants.hbar))
     u2 = _exp_hermitian(h_eff, 1j * (-0.5 * delta_tau / constants.hbar))
-    return u1 @ chi0, u2 @ chi0
+    return u1 @ _GROUND, u2 @ _GROUND
 
 
-def _continuous_arctan(cos2alpha: float, psi: float) -> float:
-    """Unwrapped arg(cos psi + i cos2alpha sin psi), continuous in psi."""
+def _continuous_arctan(cos_2theta: float, psi: float) -> float:
+    """Unwrapped arg(cos psi + i cos_2theta sin psi), continuous in psi."""
     k = np.rint(psi / math.pi)
     rem = psi - k * math.pi
     # np.arctan2 rounds differently from math.atan2 on a few % of inputs
-    return k * math.pi + per_element(math.atan2, cos2alpha * np.sin(rem), np.cos(rem))
+    return k * math.pi + per_element(math.atan2, cos_2theta * np.sin(rem), np.cos(rem))
 
 
 def qep_visibility(
     tt: QepTestTheory, delta_tau: float, constants: PhysicalConstants = CODATA
 ) -> tuple[float, float]:
-    """(visibility, xi) of the test theory; xi in rad/s, 0 at delta_tau = 0.
+    """(visibility, xi * delta_tau) of the test theory; xi * delta_tau in radians.
 
     The defining relation tan(xi delta_tau) = -cos(2 theta) tan(dE'
-    delta_tau / hbar) only fixes xi up to branch; the branch returned is the
-    one continuous in delta_tau, which at the points where the visibility
-    vanishes (theta = pi/4, psi an odd multiple of pi/2) degenerates to a
-    step.  The product V cos((Ebar' + xi) delta_tau / hbar) that enters every
-    observable stays continuous through those points.
+    delta_tau / hbar) only fixes xi delta_tau up to branch; the branch
+    returned is the one continuous in delta_tau, 0 at delta_tau = 0, which at
+    the points where the visibility vanishes (theta = pi/4, psi an odd
+    multiple of pi/2) degenerates to a step.  The product V cos((Ebar' + xi)
+    delta_tau / hbar) that enters every observable stays continuous through
+    those points.
     """
     psi = tt.gap_prime * delta_tau / constants.hbar
     s2 = np.sin(2.0 * tt.theta)
     vis = np.sqrt(np.maximum(0.0, 1.0 - s2 * s2 * squared(np.sin(psi))))
-    xi_dtau = -_continuous_arctan(tt.cos2alpha(), psi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.divide(xi_dtau, delta_tau)
-    xi = np.where(delta_tau != 0.0, ratio, -tt.cos2alpha() * tt.gap_prime / constants.hbar)[()]
-    return vis, xi
-
-
-def xi_phase(tt: QepTestTheory, delta_tau: float, constants: PhysicalConstants = CODATA) -> float:
-    """The phase offset xi * delta_tau (radians) on the continuous branch."""
-    psi = tt.gap_prime * delta_tau / constants.hbar
-    return -_continuous_arctan(tt.cos2alpha(), psi)
-
-
-def _mean_energy(tt: QepTestTheory, mean_energy: float | None) -> float:
-    return tt.mean_prime if mean_energy is None else mean_energy
+    return vis, -_continuous_arctan(np.cos(2.0 * tt.theta), psi)
 
 
 def qep_final_state(
-    tt: QepTestTheory,
-    mean_energy: float | None,
-    delta_tau: float,
-    constants: PhysicalConstants = CODATA,
+    tt: QepTestTheory, delta_tau: float, constants: PhysicalConstants = CODATA
 ) -> cs.StateVector:
     """Source (x) path (x) clock state of the GME sequence under the test theory.
 
     A stacked theory gives a stack of states.
     """
-    chi1, chi2 = qep_arm_states(tt, delta_tau, constants)
-    shift = _mean_energy(tt, mean_energy) - tt.mean_prime
-    if np.any(shift != 0.0):
-        # an overridden mean shifts both primed levels, leaving the gap alone
-        angle = 0.5 * shift * delta_tau / constants.hbar
-        chi1 = np.exp(1j * np.asarray(angle))[..., None] * chi1
-        chi2 = np.exp(1j * -np.asarray(angle))[..., None] * chi2
-    return _gme_state(chi1, chi2)
+    return _gme_state(*qep_arm_states(tt, delta_tau, constants))
 
 
 def _probabilities_and_phase(
-    tt: QepTestTheory,
-    mean_energy: float | None,
-    delta_tau: float,
-    constants: PhysicalConstants,
+    tt: QepTestTheory, delta_tau: float, constants: PhysicalConstants
 ) -> tuple[QepResult, float]:
     """Closed-form probabilities and the phase (Ebar' + xi) delta_tau / hbar."""
-    vis, xi = qep_visibility(tt, delta_tau, constants)
-    xi_dtau = xi_phase(tt, delta_tau, constants)
-    phase = _mean_energy(tt, mean_energy) * delta_tau / constants.hbar + xi_dtau
+    vis, xi_dtau = qep_visibility(tt, delta_tau, constants)
+    phase = tt.mean_prime * delta_tau / constants.hbar + xi_dtau
     pr_left = 0.5 * (1.0 + vis * np.cos(phase))
-    res = QepResult(
-        visibility=vis, xi_delta_tau=xi_dtau, xi=xi, pr_left=pr_left, pr_right=1.0 - pr_left
-    )
+    res = QepResult(visibility=vis, xi_delta_tau=xi_dtau, pr_left=pr_left, pr_right=1.0 - pr_left)
     return res, phase
 
 
 def qep_probabilities(
-    tt: QepTestTheory,
-    mean_energy: float | None,
-    delta_tau: float,
-    constants: PhysicalConstants = CODATA,
+    tt: QepTestTheory, delta_tau: float, constants: PhysicalConstants = CODATA
 ) -> QepResult:
-    """Closed-form detection probabilities of the test theory.
-
-    ``mean_energy`` overrides the mean of the primed eigenvalues (shifting
-    both levels, preserving the gap); pass None to use the H_f mean.
-    """
-    return _probabilities_and_phase(tt, mean_energy, delta_tau, constants)[0]
+    """Closed-form detection probabilities of the test theory."""
+    return _probabilities_and_phase(tt, delta_tau, constants)[0]
 
 
 def qep_gme_entanglement(
-    tt: QepTestTheory,
-    mean_energy: float | None,
-    delta_tau: float,
-    constants: PhysicalConstants = CODATA,
-    base: float = 2,
+    tt: QepTestTheory, delta_tau: float, constants: PhysicalConstants = CODATA
 ) -> QepResult:
     """Closed-form probabilities and entanglement of the GME state under the
     test theory; :func:`qep_final_state` is the state-vector reference."""
-    res, phase = _probabilities_and_phase(tt, mean_energy, delta_tau, constants)
-    ee = cs.binary_entropy(res.pr_left, base)
+    res, phase = _probabilities_and_phase(tt, delta_tau, constants)
+    ee = cs.binary_entropy(res.pr_left)
     ef_arg = 1.0 - squared(res.visibility * np.sin(phase))
-    ef = cs.binary_entropy(0.5 * (1.0 + np.sqrt(np.maximum(0.0, ef_arg))), base)
+    ef = cs.binary_entropy(0.5 * (1.0 + np.sqrt(np.maximum(0.0, ef_arg))))
     return replace(res, ee_spc=ee, ef_sp=ef)
-
-
-def qep_phase_accumulation(
-    tt: QepTestTheory,
-    newtonian_integral: float,
-    framedrag_integral: float,
-    constants: PhysicalConstants = CODATA,
-) -> np.ndarray:
-    """Phase operator exp((-H_N I_N + H_f I_f) / i hbar) of one traversal.
-
-    ``newtonian_integral`` is int (1 - v^2/2c^2 + Phi/c^2 - Phi^2/c^4) dt and
-    ``framedrag_integral`` is int sum_i g_0i / (c g_00) dx^i, both in seconds.
-    Valid under the small-commutator factorization the test theory assumes;
-    the commutator diagnostic on ``tt`` flags when that is doubtful.
-    """
-    generator = -tt.H_N * newtonian_integral + tt.h_f_matrix() * framedrag_integral
-    return _exp_hermitian(generator, -1j / constants.hbar)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .constants import CODATA, PhysicalConstants
-from .errors import DomainError, NotTimelike, WeakFieldViolation, require_finite
+from .errors import DomainError, WeakFieldViolation, require_finite
 
 DEFAULT_WEAK_FIELD_THRESHOLD = 0.5
 
@@ -78,44 +78,27 @@ class MetricComponents:
     h_tphi: float
 
 
-def _weak_field(
-    model: RotatingMassModel,
-    pt: SpacetimePoint,
-    vel: CoordinateVelocity,
-    constants: PhysicalConstants,
-    weak_field_threshold: float,
-) -> tuple[float, float, float]:
-    """(2GM/(c^2 r), v^2, h_tphi) at one point and velocity, guarded as in metric_at."""
-    if pt.r <= 0:
-        raise DomainError("radius must be positive")
-    eps, v2, h_tphi = kernels.weak_field_terms(
-        pt.r, pt.theta, vel.dr_dt, vel.dtheta_dt, vel.dphi_dt,
-        constants.G * model.M, constants.G * model.J, constants.c,
-    )
-    if eps >= weak_field_threshold:
-        raise WeakFieldViolation(
-            f"2GM/(c^2 r) = {eps:.3e} >= threshold {weak_field_threshold:.3e}"
-        )
-    return float(eps), float(v2), float(h_tphi)
-
-
-_AT_REST = CoordinateVelocity(0.0, 0.0, 0.0)
-# v^2 at unit dphi/dt is g_phph
-_UNIT_AZIMUTHAL = CoordinateVelocity(0.0, 0.0, 1.0)
-
-
 def metric_at(
     model: RotatingMassModel,
     pt: SpacetimePoint,
     constants: PhysicalConstants = CODATA,
-    weak_field_threshold: float = DEFAULT_WEAK_FIELD_THRESHOLD,
 ) -> MetricComponents:
     """Evaluate the weak-field metric at a point.
 
-    Raises :class:`WeakFieldViolation` when 2GM/(c^2 r) exceeds the threshold
-    and :class:`DomainError` for a non-positive radius.
+    Raises :class:`WeakFieldViolation` when 2GM/(c^2 r) reaches
+    ``DEFAULT_WEAK_FIELD_THRESHOLD`` and :class:`DomainError` for a
+    non-positive radius.
     """
-    eps, g_phph, h_tphi = _weak_field(model, pt, _UNIT_AZIMUTHAL, constants, weak_field_threshold)
+    if pt.r <= 0:
+        raise DomainError("radius must be positive")
+    # v^2 at unit dphi/dt is g_phph
+    eps, g_phph, h_tphi = map(float, kernels.weak_field_terms(
+        pt.r, pt.theta, 0.0, 0.0, 1.0, constants.G * model.M, constants.G * model.J, constants.c,
+    ))
+    if eps >= DEFAULT_WEAK_FIELD_THRESHOLD:
+        raise WeakFieldViolation(
+            f"2GM/(c^2 r) = {eps:.3e} >= threshold {DEFAULT_WEAK_FIELD_THRESHOLD:.3e}"
+        )
     return MetricComponents(
         g_tt=-1.0 + eps,
         g_rr=1.0 + eps,
@@ -132,44 +115,6 @@ def squared_speed(metric: MetricComponents, vel: CoordinateVelocity) -> float:
         + metric.g_thth * vel.dtheta_dt**2
         + metric.g_phph * vel.dphi_dt**2
     )
-
-
-def proper_time_rate(
-    model: RotatingMassModel,
-    pt: SpacetimePoint,
-    vel: CoordinateVelocity,
-    constants: PhysicalConstants = CODATA,
-    include_perturbation: bool = True,
-    weak_field_threshold: float = DEFAULT_WEAK_FIELD_THRESHOLD,
-) -> float:
-    """dtau/dt = sqrt(1 + 2 Phi/c^2 - v^2/c^2 - (2 h_tphi/c) dphi/dt).
-
-    Phi = -GM/r is read off g_tt = -(1 + 2 Phi/c^2).  Raises
-    :class:`NotTimelike` when the radicand is not positive.
-    """
-    eps, v2, h_tphi = _weak_field(model, pt, vel, constants, weak_field_threshold)
-    radicand = kernels.radicand_from_terms(
-        eps, v2, h_tphi, vel.dphi_dt, constants.c, include_perturbation
-    )
-    if radicand <= 0.0:
-        raise NotTimelike(f"proper-time radicand {radicand:.3e} <= 0")
-    return math.sqrt(radicand)
-
-
-def energy_ratio(
-    model: RotatingMassModel,
-    pt: SpacetimePoint,
-    speed: float,
-    constants: PhysicalConstants = CODATA,
-    weak_field_threshold: float = DEFAULT_WEAK_FIELD_THRESHOLD,
-) -> float:
-    """E/(m c^2) = 1 + v^2/(2 c^2) - GM/(c^2 r) for a particle moving at `speed`.
-
-    Conserved along background geodesics at this order; independent of the
-    rest mass.  Far from the mass this is the K factor 1 + v0^2/(2 c^2).
-    """
-    _weak_field(model, pt, _AT_REST, constants, weak_field_threshold)
-    return kernels.energy_ratio_from_speed(pt.r, speed**2, constants.G * model.M, constants.c)
 
 
 def perturbation_validity(

@@ -158,7 +158,7 @@ def test_criterion_5_qep_suite():
             E_e_prime=(mean + 0.5 * gap) * HBAR,
             theta=0.0,
         )
-        q = qep_gme_entanglement(tt, None, dt)
+        q = qep_gme_entanglement(tt, dt)
         occupied = (mean - gap) * HBAR
         degenerate = ClockModel(E_g=occupied, E_e=occupied)
         plain = gme_entanglement(degenerate, dt)
@@ -196,8 +196,8 @@ def test_criterion_5_qep_suite():
                 theta=theta,
                 varphi=0.37 * (i + 2 * j),
             )
-            res = qep_gme_entanglement(tt, None, 1.0)
-            state = qep_final_state(tt, None, 1.0)
+            res = qep_gme_entanglement(tt, 1.0)
+            state = qep_final_state(tt, 1.0)
             worst_grid = max(
                 worst_grid,
                 abs(res.ee_spc - von_neumann_entropy(reduced_density(state, ["S"]))),

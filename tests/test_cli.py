@@ -179,7 +179,7 @@ def test_verify_rejects_scales_outside_the_perturbative_regime(capsys):
         (("delta-tau", "--J", "inf"), "J"),
         (("delta-tau", "--M", "nan"), "M"),
         (("delta-tau", "--mode", "both", "--v0", "inf"), "v0"),
-        (("delta-tau", "--mode", "quadrature", "--v0", "1", "--L-ratio", "nan"), "L"),
+        (("delta-tau", "--mode", "quadrature", "--v0", "1", "--L-ratio", "nan"), "L_ratio"),
         (("interfere", "--w", "inf"), "w"),
         (("interfere", "--delta-tau", "nan"), "delta_tau"),
         (("interfere", "--gap-rate", "nan"), "gap_rate"),
@@ -194,6 +194,11 @@ def test_verify_rejects_scales_outside_the_perturbative_regime(capsys):
         (("detect", "--target-phase", "nan"), "target_phase"),
         (("interfere", "--delta-tau", "1e-15", "--w", "nan"), "w"),
         (("gme", "--E-g", "0", "--E-e", "1e-19", "--gap-rate", "inf"), "gap_rate"),
+        # the flag is named, not the arm half-length L = L_ratio * w it gives
+        (("delta-tau", "--L-ratio", "inf"), "L_ratio"),
+        (("interfere", "--L-ratio", "nan"), "L_ratio"),
+        (("gme", "--L-ratio", "inf"), "L_ratio"),
+        (("qep", "--delta-tau", "1e-15", "--L-ratio=-inf"), "L_ratio"),
     ],
 )
 def test_non_finite_inputs_are_validation_errors(capsys, argv, field):

@@ -8,27 +8,20 @@ from gravclock.constants import CODATA
 from gravclock.detectability import (
     AXES,
     OUTPUTS,
-    DetectabilityQuery,
     SweepConfig,
     delta_tau_log,
     evaluate_point,
     phase_per_unit_ell_log10,
-    phase_shift_estimate,
     required_ell,
     run_sweep,
 )
 from gravclock.errors import ConfigError, DomainError
 from gravclock.logdomain import SignedLog, log10_sum
-
-
-def unit_query(**overrides):
-    params = dict(clock_rate=1e15, w=1e-3, v0=0.0, ell=SignedLog.from_log10(0.0))
-    params.update(overrides)
-    return DetectabilityQuery(**params)
+from gravclock.propertime import closed_form_log
 
 
 def test_phase_estimate_matches_direct_arithmetic():
-    got = phase_shift_estimate(unit_query())
+    got = phase_per_unit_ell_log10(1e15, 1e-3)
     expected = math.log10(
         1e15 * 16.0 * 6.67430e-11 * 1.054571817e-34 / ((2.99792458e8) ** 4 * 1e-3)
     )
@@ -38,16 +31,16 @@ def test_phase_estimate_matches_direct_arithmetic():
 
 
 def test_doubling_ell_adds_log10_two():
-    base = phase_shift_estimate(unit_query())
-    doubled = phase_shift_estimate(unit_query(ell=SignedLog.from_log10(math.log10(2.0))))
+    base = delta_tau_log({"ell_log10": 0.0}).log10
+    doubled = delta_tau_log({"ell_log10": math.log10(2.0)}).log10
     assert abs(doubled - base - math.log10(2.0)) < 1e-14
 
 
 def test_k_factor_negligible_at_laboratory_speeds():
     # K - 1 = 5.6e-13 corresponds to v0 ~ 3.2e2 m/s; below that the speed
     # factor is invisible at the 1e-12 level in log10
-    slow = phase_shift_estimate(unit_query())
-    fast = phase_shift_estimate(unit_query(v0=3.17e2))
+    slow = phase_per_unit_ell_log10(1e15, 1e-3)
+    fast = phase_per_unit_ell_log10(1e15, 1e-3, 3.17e2)
     assert abs(fast - slow) < 1e-12
 
 
@@ -55,7 +48,7 @@ def test_required_ell_and_round_trip():
     log_ell = required_ell(1.0, 1e15, 1e-3)
     assert 58.0 < log_ell < 61.0
     assert abs(log_ell - 58.8557) < 1e-3
-    back = phase_shift_estimate(unit_query(ell=SignedLog.from_log10(log_ell)))
+    back = phase_per_unit_ell_log10(1e15, 1e-3) + log_ell
     assert abs(back - 0.0) < 1e-12
     assert abs(required_ell(10.0, 1e15, 1e-3) - log_ell - 1.0) < 1e-12
 
@@ -67,9 +60,9 @@ def test_required_ell_validates_target():
 
 def test_query_validation():
     with pytest.raises(DomainError):
-        unit_query(w=-1.0)
+        phase_per_unit_ell_log10(1e15, -1.0)
     with pytest.raises(DomainError):
-        unit_query(clock_rate=0.0)
+        phase_per_unit_ell_log10(0.0, 1e-3)
 
 
 def test_log_and_linear_phase_agree_when_representable():
@@ -133,7 +126,7 @@ def test_sweep_rejects_unknown_names():
 
 
 def test_ell_sign_propagates():
-    log = delta_tau_log({"ell_log10": 10.0, "ell_sign": -1.0})
+    log = closed_form_log(SignedLog.from_log10(10.0, -1), 1e-3, 0.0, CODATA, CODATA.hbar)
     assert log.sign == -1
     assert log.linear < 0.0
 

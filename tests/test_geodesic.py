@@ -8,12 +8,12 @@ from gravclock.errors import DomainError
 from gravclock.geodesic import (
     BoundaryConditions,
     energy_ratio_samples,
-    proper_time_along,
     solve_extremal_path,
     verify_first_order,
 )
 from gravclock.propertime import InterferometerGeometry, build_straight_arm, delta_tau_first_order
 from gravclock.spacetime import RotatingMassModel, SpacetimePoint
+from reference_paths import proper_time_along
 
 FLAT = RotatingMassModel(M=0.0, J=0.0)
 EQ = math.pi / 2

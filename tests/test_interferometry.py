@@ -6,6 +6,7 @@ import pytest
 
 from conftest import unfold_monotone
 from gravclock.clockstate import (
+    StateVector,
     concurrence,
     entanglement_of_formation,
     reduced_density,
@@ -23,8 +24,7 @@ from gravclock.interferometry import (
     gme_final_state,
     interferometer_state,
     mean_phase,
-    relative_evolution,
-    visibility,
+    visibility_deficit_from_phase,
 )
 
 HBAR = CODATA.hbar
@@ -51,19 +51,19 @@ def test_clock_unitary_composition():
 
 
 def test_relative_evolution_is_the_arm_quotient():
+    # U(P1)^dagger U(P2) for arms whose proper times differ by dt is U(dt)
     clock = phase_clock(0.8, 1.7)
     dt = 0.37
     quotient = clock_unitary(clock, 2.0 + dt) @ clock_unitary(clock, 2.0).conj().T
-    np.testing.assert_allclose(relative_evolution(clock, dt), quotient, atol=1e-12)
-    np.testing.assert_allclose(relative_evolution(clock, 0.0), np.eye(2), atol=1e-15)
-    phases = np.angle(np.diag(relative_evolution(clock, dt)))
+    np.testing.assert_allclose(clock_unitary(clock, dt), quotient, atol=1e-12)
+    phases = np.angle(np.diag(quotient))
     diff = (phases[0] - phases[1]) % (2 * math.pi)
     assert abs(diff - (clock.gap * dt / HBAR) % (2 * math.pi)) < 1e-12
 
 
 def test_visibility_values():
-    assert visibility(phase_clock(1.0, 0.0), 1.0) == 1.0
-    assert abs(visibility(phase_clock(0.0, math.pi / 3), 1.0) - 0.5) < 1e-12
+    assert detection_probabilities(phase_clock(1.0, 0.0), 1.0).visibility == 1.0
+    assert abs(detection_probabilities(phase_clock(0.0, math.pi / 3), 1.0).visibility - 0.5) < 1e-12
 
 
 def test_visibility_deficit_at_laboratory_scale():
@@ -73,16 +73,15 @@ def test_visibility_deficit_at_laboratory_scale():
     delta_tau = 1.39e-74
     phase = gap_phase(clock, delta_tau)
     assert abs(phase / 1.39e-59 - 1.0) < 1e-12
-    assert visibility(clock, delta_tau, "direct") == 1.0
-    deficit = visibility(clock, delta_tau, "deficit")
+    assert detection_probabilities(clock, delta_tau).visibility == 1.0
+    deficit = visibility_deficit_from_phase(phase)
     assert abs(deficit / (0.5 * phase**2) - 1.0) < 1e-12
     assert -118.1 < math.log10(deficit) < -117.9
 
 
 def test_visibility_deficit_series_joins_the_exact_branch():
-    clock = ClockModel(E_g=0.0, E_e=HBAR)  # gap phase == delta_tau
     for phase in (0.9e-4, 1.1e-4):
-        deficit = visibility(clock, phase, "deficit")
+        deficit = visibility_deficit_from_phase(phase)
         assert abs(deficit - (1.0 - math.cos(phase))) <= 1e-16
 
 
@@ -147,7 +146,7 @@ def test_gme_state_norm_and_branch_amplitude():
         amp = state.amplitudes.reshape(2, 2, 2)
         plus = np.array([1, 1]) / math.sqrt(2)
         eta_plus = math.sqrt(2.0) * np.einsum("s,spc->pc", plus.conj(), amp)[0]
-        expected = 1.0 + visibility(clock, dt) * math.cos(mean_phase(clock, dt))
+        expected = 1.0 + math.cos(gap_phase(clock, dt)) * math.cos(mean_phase(clock, dt))
         assert abs(np.vdot(eta_plus, eta_plus).real - expected) < 1e-12
 
 
@@ -180,7 +179,7 @@ def test_closed_forms_match_oracles_on_a_grid():
             worst_ee = max(worst_ee, abs(res.ee_spc - ee))
             worst_ef = max(worst_ef, abs(res.ef_sp - ef))
             conc = concurrence(reduced_density(state, ["S", "P"]))
-            closed = abs(visibility(clock, 1.0)) * abs(math.sin(mean_phase(clock, 1.0)))
+            closed = abs(math.cos(gap_phase(clock, 1.0))) * abs(math.sin(mean_phase(clock, 1.0)))
             worst_conc = max(worst_conc, abs(conc - closed))
     assert worst_ee <= 1e-10
     assert worst_ef <= 1e-10
@@ -217,9 +216,10 @@ def test_witness_exceeds_one_exactly_with_formation_entanglement():
 def test_outputs_invariant_under_global_clock_phase():
     clock = phase_clock(1.1, 0.7)
     base = gme_entanglement(clock, 1.0)
-    rotated_input = cmath.exp(0.6j) * np.array([1, 1]) / math.sqrt(2)
-    state = gme_final_state(clock, 1.0, initial_clock=rotated_input)
-    ee = von_neumann_entropy(reduced_density(state, ["S"]))
+    # the sequence is linear, so a global phase on the input clock is one on the state
+    state = gme_final_state(clock, 1.0)
+    rotated = StateVector(cmath.exp(0.6j) * state.amplitudes, state.labels)
+    ee = von_neumann_entropy(reduced_density(rotated, ["S"]))
     assert abs(ee - base.ee_spc) < 1e-12
 
 
@@ -244,7 +244,7 @@ def test_closed_forms_broadcast_over_arrays():
     clocks = phase_clock(mean, gap)
     probs = detection_probabilities(clocks, dt)
     gme = gme_entanglement(clocks, dt)
-    deficit = visibility(clocks, dt, "deficit")
+    deficit = visibility_deficit_from_phase(gap_phase(clocks, dt))
     for i in range(200):
         clock = phase_clock(mean[i], gap[i])
         one = detection_probabilities(clock, dt[i])
@@ -253,7 +253,7 @@ def test_closed_forms_broadcast_over_arrays():
         )
         one = gme_entanglement(clock, dt[i])
         assert (gme.ee_spc[i], gme.ef_sp[i], gme.witness[i]) == (one.ee_spc, one.ef_sp, one.witness)
-        assert deficit[i] == visibility(clock, dt[i], "deficit")
+        assert deficit[i] == visibility_deficit_from_phase(gap_phase(clock, dt[i]))
 
 
 def test_stacked_clocks_build_each_members_state_bit_for_bit():

@@ -11,9 +11,8 @@ from gravclock.spacetime import (
     CoordinateVelocity,
     RotatingMassModel,
     SpacetimePoint,
-    energy_ratio,
+    metric_at,
     perturbation_validity,
-    proper_time_rate,
 )
 
 GM, GJ, C = 1e-6, 1.25e-3, 1.0
@@ -71,15 +70,12 @@ def test_integrands_match_full_metric_arithmetic(sample_arrays):
 def test_scalar_spacetime_functions_share_the_array_arithmetic(sample_arrays):
     constants = PhysicalConstants(c=C, G=1.0, hbar=1.0)
     model = RotatingMassModel(M=GM, J=GJ)
-    r, th, vr, vth, vph = (a[:50] for a in sample_arrays)
-    rad = kernels.radicand_array(r, th, vr, vth, vph, GM, GJ, C, 1)
-    speed = r * vph
-    ratios = kernels.energy_ratio_from_speed(r, speed**2, GM, C)
+    r, th = (a[:50] for a in sample_arrays[:2])
+    # at unit dphi/dt the squared speed is g_phph
+    eps, g_phph, h_tphi = kernels.weak_field_terms(r, th, 0.0, 0.0, 1.0, GM, GJ, C)
     for i in range(r.shape[0]):
-        pt = SpacetimePoint(0.0, r[i], th[i], 0.0)
-        vel = CoordinateVelocity(vr[i], vth[i], vph[i])
-        assert proper_time_rate(model, pt, vel, constants) == math.sqrt(rad[i])
-        assert energy_ratio(model, pt, speed[i], constants) == ratios[i]
+        g = metric_at(model, SpacetimePoint(0.0, r[i], th[i], 0.0), constants)
+        assert (g.g_tt, g.g_rr, g.g_phph, g.h_tphi) == (-1.0 + eps[i], 1.0 + eps[i], g_phph[i], h_tphi[i])
 
 
 def _node_path(n_segments, theta=(0.5 * math.pi, 0.5 * math.pi + 0.05)):

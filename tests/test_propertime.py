@@ -10,8 +10,6 @@ from gravclock.errors import DomainError, NoConvergence
 from gravclock.logdomain import SignedLog
 from gravclock.propertime import (
     InterferometerGeometry,
-    attach_phases,
-    build_circular_arc,
     build_straight_arm,
     delta_tau_first_order,
     delta_tau_interferometer,
@@ -19,6 +17,7 @@ from gravclock.propertime import (
     k_factor,
 )
 from gravclock.spacetime import RotatingMassModel
+from reference_paths import build_circular_arc
 
 UNIT = PhysicalConstants(c=1.0, G=1.0, hbar=1.0)
 
@@ -221,7 +220,7 @@ def test_pair_matches_independent_quadrature():
     # the test's own uniform-t samples of the arm, not the library's nodes
     model = RotatingMassModel(M=1e-6, J=1e-3)
     geom = InterferometerGeometry(w=0.02, L=1.0, v0=1e-3)
-    arm = build_straight_arm(geom, "right", n_samples=20001).without_sampler()
+    arm = replace(build_straight_arm(geom, "right", n_samples=20001), sampler=None)
     got = delta_tau_pair(model, arm, UNIT)
     t = np.linspace(0.0, 2.0 * geom.L / geom.v0, 20001)
     y = -geom.L + geom.v0 * t
@@ -240,8 +239,8 @@ def test_pair_matches_independent_quadrature():
 
 def test_quadrature_stable_under_rediscretization():
     model = RotatingMassModel(M=0.0, J=1e-3)
-    coarse = build_circular_arc(r0=1.0, speed=1e-3, phi_span=0.8, n_samples=1001).without_sampler()
-    fine = build_circular_arc(r0=1.0, speed=1e-3, phi_span=0.8, n_samples=2001).without_sampler()
+    coarse = replace(build_circular_arc(r0=1.0, speed=1e-3, phi_span=0.8, n_samples=1001), sampler=None)
+    fine = replace(build_circular_arc(r0=1.0, speed=1e-3, phi_span=0.8, n_samples=2001), sampler=None)
     a = delta_tau_first_order(model, coarse, UNIT)
     b = delta_tau_first_order(model, fine, UNIT)
     assert abs(a / b - 1.0) < 1e-8
@@ -250,12 +249,12 @@ def test_quadrature_stable_under_rediscretization():
 def test_phase_bundle_log_consistency():
     model = RotatingMassModel(0.0, 1.0)
     geom = InterferometerGeometry(w=1e-3, L=1.0, v0=0.0)
-    bundle = attach_phases(
-        delta_tau_interferometer(model, geom, "closed_form"), mean_rate=5e14, gap_rate=1e15
-    )
-    assert abs(bundle.phase_mean_log.linear / bundle.phase_mean - 1.0) < 1e-12
-    assert abs(bundle.phase_gap_log.linear / bundle.phase_gap - 1.0) < 1e-12
-    assert bundle.phase_gap_log.sign == 1
+    bundle = delta_tau_interferometer(model, geom, "closed_form")
+    # the clock phases rate * delta_tau, as the sweep forms them in the log domain
+    mean_log, gap_log = bundle.delta_tau_log.scaled(5e14), bundle.delta_tau_log.scaled(1e15)
+    assert abs(mean_log.linear / (5e14 * bundle.delta_tau) - 1.0) < 1e-12
+    assert abs(gap_log.linear / (1e15 * bundle.delta_tau) - 1.0) < 1e-12
+    assert gap_log.sign == 1
     assert abs(bundle.log10_delta_tau - math.log10(bundle.delta_tau)) < 1e-12
 
 

@@ -82,16 +82,16 @@ def per_sample_selftest(seed, samples, constants=CODATA):
             theta=theta,
             varphi=varphi,
         )
-        res = qep_mod.qep_gme_entanglement(tt, None, 1.0, constants)
+        res = qep_mod.qep_gme_entanglement(tt, 1.0, constants)
         chi1, chi2 = qep_mod.qep_arm_states(tt, 1.0, constants)
         worst_q = max(worst_q, abs(abs(np.vdot(chi1, chi2)) - res.visibility))
-        state = qep_mod.qep_final_state(tt, None, 1.0, constants)
+        state = qep_mod.qep_final_state(tt, 1.0, constants)
         worst_qee = max(worst_qee, abs(res.ee_spc - von_neumann_entropy(reduced_density(state, ["S"]))))
         worst_qef = max(
             worst_qef, abs(res.ef_sp - entanglement_of_formation(reduced_density(state, ["S", "P"])))
         )
         pl = float(np.real(reduced_density(state, ["P"]).matrix[0, 0]))
-        worst_qpr = max(worst_qpr, abs(qep_mod.qep_probabilities(tt, None, 1.0, constants).pr_left - pl))
+        worst_qpr = max(worst_qpr, abs(qep_mod.qep_probabilities(tt, 1.0, constants).pr_left - pl))
     worst["qep_visibility_vs_overlap"] = worst_q
     worst["qep_entropy_vs_oracle"] = worst_qee
     worst["qep_formation_vs_oracle"] = worst_qef
