@@ -12,7 +12,7 @@ from gravclock.clockstate import (
 )
 from gravclock.constants import CODATA
 from gravclock.errors import DomainError
-from gravclock.interferometry import ClockModel, clock_unitary, detection_probabilities, gme_entanglement
+from gravclock.interferometry import ClockModel, detection_probabilities, gme_entanglement
 from gravclock.qep import (
     QepTestTheory,
     _exp_hermitian,
