@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -74,6 +75,18 @@ def _fmt(value) -> str:
     return _fmt(float(value))
 
 
+_FLOATS = frozenset((float, np.float64))
+
+
+def _row_format(n: int, sep: str) -> str:
+    """One ``%`` format for n floats, giving the bytes ``_fmt`` gives each, nan and ±inf included."""
+    return sep.join(["%.16e"] * n)
+
+
+def _all_floats(cells) -> bool:
+    return all(type(v) in _FLOATS for v in cells)
+
+
 def _json_dump(obj, out: list[str]) -> None:
     if isinstance(obj, float):
         out.append(_fmt(obj) if math.isfinite(obj) else f'"{_fmt(obj)}"')
@@ -85,6 +98,8 @@ def _json_dump(obj, out: list[str]) -> None:
             out.append(f'"{key}": ')
             _json_dump(val, out)
         out.append("}")
+    elif isinstance(obj, (list, tuple)) and _all_floats(obj) and all(map(math.isfinite, obj)):
+        out.append("[" + _row_format(len(obj), ", ") % tuple(obj) + "]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, val in enumerate(obj):
@@ -122,7 +137,12 @@ def _emit(args, inputs: dict, columns, rows, constants: PhysicalConstants, outpu
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(map(_fmt, row) for row in rows)
+        line = _row_format(len(columns), ",") + "\n"
+        for row in rows:
+            if _all_floats(row):
+                buf.write(line % tuple(row))
+            else:  # str, bool and int cells
+                writer.writerow(map(_fmt, row))
         text = buf.getvalue()
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
@@ -180,7 +200,10 @@ def _clock_from(ns) -> itf.ClockModel:
 def _geometry_from(ns) -> pt.InterferometerGeometry:
     # L_ratio is the flag; the geometry would name only the product L
     require_finite("L_ratio", ns.L_ratio)
-    return pt.InterferometerGeometry(w=ns.w, L=ns.L_ratio * ns.w, v0=ns.v0)
+    L = ns.L_ratio * ns.w
+    if math.isfinite(ns.w) and not math.isfinite(L):  # a non-finite w is named by the geometry
+        raise DomainError(f"L_ratio * w must be finite, got {ns.L_ratio!r} * {ns.w!r}")
+    return pt.InterferometerGeometry(w=ns.w, L=L, v0=ns.v0)
 
 
 def _delta_tau_from(ns, constants: PhysicalConstants) -> float:
@@ -216,6 +239,7 @@ def _add_clock(parser: _Parser) -> None:
     parser.add_argument("--delta-tau", dest="delta_tau", type=float, help="arm proper-time difference, s (overrides geometry)")
 
 
+@functools.cache  # built by the first request, not at import; nothing mutates it after
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gravclock", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"gravclock {__version__}")

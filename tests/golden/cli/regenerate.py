@@ -94,6 +94,7 @@ _ERRORS = [
     "delta-tau --M -1",
     "delta-tau --L-ratio 0.5",
     "delta-tau --L-ratio inf",
+    "delta-tau --L-ratio 1e300 --w 1e10",
     "delta-tau --v0 3e9",
     "delta-tau --v0 -1",
     "delta-tau --J 1e308 --w 1e-300",
@@ -101,6 +102,7 @@ _ERRORS = [
     "delta-tau --mode quadrature --v0 1e-300",
     "delta-tau --mode quadrature --J 1e300 --w 1e-300 --v0 1",
     "interfere --L-ratio nan",
+    "interfere --L-ratio 1e300 --w 1e10",
     "interfere --delta-tau nan",
     "interfere --delta-tau 1e300",
     "interfere --E-g 1e-19",

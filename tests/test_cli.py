@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gravclock
-from gravclock import propertime
+from gravclock import cli, propertime
 from gravclock.cli import run_command
 from gravclock.detectability import OUTPUTS
 
@@ -199,6 +199,9 @@ def test_verify_rejects_scales_outside_the_perturbative_regime(capsys):
         (("interfere", "--L-ratio", "nan"), "L_ratio"),
         (("gme", "--L-ratio", "inf"), "L_ratio"),
         (("qep", "--delta-tau", "1e-15", "--L-ratio=-inf"), "L_ratio"),
+        # finite flags whose product L = L_ratio * w overflows
+        (("delta-tau", "--L-ratio", "1e300", "--w", "1e10"), "L_ratio * w"),
+        (("interfere", "--L-ratio", "1e300", "--w", "1e10"), "L_ratio * w"),
     ],
 )
 def test_non_finite_inputs_are_validation_errors(capsys, argv, field):
@@ -313,6 +316,13 @@ def test_non_finite_constants_are_validation_errors(tmp_path, capsys, line, name
     assert f"physical constant {name} must be finite" in err
 
 
+def _fresh_interpreter(code):
+    """Run `code` in a new Python process that imports gravclock from these sources."""
+    src = str(Path(gravclock.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
 def test_verify_does_not_import_scipy():
     # importing scipy.linalg alone doubles the peak resident memory of a run
     code = (
@@ -320,10 +330,53 @@ def test_verify_does_not_import_scipy():
         "assert run_command(['verify', '--n-segments', '16']) == 0; "
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
     )
-    src = str(Path(gravclock.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = _fresh_interpreter(code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_cli_builds_no_parser():
+    # a one-shot `gravclock --version` pays for the import; the parser waits for the first request
+    code = (
+        "import gravclock.cli as cli; "
+        "assert cli._build_parser.cache_info().misses == 0, 'built at import'; "
+        "assert cli.run_command(['delta-tau']) == 0; "
+        "assert cli._build_parser.cache_info().misses == 1, 'not built by the request'"
+    )
+    proc = _fresh_interpreter(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_one_parser_serves_every_request(tmp_path, capsys):
+    # the parser is built once per process, so no request may leave state for the next
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("J = 2.0\nmode = both\nv0 = 1\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("w = 1e-3\ngap_rate = fast\n")
+    target = tmp_path / "out.csv"
+    sequence = [
+        ("delta-tau", "--config", str(cfg)),
+        ("delta-tau", "--mode", "bogus"),
+        ("gme", "--delta-tau", "1e-15", "--format", "json"),
+        ("interfere", "--delta-tau", "3e-16", "--output", str(target)),
+        ("delta-tau", "--w", "-1"),
+        ("interfere", "--config", str(bad)),
+        ("delta-tau", "--config", str(cfg)),
+    ]
+
+    def run(argv):
+        target.unlink(missing_ok=True)
+        return (*run_cli(capsys, *argv), target.read_text() if target.exists() else None)
+
+    cli._build_parser.cache_clear()
+    shared = [run(argv) for argv in sequence]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [result[0] for result in shared] == [0, 64, 0, 0, 2, 2, 0]
+    assert shared[0] == shared[-1]
 
 
 @pytest.mark.parametrize("ratio", ["1e1", "1e4", "1e8"])
