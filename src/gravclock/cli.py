@@ -43,7 +43,7 @@ from .clockstate import (
 )
 from .constants import PhysicalConstants, read_key_values, resolve_constants
 from .errors import ConfigError, DomainError, GravclockError, NoConvergence, require_finite
-from .logdomain import SignedLog, per_element
+from .logdomain import SignedLog
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -182,19 +182,29 @@ def _with_config(parser: _Parser, argv: list[str], args: argparse.Namespace) -> 
     return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
+def _energies(mean_rate: float, gap_rate: float, hbar: float, prefix: str = "") -> tuple[float, float]:
+    """(E_g, E_e) = (mean_rate -+ gap_rate / 2) hbar, naming the rate flags if either is not finite."""
+    mean_name, gap_name = f"{prefix}mean_rate", f"{prefix}gap_rate"
+    require_finite(mean_name, mean_rate)
+    require_finite(gap_name, gap_rate)
+    e_g, e_e = (mean_rate - 0.5 * gap_rate) * hbar, (mean_rate + 0.5 * gap_rate) * hbar
+    if not (math.isfinite(e_g) and math.isfinite(e_e)):
+        raise DomainError(f"{mean_name} {mean_rate!r} and {gap_name} {gap_rate!r} make a clock energy overflow")
+    return e_g, e_e
+
+
 def _clock_from(ns) -> itf.ClockModel:
     constants = resolve_constants(ns.constants)
+    if ns.E_g is None and ns.E_e is None:
+        energies = _energies(ns.mean_rate, ns.gap_rate, constants.hbar)
+        if ns.gap_rate < 0.0:
+            raise DomainError(f"gap_rate must not be negative, got {ns.gap_rate!r}")
+        return itf.ClockModel(*energies)
     require_finite("gap_rate", ns.gap_rate)
     require_finite("mean_rate", ns.mean_rate)
-    if ns.E_g is not None or ns.E_e is not None:
-        if ns.E_g is None or ns.E_e is None:
-            raise ConfigError("provide both --E-g and --E-e, or neither")
-        return itf.ClockModel(E_g=ns.E_g, E_e=ns.E_e)
-    hbar = constants.hbar
-    return itf.ClockModel(
-        E_g=(ns.mean_rate - 0.5 * ns.gap_rate) * hbar,
-        E_e=(ns.mean_rate + 0.5 * ns.gap_rate) * hbar,
-    )
+    if ns.E_g is None or ns.E_e is None:
+        raise ConfigError("provide both --E-g and --E-e, or neither")
+    return itf.ClockModel(E_g=ns.E_g, E_e=ns.E_e)
 
 
 def _geometry_from(ns) -> pt.InterferometerGeometry:
@@ -375,11 +385,11 @@ def _cmd_qep(ns) -> int:
     delta_tau = _delta_tau_from(ns, constants)
     prime_gap = ns.prime_gap_rate if ns.prime_gap_rate is not None else ns.gap_rate
     prime_mean = ns.prime_mean_rate if ns.prime_mean_rate is not None else ns.mean_rate
-    hbar = constants.hbar
+    e_g_prime, e_e_prime = _energies(prime_mean, prime_gap, constants.hbar, "prime_")
     tt = qep_mod.QepTestTheory(
         H_N=np.diag([clock.E_g, clock.E_e]),
-        E_g_prime=(prime_mean - 0.5 * prime_gap) * hbar,
-        E_e_prime=(prime_mean + 0.5 * prime_gap) * hbar,
+        E_g_prime=e_g_prime,
+        E_e_prime=e_e_prime,
         theta=ns.theta,
         varphi=ns.varphi,
     )
@@ -504,8 +514,8 @@ def _qep_errors(draws: np.ndarray, constants: PhysicalConstants):
     )
     res = qep_mod.qep_gme_entanglement(tt, 1.0, constants)
     chi1, chi2 = qep_mod.qep_arm_states(tt, 1.0, constants)
-    # <chi1|chi2> by the BLAS dot np.vdot uses, and its modulus as Python's abs rounds it
-    overlap = per_element(abs, (chi1.conj()[:, None, :] @ chi2[:, :, None])[:, 0, 0])
+    # <chi1|chi2> by the BLAS dot np.vdot uses
+    overlap = np.abs((chi1.conj()[:, None, :] @ chi2[:, :, None])[:, 0, 0])
     state = qep_mod.qep_final_state(tt, 1.0, constants)
     pl = np.real(reduced_density(state, ["P"]).matrix[..., 0, 0])
     return (

@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, UnknownLabel
-from .logdomain import per_element
 
 NORM_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -234,28 +233,23 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return (ent / _LN2)[()]
 
 
-def _binary_entropy(x: float) -> float:
-    if math.isnan(x):
-        return math.nan
-    if not 0.0 <= x <= 1.0:
-        if -EIG_CLAMP < x < 0.0 or 1.0 < x < 1.0 + EIG_CLAMP:
-            x = min(max(x, 0.0), 1.0)
-        else:
-            raise DomainError(f"binary entropy argument {x} outside [0, 1]")
-    acc = 0.0
-    if x > 0.0:
-        acc -= x * math.log(x)
-    if x < 1.0:
-        acc -= (1.0 - x) * math.log(1.0 - x)
-    return acc / _LN2
-
-
 def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2(1-x), in bits.
+    """h(x) = -x log2 x - (1-x) log2(1-x), in bits, elementwise; NaN gives NaN.
 
-    Elementwise over arrays, with ``math.log`` on each element; NaN gives NaN.
+    An argument less than EIG_CLAMP outside [0, 1] is clamped into it; one
+    farther out raises :class:`DomainError`.  h is taken on q, the smaller
+    of x and 1 - x (which is exact), as -q ln q - (1 - q) log1p(-q): two
+    non-negative terms, so the sum does not cancel.
     """
-    return per_element(_binary_entropy, x)
+    x = np.asarray(x, dtype=float)
+    bad = (x <= -EIG_CLAMP) | (x >= 1.0 + EIG_CLAMP)
+    if bad.any():
+        raise DomainError(f"binary entropy argument {float(x[bad][0])!r} outside [0, 1]")
+    x = np.clip(x, 0.0, 1.0)
+    q = np.minimum(x, 1.0 - x)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0, masked
+        q_log_q = np.where(q == 0.0, 0.0, q * np.log(q))
+    return ((-q_log_q - (1.0 - q) * np.log1p(-q)) / _LN2)[()]
 
 
 def _require_two_qubits(rho: DensityMatrix) -> None:

@@ -29,16 +29,16 @@ from .errors import ConfigError, require_finite, require_positive
 from .interferometry import (
     ClockModel,
     detection_probabilities,
+    gap_phase,
     gme_entanglement,
+    mean_phase,
     visibility_deficit_from_phase,
 )
-from .logdomain import SignedLog, log10_sum, per_element
+from .logdomain import SignedLog, log10_sum
 
 _LN2 = math.log(2.0)
-_LN10 = math.log(10.0)
+_LOG2_10 = math.log2(10.0)
 _LOG10_2 = math.log10(2.0)
-_LOG10_4 = math.log10(4.0)
-_ASYMPTOTIC_PHASE = 1e-8
 
 
 def phase_per_unit_ell_log10(
@@ -145,20 +145,25 @@ def delta_tau_log(params: dict, constants: PhysicalConstants = CODATA) -> Signed
     return pt.closed_form_log(ell, p["w"], p["v0"], constants, constants.hbar)
 
 
-def _tiny_entropy_log10(y_log10: float) -> float:
-    # h(y) ~ y (1 - ln y) / ln 2 for y -> 0, and h(0) = 0
-    if y_log10 == -math.inf:
-        return -math.inf
-    ln_y = _LN10 * y_log10
-    if ln_y >= 1.0:
-        return math.nan  # far outside the asymptotic regime; never selected
-    return y_log10 + math.log10((1.0 - ln_y) / _LN2)
+def _log10_sin(log10_x: float, x: float) -> float:
+    """log10|sin x| from log10|x| and the double x, as log10|sin x| + (log10|x| - log10|double x|).
+
+    The bracket is ~0 where x is a normal double; where x is tiny, sin x = x
+    cancels it exactly, and where x underflows to 0 the result is log10|x|.
+    """
+    return np.where(x == 0.0, log10_x, np.log10(np.abs(np.sin(x))) + (log10_x - np.log10(np.abs(x))))
 
 
-def _log10_of_nonnegative(x: float) -> float:
-    if x > 0.0:
-        return math.log10(x)
-    return -math.inf if x == 0.0 else math.nan
+def _entropy_log10(log10_q: float) -> float:
+    """log10 h(q) for 0 <= q <= 1/2 from log10 q, also where q underflows.
+
+    h(q) = q [-log2 q + (1 - q) g(q) / ln 2] with g(q) = -log1p(-q) / q and
+    g(0) = 1; both terms in the bracket are non-negative.  h(0) = 0.
+    """
+    q = np.power(10.0, log10_q)
+    g = np.where(q == 0.0, 1.0, -np.log1p(-q) / q)
+    bracket = -log10_q * _LOG2_10 + (1.0 - q) * g / _LN2
+    return np.where(log10_q == -np.inf, -np.inf, log10_q + np.log10(bracket))
 
 
 _PHASE_OUTPUTS = {"phase_mean", "phase_gap", "visibility_deficit", "ee_spc", "ef_sp"}
@@ -170,9 +175,12 @@ def _columns(p: dict, outputs, constants: PhysicalConstants) -> dict:
     """The columns of `outputs`, elementwise over the resolved parameters `p`.
 
     Each closed form runs once, over whole arrays, and only when an output
-    needs it.  A linear column overflows to inf or NaN in its own row; the
-    log10 columns stay meaningful where the linear effect underflows to 0 or
-    rounds to 1.
+    needs it, in the one form of :mod:`gravclock.interferometry` that does
+    not cancel.  A linear column overflows to inf or NaN in its own row.
+    Each log10 column has one formula at every phase: it takes the phase
+    magnitudes from the log domain and the double phases only for factors
+    near 1, such as sin(x) / x, so it stays meaningful where the linear
+    effect underflows to 0.
     """
     need = set(outputs)
     hbar = constants.hbar
@@ -184,20 +192,14 @@ def _columns(p: dict, outputs, constants: PhysicalConstants) -> dict:
         gap_log = dt_log.scaled(p["clock_rate"])
         mean_log = dt_log.scaled(p["mean_rate"])
         phase_gap = gap_log.linear
-        phase_mean = mean_log.linear
-        deficit = visibility_deficit_from_phase(phase_gap)
-        deficit_log10 = np.where(
-            np.abs(phase_gap) < _ASYMPTOTIC_PHASE,
-            2.0 * gap_log.log10 - _LOG10_2,
-            per_element(_log10_of_nonnegative, deficit),
-        )
         out.update(
             phase_gap=phase_gap,
             phase_gap_log10=gap_log.log10,
-            phase_mean=phase_mean,
+            phase_mean=mean_log.linear,
             phase_mean_log10=mean_log.log10,
-            visibility_deficit=deficit,
-            visibility_deficit_log10=deficit_log10,
+            visibility_deficit=visibility_deficit_from_phase(phase_gap),
+            # D = 2 sin^2(phase / 2)
+            visibility_deficit_log10=_LOG10_2 + 2.0 * _log10_sin(gap_log.log10 - _LOG10_2, 0.5 * phase_gap),
         )
 
     e_g = (p["mean_rate"] - 0.5 * p["clock_rate"]) * hbar
@@ -207,24 +209,23 @@ def _columns(p: dict, outputs, constants: PhysicalConstants) -> dict:
         out.update(pr_left=probs.pr_left, pr_right=probs.pr_right)
 
     if need & _GME_OUTPUTS:
-        gme = gme_entanglement(ClockModel(E_g=e_g, E_e=e_e), delta_tau, constants)
+        clock = ClockModel(E_g=e_g, E_e=e_e)
+        gme = gme_entanglement(clock, delta_tau, constants)
         out.update(ee_spc=gme.ee_spc, ef_sp=gme.ef_sp, witness=gme.witness)
     if need & {"ee_spc", "ef_sp"}:
-        tiny = (np.abs(phase_gap) < _ASYMPTOTIC_PHASE) & (np.abs(phase_mean) < _ASYMPTOTIC_PHASE)
-        mean_sq_log10 = 2.0 * mean_log.log10
-        # 1 - V cos(phase_mean) ~ deficit + phase_mean^2 / 2
-        x_log10 = log10_sum(deficit_log10, mean_sq_log10 - _LOG10_2)
-        out["ee_spc_log10"] = np.where(
-            tiny,
-            per_element(_tiny_entropy_log10, x_log10 - _LOG10_2),
-            per_element(_log10_of_nonnegative, gme.ee_spc),
-        )
-        # V^2 sin^2(phase_mean) / 4 ~ phase_mean^2 / 4
-        out["ef_sp_log10"] = np.where(
-            tiny,
-            per_element(_tiny_entropy_log10, mean_sq_log10 - _LOG10_4),
-            per_element(_log10_of_nonnegative, gme.ef_sp),
-        )
+        # the smaller port [(1 - |V|) + |V| (1 - |cos(mean)|)] / 2, V = cos(gap), with
+        # 1 - |cos x| = sin^2(x) / (1 + |cos x|)
+        gap = gap_phase(clock, delta_tau, constants)
+        mean = mean_phase(clock, delta_tau, constants)
+        abs_vis = np.abs(np.cos(gap))
+        vis_term = 2.0 * _log10_sin(gap_log.log10, gap) - np.log10(1.0 + abs_vis)
+        sin_mean_log10 = _log10_sin(mean_log.log10, mean)
+        mean_term = np.log10(abs_vis) + 2.0 * sin_mean_log10 - np.log10(1.0 + np.abs(np.cos(mean)))
+        out["ee_spc_log10"] = _entropy_log10(log10_sum(vis_term, mean_term) - _LOG10_2)
+        # E_F's argument s / (2 (1 + sqrt(1 - s))), s = V^2 sin^2(mean)
+        s_log10 = 2.0 * (np.log10(abs_vis) + sin_mean_log10)
+        root = np.sqrt(np.maximum(0.0, 1.0 - np.power(10.0, s_log10)))
+        out["ef_sp_log10"] = _entropy_log10(s_log10 - _LOG10_2 - np.log10(1.0 + root))
 
     if need & _QEP_OUTPUTS:
         h_n = np.zeros(np.shape(e_g) + (2, 2))

@@ -1,13 +1,22 @@
 """Clock interferometer observables and gravity-mediated entanglement.
 
 A two-level clock riding the interferometer picks up the arm proper-time
-difference delta_tau as internal phases.  The closed forms used throughout
-are
+difference delta_tau as internal phases.  With phase = Ebar delta_tau / hbar,
+the closed forms used throughout are
 
     V            = cos(dE * delta_tau / hbar)                    (visibility)
-    Pr(L'|R')    = (1 +- V cos(Ebar * delta_tau / hbar)) / 2
-    E_E          = h((1 + V cos(Ebar * delta_tau / hbar)) / 2)
-    E_F          = h((1 + sqrt(1 - V^2 sin^2(Ebar * delta_tau / hbar))) / 2)
+    Pr(L'|R')    = (1 +- V cos(phase)) / 2
+    E_E          = h(q),  q = min(Pr(L'), Pr(R')) = (1 - |V cos(phase)|) / 2
+    E_F          = h((1 - sqrt(1 - s)) / 2),  s = V^2 sin^2(phase)
+
+each in one form at every phase that does not cancel, as 1 - V and q fall far
+below eps_mach at small phases.  From V and 1 - V^2, with 1 - |x| =
+(1 - x^2) / (1 + |x|): q = [(1 - |V|) + |V| (1 - |cos(phase)|)] / 2, Pr(R')
+= [(1 - |V|) + |V| (1 - sgn(V) cos(phase))] / 2 with the last bracket a sum
+of squared half-angle sines and cosines, and E_F's argument
+s / (2 (1 + sqrt(1 - s))).  Pr(L') keeps (1 + V cos(phase)) / 2, which
+cancels only where V cos(phase) nears -1.  The test theory of
+:mod:`gravclock.qep` shares these forms.
 
 Phase convention: the closed forms place the full gap phase
 dE * delta_tau / hbar between the clock branches while keeping the mean
@@ -38,9 +47,6 @@ import numpy as np
 from . import clockstate as cs
 from .constants import CODATA, PhysicalConstants
 from .errors import DomainError, require_finite
-from .logdomain import squared
-
-SMALL_PHASE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -56,8 +62,10 @@ class ClockModel:
     def __post_init__(self) -> None:
         require_finite("E_g", self.E_g)
         require_finite("E_e", self.E_e)
-        if np.any(self.E_e < self.E_g):
-            raise DomainError("excited energy must not be below the ground energy")
+        below = np.asarray(self.E_e < self.E_g)
+        if below.any():
+            e_g, e_e = (float(np.broadcast_to(e, below.shape)[below][0]) for e in (self.E_g, self.E_e))
+            raise DomainError(f"excited energy E_e = {e_e!r} J must not be below the ground energy E_g = {e_g!r} J")
 
     @property
     def mean_energy(self) -> float:
@@ -125,24 +133,53 @@ def mean_phase(clock: ClockModel, delta_tau: float, constants: PhysicalConstants
 
 
 def visibility_deficit_from_phase(phase: float) -> float:
-    """Visibility deficit 1 - cos(phase), via a series below 1e-4 rad where cos rounds to 1.
+    """Visibility deficit 1 - cos(phase), as 2 sin^2(phase / 2) at every phase.
 
     Laboratory-scale phases (~1e-59 rad) make the visibility cos(phase)
     exactly 1.0 in doubles while the deficit is still a meaningful ~phase^2/2.
     """
-    p2 = phase * phase
-    series = p2 * (0.5 - p2 * (1.0 / 24.0 - p2 / 720.0))
-    return np.where(np.abs(phase) < SMALL_PHASE, series, 1.0 - np.cos(phase))[()]
+    half = np.sin(0.5 * phase)
+    return 2.0 * (half * half)
+
+
+def _ports(vis: float, vis_spread: float, phase: float) -> tuple[float, float]:
+    """Pr(L') and Pr(R') from V, 1 - V^2 and the phase (see the module docstring)."""
+    abs_vis, sign = np.abs(vis), np.sign(vis)
+    half_sin, half_cos = np.sin(0.5 * phase), np.cos(0.5 * phase)
+    # 1 - sign(V) cos(phase), as a sum of squares for either sign
+    away = (1.0 + sign) * (half_sin * half_sin) + (1.0 - sign) * (half_cos * half_cos)
+    pr_left = 0.5 * (1.0 + vis * np.cos(phase))
+    pr_right = 0.5 * (vis_spread / (1.0 + abs_vis) + abs_vis * away)
+    return pr_left, pr_right
+
+
+def _entanglement(vis: float, vis_spread: float, phase: float) -> tuple[float, float, float]:
+    """(E_E, E_F, V sin(phase)) from V, 1 - V^2 and the phase, elementwise.
+
+    E_E is h of the smaller port probability (1 - |V cos(phase)|) / 2 (see
+    the module docstring).
+    """
+    abs_vis, sin_phase = np.abs(vis), np.sin(phase)
+    port = 0.5 * (vis_spread / (1.0 + abs_vis) + abs_vis * (sin_phase * sin_phase) / (1.0 + np.abs(np.cos(phase))))
+    amplitude = vis * sin_phase
+    s = amplitude * amplitude
+    eigenvalue = s / (2.0 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - s))))
+    return cs.binary_entropy(port), cs.binary_entropy(eigenvalue), amplitude
+
+
+def _visibility(gap: float) -> tuple[float, float]:
+    """The clock's visibility V = cos(gap) and 1 - V^2 = sin^2(gap)."""
+    sin_gap = np.sin(gap)
+    return np.cos(gap), sin_gap * sin_gap
 
 
 def detection_probabilities(
     clock: ClockModel, delta_tau: float, constants: PhysicalConstants = CODATA
 ) -> InterferenceResult:
     """Output-port probabilities Pr(L'), Pr(R') of the clock interferometer."""
-    vis = np.cos(gap_phase(clock, delta_tau, constants))
+    vis, spread = _visibility(gap_phase(clock, delta_tau, constants))
     phase = mean_phase(clock, delta_tau, constants)
-    pr_left = 0.5 * (1.0 + vis * np.cos(phase))
-    pr_right = 0.5 * (1.0 - vis * np.cos(phase))
+    pr_left, pr_right = _ports(vis, spread, phase)
     return InterferenceResult(visibility=vis, pr_left=pr_left, pr_right=pr_right, phase_mean=phase)
 
 
@@ -211,10 +248,6 @@ def gme_entanglement(
     state-vector reference that ``selftest`` and the tests check all three
     closed forms against.
     """
-    vis = np.cos(gap_phase(clock, delta_tau, constants))
-    phase = mean_phase(clock, delta_tau, constants)
-    sin_phase = np.sin(phase)
-    ee = cs.binary_entropy(0.5 * (1.0 + vis * np.cos(phase)))
-    ef_arg = 1.0 - vis * vis * squared(sin_phase)
-    ef = cs.binary_entropy(0.5 * (1.0 + np.sqrt(np.maximum(0.0, ef_arg))))
-    return GmeResult(ee_spc=ee, ef_sp=ef, witness=1.0 + np.abs(vis * sin_phase))
+    vis, spread = _visibility(gap_phase(clock, delta_tau, constants))
+    ee, ef, amplitude = _entanglement(vis, spread, mean_phase(clock, delta_tau, constants))
+    return GmeResult(ee_spc=ee, ef_sp=ef, witness=1.0 + np.abs(amplitude))

@@ -34,7 +34,7 @@ import numpy as np
 from . import kernels
 from .constants import CODATA, PhysicalConstants
 from .errors import DomainError, NoConvergence, NotTimelike, require_finite, require_positive
-from .logdomain import SignedLog, per_element, squared
+from .logdomain import SignedLog
 from .spacetime import RotatingMassModel, SpacetimePoint
 
 QUADRATURE_REL_TOL = 1e-10
@@ -324,15 +324,16 @@ def build_straight_arm(
 def k_factor(v0, constants: PhysicalConstants = CODATA):
     """Energy ratio far from the mass, K = 1 + (v0/c)^2 / 2, for a float or an array v0.
 
-    (v0/c)^2, squared as Python squares (see :func:`~gravclock.logdomain.squared`),
-    is finite for any c.  Raises :class:`DomainError`, naming v0, unless 0 <= v0 < c.
+    (v0/c)^2 is finite for any c.  Raises :class:`DomainError`, naming v0,
+    unless 0 <= v0 < c.
     """
     require_finite("v0", v0)
     speeds = np.asarray(v0, dtype=float)
     for bad, bound in ((speeds < 0.0, "non-negative"), (speeds >= constants.c, f"below c = {constants.c!r}")):
         if np.any(bad):
             raise DomainError(f"speed v0 must be {bound}, got {float(speeds[bad][0])!r}")
-    return 1.0 + 0.5 * squared(v0 / constants.c)
+    ratio = v0 / constants.c
+    return 1.0 + 0.5 * (ratio * ratio)
 
 
 def closed_form_log(
@@ -346,9 +347,9 @@ def closed_form_log(
     """
     require_positive("w", w)
     magnitude = (
-        per_element(math.log10, 16.0 * constants.G * unit * k_factor(v0, constants))
-        - 4.0 * math.log10(constants.c)
-        - per_element(math.log10, w)
+        np.log10(16.0 * constants.G * unit * k_factor(v0, constants))
+        - 4.0 * np.log10(constants.c)
+        - np.log10(w)
         + amount.log10
     )
     return SignedLog.from_log10(magnitude, amount.sign)

@@ -6,8 +6,8 @@ Hamiltonian H_N.  With the clock prepared in an H_N eigenstate whose
 decomposition in the H_f eigenbasis is cos(theta)|g'> + e^{i varphi}
 sin(theta)|e'>, the interferometer closed forms become
 
-    V      = sqrt(1 - sin^2(2 theta) sin^2(dE' delta_tau / hbar))
-    xi*dt  = -arg(cos psi + i cos(2 theta) sin psi),  psi = dE' delta_tau / hbar
+    V      = sqrt(1 - sin^2(2 theta) sin^2 psi),  psi = dE' delta_tau / hbar
+    xi*dt  = -arg(cos psi + i cos(2 theta) sin psi)
     Pr(L') = (1 + V cos(Ebar' delta_tau / hbar + xi delta_tau)) / 2
 
 with the xi branch chosen continuous in delta_tau (xi -> -cos(2 theta) dE'/hbar
@@ -15,22 +15,25 @@ as delta_tau -> 0).  The same doubled-branch phase convention as
 :mod:`gravclock.interferometry` is used so closed forms and state-vector
 constructions agree identically; at theta = 0 every output reduces to the
 equal-Hamiltonian interferometer with the clock frozen at its occupied
-branch energy.
+branch energy.  V is evaluated as |cos(2 theta) + i sin(2 theta) cos psi|,
+which equals the root above without cancelling, and the ports and
+entanglement take the cancellation-free forms of
+:mod:`gravclock.interferometry` with 1 - V^2 = sin^2(2 theta) sin^2 psi.
 
 All matrices are stored in the H_N eigenbasis (ground state first).
 
 Every route broadcasts over a theory whose energies and angles are numpy
 arrays, with ``H_N`` one 2x2 matrix or a stack of them: the closed forms
 (:func:`qep_visibility`, :func:`qep_probabilities`,
-:func:`qep_gme_entanglement`) give arrays, and the matrix routes (H_f, the
-arm states, the final state and the commutator diagnostic) give stacks with
+:func:`qep_gme_entanglement`) and the commutator diagnostic give arrays, and
+the matrix routes (H_f, the arm states and the final state) give stacks with
 the batch axes leading.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,20 +41,17 @@ import numpy as np
 from . import clockstate as cs
 from .constants import CODATA, PhysicalConstants
 from .errors import DomainError, require_finite
-from .interferometry import _gme_state
-from .logdomain import per_element, squared
+from .interferometry import _entanglement, _gme_state, _ports
 
 # the clock starts in the H_N ground state
 _GROUND = np.array([1.0, 0.0], dtype=complex)
 
 
-def _divide(a: float, b: complex) -> complex:
-    # Python's complex division; numpy's multiplies by 1/denominator and rounds differently
-    return float(a) / complex(b)
-
-
-def _spectral_norm(m: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(m, 2, axis=(-2, -1))
+def _relative_spread(x: float, y: float) -> float:
+    """|x - y| / max(|x|, |y|) as a difference of scaled values, at most 2; 0 where both vanish."""
+    scale = np.maximum(np.abs(x), np.abs(y))
+    scale = np.where(scale > 0.0, scale, 1.0)
+    return np.abs(x / scale - y / scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,29 +92,16 @@ class QepTestTheory:
 
     @cached_property
     def commutator_ratio(self) -> float:
-        """Dimensionless smallness diagnostic ||[H_N, H_f]|| / (||H_N|| ||H_f||).
+        """Dimensionless smallness diagnostic ||[H_N, H_f]|| / (||H_N|| ||H_f||), in spectral norms.
 
-        Raises :class:`DomainError`, naming both sets of energies, when
-        max|H_N| * max|H_f| overflows: the products in the commutator would
-        too, and the diagnostic would then be NaN, or 0 for no reason.
+        H_N is stored as diag(a, b), so the ratio is
+        (|a - b| / max(|a|, |b|)) (|dE'| / max(|E_g'|, |E_e'|)) sin(2 theta) / 2;
+        no factor exceeds 2, so it is finite for any finite energies.  It is
+        0 where H_N or H_f vanishes.
         """
-        h_f = self.h_f_matrix()
-        with np.errstate(over="ignore"):
-            bound = np.abs(self.H_N).max(axis=(-2, -1)) * np.abs(h_f).max(axis=(-2, -1))
-        bad = ~np.isfinite(bound)
-        if bad.any():
-            i = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            e_n = np.broadcast_to(self.H_N, bad.shape + (2, 2))[i].diagonal().real
-            e_g, e_e = (float(np.broadcast_to(e, bad.shape)[i]) for e in (self.E_g_prime, self.E_e_prime))
-            raise DomainError(
-                f"H_N energies ({e_n[0]:.6g}, {e_n[1]:.6g}) J times primed energies "
-                f"({e_g:.6g}, {e_e:.6g}) J overflow the commutator diagnostic"
-            )
-        comm = self.H_N @ h_f - h_f @ self.H_N
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # as float arithmetic did
-            scale = _spectral_norm(self.H_N) * _spectral_norm(h_f)
-            ratio = _spectral_norm(comm) / scale
-        return np.where(scale > 0, ratio, 0.0)[()]
+        spread = _relative_spread(self.H_N[..., 0, 0].real, self.H_N[..., 1, 1].real)
+        spread_prime = _relative_spread(self.E_g_prime, self.E_e_prime)
+        return (spread * spread_prime * (0.5 * np.sin(2.0 * self.theta)))[()]
 
     @property
     def gap_prime(self) -> float:
@@ -129,7 +116,7 @@ class QepTestTheory:
         ct = np.asarray(np.cos(self.theta), dtype=complex)
         st = np.sin(self.theta)
         phase = np.exp(1j * np.asarray(self.varphi, dtype=float))
-        e_first = per_element(_divide, st, phase, dtype=complex)  # sin(theta) e^{-i varphi}
+        e_first = st / phase  # sin(theta) e^{-i varphi}
         g_prime = np.stack(np.broadcast_arrays(ct, -phase * st), axis=-1)
         e_prime = np.stack(np.broadcast_arrays(e_first, ct), axis=-1)
         return g_prime, e_prime
@@ -184,8 +171,19 @@ def _continuous_arctan(cos_2theta: float, psi: float) -> float:
     """Unwrapped arg(cos psi + i cos_2theta sin psi), continuous in psi."""
     k = np.rint(psi / math.pi)
     rem = psi - k * math.pi
-    # np.arctan2 rounds differently from math.atan2 on a few % of inputs
-    return k * math.pi + per_element(math.atan2, cos_2theta * np.sin(rem), np.cos(rem))
+    return k * math.pi + np.arctan2(cos_2theta * np.sin(rem), np.cos(rem))
+
+
+def _visibility_and_phase(
+    tt: QepTestTheory, delta_tau: float, constants: PhysicalConstants
+) -> tuple[float, float, float, float]:
+    """V, 1 - V^2, xi * delta_tau and the phase (Ebar' + xi) delta_tau / hbar (see the module docstring)."""
+    psi = tt.gap_prime * delta_tau / constants.hbar
+    s2, c2 = np.sin(2.0 * tt.theta), np.cos(2.0 * tt.theta)
+    mixed = s2 * np.sin(psi)
+    xi_dtau = -_continuous_arctan(c2, psi)
+    phase = tt.mean_prime * delta_tau / constants.hbar + xi_dtau
+    return np.hypot(c2, s2 * np.cos(psi)), mixed * mixed, xi_dtau, phase
 
 
 def qep_visibility(
@@ -201,10 +199,8 @@ def qep_visibility(
     delta_tau / hbar) that enters every observable stays continuous through
     those points.
     """
-    psi = tt.gap_prime * delta_tau / constants.hbar
-    s2 = np.sin(2.0 * tt.theta)
-    vis = np.sqrt(np.maximum(0.0, 1.0 - s2 * s2 * squared(np.sin(psi))))
-    return vis, -_continuous_arctan(np.cos(2.0 * tt.theta), psi)
+    vis, _, xi_dtau, _ = _visibility_and_phase(tt, delta_tau, constants)
+    return vis, xi_dtau
 
 
 def qep_final_state(
@@ -217,22 +213,13 @@ def qep_final_state(
     return _gme_state(*qep_arm_states(tt, delta_tau, constants))
 
 
-def _probabilities_and_phase(
-    tt: QepTestTheory, delta_tau: float, constants: PhysicalConstants
-) -> tuple[QepResult, float]:
-    """Closed-form probabilities and the phase (Ebar' + xi) delta_tau / hbar."""
-    vis, xi_dtau = qep_visibility(tt, delta_tau, constants)
-    phase = tt.mean_prime * delta_tau / constants.hbar + xi_dtau
-    pr_left = 0.5 * (1.0 + vis * np.cos(phase))
-    res = QepResult(visibility=vis, xi_delta_tau=xi_dtau, pr_left=pr_left, pr_right=1.0 - pr_left)
-    return res, phase
-
-
 def qep_probabilities(
     tt: QepTestTheory, delta_tau: float, constants: PhysicalConstants = CODATA
 ) -> QepResult:
     """Closed-form detection probabilities of the test theory."""
-    return _probabilities_and_phase(tt, delta_tau, constants)[0]
+    vis, spread, xi_dtau, phase = _visibility_and_phase(tt, delta_tau, constants)
+    pr_left, pr_right = _ports(vis, spread, phase)
+    return QepResult(visibility=vis, xi_delta_tau=xi_dtau, pr_left=pr_left, pr_right=pr_right)
 
 
 def qep_gme_entanglement(
@@ -240,8 +227,6 @@ def qep_gme_entanglement(
 ) -> QepResult:
     """Closed-form probabilities and entanglement of the GME state under the
     test theory; :func:`qep_final_state` is the state-vector reference."""
-    res, phase = _probabilities_and_phase(tt, delta_tau, constants)
-    ee = cs.binary_entropy(res.pr_left)
-    ef_arg = 1.0 - squared(res.visibility * np.sin(phase))
-    ef = cs.binary_entropy(0.5 * (1.0 + np.sqrt(np.maximum(0.0, ef_arg))))
-    return replace(res, ee_spc=ee, ef_sp=ef)
+    vis, spread, xi_dtau, phase = _visibility_and_phase(tt, delta_tau, constants)
+    ee, ef, _ = _entanglement(vis, spread, phase)
+    return QepResult(vis, xi_dtau, *_ports(vis, spread, phase), ee, ef)

@@ -107,9 +107,12 @@ _ERRORS = [
     "interfere --delta-tau 1e300",
     "interfere --E-g 1e-19",
     "interfere --E-g 1e-19 --E-e 0",
+    "interfere --gap-rate -1",
+    "interfere --mean-rate 1.7e308 --gap-rate 1.7e308",
     "gme --gap-rate inf",
     "qep --theta 2",
     "qep --delta-tau 1e-15 --prime-gap-rate inf",
+    "qep --prime-mean-rate 1.7e308 --prime-gap-rate 1.7e308",
     "qep --delta-tau 1e-300 --E-g 1e200 --E-e 1e201 --prime-gap-rate 1e300 "
     + "--prime-mean-rate 1e300 --theta 0.5",
     "detect --clock-rate 0",

@@ -186,7 +186,7 @@ def test_verify_rejects_scales_outside_the_perturbative_regime(capsys):
         (("gme", "--delta-tau", "nan"), "delta_tau"),
         (("qep", "--delta-tau", "inf"), "delta_tau"),
         (("interfere", "--E-g", "nan", "--E-e", "1e-19"), "E_g"),
-        (("qep", "--delta-tau", "1e-15", "--prime-gap-rate", "inf"), "E_g_prime"),
+        (("qep", "--delta-tau", "1e-15", "--prime-gap-rate", "inf"), "prime_gap_rate"),
         (("sweep", "--axis", "ell_log10", "--values", "60", "--outputs", "ee_spc", "--w", "nan"), "w"),
         (("sweep", "--axis", "ell_log10", "--values", "60", "--outputs", "delta_tau", "--mean-rate", "nan"), "mean_rate"),
         (("detect", "--w", "nan"), "w"),
@@ -488,16 +488,15 @@ def test_clock_phases_that_overflow_are_validation_errors(capsys, command):
     assert "Warning" not in err
 
 
-def test_qep_commutator_overflow_is_a_validation_error(capsys):
+def test_qep_commutator_ratio_is_finite_at_huge_energies(capsys):
+    # (|dE| / max|E|) (|dE'| / max|E'|) sin(2 theta) / 2 = 0.9 (2/3) sin(1) / 2
     code, out, err = run_cli(
         capsys, "qep", "--delta-tau", "1e-300", "--E-g", "1e200", "--E-e", "1e201",
-        "--prime-gap-rate", "1e300", "--prime-mean-rate", "1e300", "--theta", "0.5",
+        "--prime-gap-rate", "1e300", "--prime-mean-rate", "1e300", "--theta", "0.5", "--format", "json",
     )
-    assert code == 2
-    assert out == ""
-    assert "H_N energies (1e+200, 1e+201) J times primed energies" in err
-    assert "overflow the commutator diagnostic" in err
-    assert "Warning" not in err
+    assert (code, err) == (0, "")
+    ratio = json.loads(out)["inputs"]["commutator_ratio"]
+    assert ratio == pytest.approx(0.3 * math.sin(1.0), rel=1e-15)
 
 
 def test_sweep_requires_axis(capsys):

@@ -1,11 +1,11 @@
 """`sweep` output pinned byte for byte to a checked-in corpus.
 
 Each file under ``golden/`` is the stdout of one ``sweep`` along one axis
-with every output except ``witness``.  The rows cross the asymptotic
-thresholds of the log-domain columns (phases of 1e-8 rad) and of the
-visibility-deficit series (1e-4 rad), in the gap and in the mean phase, and
-reach theta = 0 and pi/2.  Regenerate a file only for a deliberate change
-of that column's numbers:
+with every output except ``witness``.  The rows pass gap and mean phases
+of 1e-8 rad, where 1 - p rounds in double precision, and of 1e-4 rad,
+where 1 - cos(phase) would lose half its digits, as regression points for
+the forms that do not cancel; they also reach theta = 0 and pi/2.
+Regenerate a file only for a deliberate change of that column's numbers:
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
         import test_golden_sweep as g; g.write_corpus()"

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -79,10 +80,12 @@ def test_visibility_deficit_at_laboratory_scale():
     assert -118.1 < math.log10(deficit) < -117.9
 
 
-def test_visibility_deficit_series_joins_the_exact_branch():
-    for phase in (0.9e-4, 1.1e-4):
-        deficit = visibility_deficit_from_phase(phase)
-        assert abs(deficit - (1.0 - math.cos(phase))) <= 1e-16
+def test_visibility_deficit_is_relatively_accurate_around_1e_4_rad():
+    # 1 - cos(phase) by subtraction keeps only an absolute error of ~eps_mach here
+    with mp.workdps(50):
+        for phase in (0.9e-4, 1.1e-4, 1.4e-4):
+            exact = 2 * mp.sin(mp.mpf(phase) / 2) ** 2
+            assert abs(float(visibility_deficit_from_phase(phase) / exact - 1)) <= 2.0 * np.finfo(float).eps
 
 
 def test_detection_probabilities_limits():
@@ -199,14 +202,16 @@ def test_formation_maximum_shrinks_with_visibility():
 
 
 def test_witness_exceeds_one_exactly_with_formation_entanglement():
-    # mean phases 0 and pi leave the pair separable; every other grid point
+    # mean phases 0 and pi leave the pair separable, up to the concurrence
+    # ~1e-16 that sin of the double nearest pi leaves (E_F ~ 1e-30, where a
+    # concurrence of 1e-9 gives E_F ~ 2e-17); every other grid point
     # entangles it, and there the witness must certify it
     above = 0
     for gp in np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False):
         for mp in np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False):
             clock = phase_clock(mp, gp)
             res = gme_entanglement(clock, 1.0)
-            assert (res.witness > 1.0 + 1e-9) == (res.ef_sp > 0.0), (gp, mp)
+            assert (res.witness > 1.0 + 1e-9) == (res.ef_sp > 1e-17), (gp, mp)
             pair = reduced_density(gme_final_state(clock, 1.0), ["S", "P"])
             assert abs(res.witness - witness_value(pair)) < 1e-12
             above += res.witness > 1.0 + 1e-9
@@ -240,7 +245,7 @@ def test_closed_forms_broadcast_over_arrays():
     rng = np.random.default_rng(26)
     mean, gap = rng.uniform(-9, 9, 200), rng.uniform(0, 9, 200)
     dt = rng.uniform(-3, 3, 200)
-    dt[:3] = (0.0, 1e-9, 1e-3)  # the deficit series and its exact branch
+    dt[:3] = (0.0, 1e-9, 1e-3)  # phases of 0, ~1e-9 and ~1e-3 rad
     clocks = phase_clock(mean, gap)
     probs = detection_probabilities(clocks, dt)
     gme = gme_entanglement(clocks, dt)
