@@ -77,6 +77,12 @@ _COMMANDS = [
     "sweep --axis w --values 1e-3,1e-2,1e-1 --outputs delta_tau,visibility_deficit",
     "sweep --axis mean_rate --values=-1e20,0,3e14 --clock-rate 2e15 --ell-log10 50 --outputs pr_left,witness",
     "sweep --axis v0 --values 0,1e3",
+    # -0.0, 0, inf and nan cells; the one-row dict shape; the header-only table
+    "sweep --axis ell_log10 --values=-0.0,0,58.856,69,400 --outputs delta_tau,pr_left,ee_spc,qep_xi_phase",
+    "sweep --axis ell_log10 --values=-0.0,0,58.856,69,400 --outputs delta_tau,pr_left,ee_spc,qep_xi_phase "
+    + "--format json",
+    "sweep --axis ell_log10 --values 58.856 --outputs delta_tau,pr_left,ee_spc,qep_xi_phase --format json",
+    "sweep --axis ell_log10 --values= --outputs delta_tau,pr_left,ee_spc,qep_xi_phase --format json",
     "selftest --samples 50 --seed 3",
     "selftest --samples 20 --format json",
     "--version",
