@@ -43,6 +43,7 @@ from .clockstate import (
 )
 from .constants import PhysicalConstants, read_key_values, resolve_constants
 from .errors import ConfigError, DomainError, GravclockError, NoConvergence, require_finite
+from .floattext import format_table
 from .logdomain import SignedLog
 
 EXIT_OK = 0
@@ -84,7 +85,7 @@ def _row_format(n: int, sep: str) -> str:
 
 
 def _all_floats(cells) -> bool:
-    return all(type(v) in _FLOATS for v in cells)
+    return _FLOATS.issuperset(map(type, cells))
 
 
 def _json_dump(obj, out: list[str]) -> None:
@@ -98,6 +99,8 @@ def _json_dump(obj, out: list[str]) -> None:
             out.append(f'"{key}": ')
             _json_dump(val, out)
         out.append("}")
+    elif isinstance(obj, np.ndarray):  # a float64 table: its rows as lists
+        out.append("[[" + format_table(obj, ", ", "], [", '"%.16e"') + "]]" if len(obj) else "[]")
     elif isinstance(obj, (list, tuple)) and _all_floats(obj) and all(map(math.isfinite, obj)):
         out.append("[" + _row_format(len(obj), ", ") % tuple(obj) + "]")
     elif isinstance(obj, (list, tuple)):
@@ -123,13 +126,16 @@ def _emit(args, inputs: dict, columns, rows, constants: PhysicalConstants, outpu
     """Write one result table as CSV or a single JSON object.
 
     ``outputs``, when given, is the JSON ``outputs`` object in place of the table.
+    ``rows`` is a sequence of rows, or a 2-D float64 array, which
+    :func:`~gravclock.floattext.format_table` writes whole.
     """
     if args.format == "json":
         meta = {"version": __version__, "constants": {"c": constants.c, "G": constants.G, "hbar": constants.hbar}}
         if outputs is None and len(rows) == 1:
             outputs = dict(zip(columns, rows[0]))
         elif outputs is None:
-            outputs = {"columns": list(columns), "rows": [list(r) for r in rows]}
+            table = rows if isinstance(rows, np.ndarray) else [list(r) for r in rows]
+            outputs = {"columns": list(columns), "rows": table}
         parts: list[str] = []
         _json_dump({"inputs": inputs, "outputs": outputs, "meta": meta}, parts)
         text = "".join(parts) + "\n"
@@ -137,12 +143,15 @@ def _emit(args, inputs: dict, columns, rows, constants: PhysicalConstants, outpu
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        line = _row_format(len(columns), ",") + "\n"
-        for row in rows:
-            if _all_floats(row):
-                buf.write(line % tuple(row))
-            else:  # str, bool and int cells
-                writer.writerow(map(_fmt, row))
+        if isinstance(rows, np.ndarray):
+            buf.write(format_table(rows, ",", "\n") + "\n" if len(rows) else "")
+        else:
+            line = _row_format(len(columns), ",") + "\n"
+            for row in rows:
+                if _all_floats(row):
+                    buf.write(line % tuple(row))
+                else:  # str, bool and int cells
+                    writer.writerow(map(_fmt, row))
         text = buf.getvalue()
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
@@ -429,7 +438,7 @@ def _cmd_sweep(ns) -> int:
     constants = resolve_constants(ns.constants)
     if not ns.axis or ns.values is None:
         raise ConfigError("sweep requires --axis and --values")
-    values = tuple(float(v) for v in str(ns.values).split(",") if v.strip())
+    values = tuple(map(float, filter(str.strip, str(ns.values).split(","))))
     outputs = tuple(o.strip() for o in str(ns.outputs).split(",") if o.strip()) if ns.outputs else ()
     fixed = {}
     for key in ("clock_rate", "mean_rate", "w", "v0", "ell_log10", "theta"):
@@ -439,7 +448,7 @@ def _cmd_sweep(ns) -> int:
     cfg = det.SweepConfig(axis=ns.axis, values=values, outputs=outputs, fixed=fixed)
     table = det.run_sweep(cfg, constants)
     inputs = {"axis": ns.axis, "values": list(values), "outputs": list(outputs), **fixed}
-    _emit(ns, inputs, table.columns, list(table.rows), constants)
+    _emit(ns, inputs, table.columns, table.rows, constants)
     return EXIT_OK
 
 
@@ -611,7 +620,7 @@ def run_command(argv=None) -> int:
     except NoConvergence as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # --config, --constants or --output names no usable file
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (GravclockError, ValueError) as exc:

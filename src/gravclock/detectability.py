@@ -124,7 +124,7 @@ class SweepConfig:
 @dataclass(frozen=True)
 class SweepTable:
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    rows: np.ndarray  # (len(values), len(columns)) float64, one row per axis value
 
 
 def _resolve(params: dict) -> dict:
@@ -262,17 +262,18 @@ def run_sweep(cfg: SweepConfig, constants: PhysicalConstants = CODATA) -> SweepT
     The axis becomes one numpy array, and each closed form behind the
     requested outputs runs once over it (see :func:`_columns`).  A row whose
     linear values overflow holds inf or NaN there without stopping the
-    table.  The rows are tuples of floats.
+    table.  The rows are one float64 array, a column per output column.
     """
     columns = [cfg.axis]
     for name in cfg.outputs:
         columns.extend(_OUTPUT_COLUMNS[name])
-    if not cfg.outputs or not cfg.values:
-        return SweepTable(columns=tuple(columns), rows=tuple((value,) for value in cfg.values))
-    params = dict(cfg.fixed)
-    params[cfg.axis] = np.asarray(cfg.values, dtype=float)
-    with np.errstate(all="ignore"):
-        computed = _columns(_resolve(params), cfg.outputs, constants)
-    shape = (len(cfg.values),)
-    data = [np.broadcast_to(computed[name], shape).tolist() for name in columns[1:]]
-    return SweepTable(columns=tuple(columns), rows=tuple(zip(cfg.values, *data)))
+    rows = np.empty((len(cfg.values), len(columns)))
+    rows[:, 0] = cfg.values
+    if cfg.outputs and cfg.values:
+        params = dict(cfg.fixed)
+        params[cfg.axis] = np.asarray(cfg.values, dtype=float)
+        with np.errstate(all="ignore"):
+            computed = _columns(_resolve(params), cfg.outputs, constants)
+        for j, name in enumerate(columns[1:], 1):
+            rows[:, j] = computed[name]
+    return SweepTable(columns=tuple(columns), rows=rows)

@@ -515,6 +515,14 @@ def test_output_file(tmp_path, capsys):
     assert dict(zip(header, values[0]))["pr_left"] == "1.0000000000000000e+00"
 
 
+@pytest.mark.parametrize("flag", ["--output", "--config", "--constants"])
+def test_a_directory_for_a_file_flag_is_a_validation_error(tmp_path, capsys, flag):
+    code, out, err = run_cli(capsys, "delta-tau", flag, str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("validation error: ") and str(tmp_path) in err
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--samples", "200")
     assert code == 0

@@ -80,7 +80,7 @@ def test_closed_form_in_ell_along_a_sweep(w):
         cfg = det.SweepConfig(
             "ell_log10", tuple(ELL_LOG10.tolist()), ("delta_tau",), {"w": float(w), "v0": float(v0)}
         )
-        for ell_log10, linear, log10 in det.run_sweep(cfg).rows:
+        for ell_log10, linear, log10 in det.run_sweep(cfg).rows.tolist():
             exact = ell_reference(ell_log10, w, v0)
             assert abs(log10 - float(mp.log10(exact))) < LOG10_TOL, (ell_log10, v0)
             if math.isfinite(linear):  # ell = 1e94 at w = 1 nm overflows
@@ -238,7 +238,7 @@ def test_every_clock_column_against_mpmath(clock_rate, mean_rate):
         fixed = {"clock_rate": clock_rate, "mean_rate": mean, "theta": theta}
         outputs = COLUMN_OUTPUTS if theta == 0.0 else ("delta_tau",) + QEP_OUTPUTS
         table = det.run_sweep(det.SweepConfig("ell_log10", COLUMN_ELL, outputs, fixed))
-        for row in table.rows:
+        for row in table.rows.tolist():
             cells = dict(zip(table.columns, row))
             if theta == 0.0:
                 phases = cells["phase_gap_log10"], cells["phase_mean_log10"]
@@ -260,7 +260,7 @@ def test_every_clock_column_against_mpmath(clock_rate, mean_rate):
 def test_sweep_columns_against_mpmath(axis, low, high, fixed):
     values = tuple(np.random.default_rng(41).uniform(low, high, 1500).tolist())
     table = det.run_sweep(det.SweepConfig(axis, values, COLUMN_OUTPUTS, fixed))
-    for row in table.rows:
+    for row in table.rows.tolist():
         cells = dict(zip(table.columns, row))
         params = {"clock_rate": 1e15, "mean_rate": 5e14, "theta": 0.0, **fixed, axis: row[0]}
         check_columns(cells, params["clock_rate"], params["mean_rate"], params["theta"])

@@ -105,13 +105,13 @@ def test_sweep_row_order_and_permutation_independence():
     )
     by_value = {r[0]: r for r in shuffled.rows}
     for row in table.rows:
-        assert by_value[row[0]] == row
+        assert by_value[row[0]].tolist() == row.tolist()
 
 
 def test_sweep_empty_outputs_gives_axis_only():
     table = run_sweep(SweepConfig(axis="w", values=(1e-3, 2e-3), outputs=(), fixed={}))
     assert table.columns == ("w",)
-    assert table.rows == ((1e-3,), (2e-3,))
+    assert table.rows.tolist() == [[1e-3], [2e-3]]
 
 
 def test_sweep_rejects_unknown_names():
@@ -160,9 +160,9 @@ def test_log_sum_helper():
 )
 def test_sweep_rows_are_evaluate_point_bit_for_bit(axis, values, fixed):
     table = run_sweep(SweepConfig(axis=axis, values=values, outputs=OUTPUTS, fixed=fixed))
-    for value, row in zip(values, table.rows):
+    assert table.rows.dtype == np.float64
+    for value, row in zip(values, table.rows.tolist()):
         point = evaluate_point({**fixed, axis: value})
-        assert all(type(cell) is float for cell in row)
         for column, cell in zip(table.columns[1:], row[1:]):
             assert cell == point[column] or (math.isnan(cell) and math.isnan(point[column])), column
 
