@@ -143,9 +143,10 @@ def _emit(args, inputs: dict, columns, rows, constants: PhysicalConstants, outpu
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        if isinstance(rows, np.ndarray):
-            buf.write(format_table(rows, ",", "\n") + "\n" if len(rows) else "")
-        else:
+        if isinstance(rows, np.ndarray) and len(rows):
+            buf.write(format_table(rows, ",", "\n"))
+            buf.write("\n")
+        elif not isinstance(rows, np.ndarray):
             line = _row_format(len(columns), ",") + "\n"
             for row in rows:
                 if _all_floats(row):
