@@ -100,7 +100,9 @@ def _json_dump(obj, out: list[str]) -> None:
             _json_dump(val, out)
         out.append("}")
     elif isinstance(obj, np.ndarray):  # a float64 table: its rows as lists
-        out.append("[[" + format_table(obj, ", ", "], [", '"%.16e"') + "]]" if len(obj) else "[]")
+        out.append("[[" if len(obj) else "[")
+        out.extend(format_table(obj, ", ", "], [", '"%.16e"'))
+        out.append("]]" if len(obj) else "]")
     elif isinstance(obj, (list, tuple)) and _all_floats(obj) and all(map(math.isfinite, obj)):
         out.append("[" + _row_format(len(obj), ", ") % tuple(obj) + "]")
     elif isinstance(obj, (list, tuple)):
@@ -143,10 +145,10 @@ def _emit(args, inputs: dict, columns, rows, constants: PhysicalConstants, outpu
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        if isinstance(rows, np.ndarray) and len(rows):
-            buf.write(format_table(rows, ",", "\n"))
-            buf.write("\n")
-        elif not isinstance(rows, np.ndarray):
+        if isinstance(rows, np.ndarray):
+            buf.writelines(format_table(rows, ",", "\n"))
+            buf.write("\n" if len(rows) else "")
+        else:
             line = _row_format(len(columns), ",") + "\n"
             for row in rows:
                 if _all_floats(row):

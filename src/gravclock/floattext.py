@@ -49,9 +49,15 @@ _E16, _E8, _E4 = 10**16, 10**8, 10**4
 
 
 def _ascii_digits(values: np.ndarray, width: int) -> np.ndarray:
-    """(len(values), width) ASCII digits of non-negative integers, zero-padded on the left."""
-    powers = 10 ** np.arange(width - 1, -1, -1)
-    return (values[:, None] // powers % 10 + ord("0")).astype(np.uint8)
+    """(len(values), width) ASCII digits of non-negative integers, zero-padded on the left.
+
+    One digit at a time, so that no temporary is larger than `values`.
+    """
+    digits = np.empty((values.size, width), np.uint8)
+    for j in range(width - 1, -1, -1):
+        values, digits[:, j] = np.divmod(values, 10)
+    digits += ord("0")
+    return digits
 
 
 @functools.cache  # built by the first table written, not at import
@@ -81,18 +87,21 @@ def _tables():
     return hi_high, hi - hi_high, np.array(lo), np.array(exp), digits4, exp4.view(np.uint32).ravel()
 
 
-def format_table(values, cell_sep: str, row_sep: str, nonfinite_format: str = "%.16e") -> str:
-    """A 2-D float64 table as text: each cell ``'%.16e' % v``, cells joined by
-    `cell_sep` within a row and rows joined by `row_sep`.
+def format_table(values, cell_sep: str, row_sep: str, nonfinite_format: str = "%.16e") -> list[str]:
+    """A 2-D float64 table as text, in pieces to be written or joined in order:
+    each cell ``'%.16e' % v``, cells joined by `cell_sep` within a row and
+    rows joined by `row_sep`.
 
     A NaN or infinite cell is ``nonfinite_format % v`` instead (JSON quotes
     them).  Separators are ASCII without NUL, and a non-finite cell's text
-    is at most 24 characters.  A table with no rows gives "".
+    is at most 24 characters.  A table with no rows gives no pieces.  The
+    pieces are not joined here, so a caller that writes them holds the
+    text once.
     """
     table = np.ascontiguousarray(values, dtype=np.float64)
     rows, width = table.shape
     if not rows:
-        return ""
+        return []
     hi_high, hi_low, pow_lo, pow_exp, digits4, exp4 = _tables()
     cell_bytes, row_bytes = cell_sep.encode("ascii"), row_sep.encode("ascii")
     slot = _CELL + max(len(cell_bytes), len(row_bytes))
@@ -157,4 +166,4 @@ def format_table(values, cell_sep: str, row_sep: str, nonfinite_format: str = "%
             text = np.array(list(map(str.__mod__, formats, slow.tolist())), dtype=f"S{_CELL}")
             buf[~exact, :_CELL] = text.view(np.uint8).reshape(-1, _CELL)
         parts.append(buf.tobytes().replace(b"\0", b"").decode("ascii"))
-    return "".join(parts)
+    return parts
