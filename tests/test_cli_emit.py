@@ -93,15 +93,22 @@ def _emit_csv(table):
     return out.getvalue()
 
 
+def _assert_same_text(got, expected, sep):
+    # name the first differing piece; a diff of the whole text takes minutes
+    for number, (have, want) in enumerate(zip(got.split(sep), expected.split(sep))):
+        assert have == want, f"piece {number}"
+    assert got == expected
+
+
 def _assert_table_bytes(table):
     """CSV and JSON text of a float64 table equal the per-cell ``_fmt`` and ``_json_dump`` text."""
     columns = [f"c{i}" for i in range(table.shape[1])]
     expected = "".join(",".join(map(cli._fmt, row)) + "\n" for row in [columns] + table.tolist())
-    assert _emit_csv(table) == expected
+    _assert_same_text(_emit_csv(table), expected, "\n")
     parts = []
     cli._json_dump(table, parts)
     expected = "[" + ", ".join("[" + ", ".join(map(_json_cell, row)) + "]" for row in table.tolist()) + "]"
-    assert "".join(parts) == expected
+    _assert_same_text("".join(parts), expected, "], [")
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -118,9 +125,19 @@ def _neighbours(values):
 # every power of ten a double can hold, 1e-323 to 1e308 (10.0 ** k rounds, so go through the decimal text)
 POWERS = np.array([float(f"1e{k}") for k in range(-323, 309)])
 SUBNORMALS = np.concatenate([np.arange(1, 2001) * 5e-324, np.linspace(0.0, 2.2250738585072014e-308, 2003)[1:]])
-# exact ties of the 17th digit, rounded to even by '%': 1e15 + k/8 at k = 2 mod 4, and integers near 2^53..2^57
+
+
+def _ties(e):
+    """x = j / 2^(17 - e) with j odd, in [10^e, 10^(e + 1)): x 10^(16 - e) is an odd number of halves."""
+    low = 2 ** (17 - e) * 10**e if e >= 0 else -(-(2 ** (17 - e)) // 10**-e)
+    return ((low | 1) + 2 * np.arange(500)) / 2.0 ** (17 - e)
+
+
+# exact ties of the 17th digit, which '%' rounds to even: 1e15 + k/8 at k = 2 mod 4 and _ties;
+# and integers from 2^53 to 2^57 and around 1e17, whose 17 digits are exact
 TIES = np.concatenate([
     1e15 + np.arange(4000) / 8.0,
+    *[_ties(e) for e in (-3, 0, 2, 8)],
     *[2.0**p + np.arange(-64, 64) * 2.0 ** (p - 52) for p in range(53, 58)],
     np.arange(10**17 - 200, 10**17 + 200, 8, dtype=np.float64),
 ])
