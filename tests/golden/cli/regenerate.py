@@ -66,6 +66,9 @@ _COMMANDS = [
     "qep --delta-tau 3e-16 --theta 0.5 --varphi 0.2",
     "qep --delta-tau 1e-5 --theta 0.3 --format json",
     "qep --J 1e45 --theta 0.785 --prime-gap-rate 3e15 --prime-mean-rate 1e15",
+    # commutator_ratio at energies where a general eigensolver rescales
+    "qep --delta-tau 1e-300 --E-g 1e200 --E-e 1e201 --prime-gap-rate 1e300 --prime-mean-rate 1e300 "
+    + "--theta 0.5 --format json",
     "detect",
     "detect --ell-log10 60 --target-phase 1",
     "detect --clock-rate 4e14 --w 1e-2 --v0 300 --ell-log10 58.5 --format json",
@@ -77,6 +80,8 @@ _COMMANDS = [
     "sweep --axis w --values 1e-3,1e-2,1e-1 --outputs delta_tau,visibility_deficit",
     "sweep --axis mean_rate --values=-1e20,0,3e14 --clock-rate 2e15 --ell-log10 50 --outputs pr_left,witness",
     "sweep --axis v0 --values 0,1e3",
+    # clock energies that overflow, with no clock output asked for
+    "sweep --axis mean_rate --values 1.7e308 --clock-rate 1.7e308 --outputs delta_tau",
     # -0.0, 0, inf and nan cells; the one-row dict shape; the header-only table
     "sweep --axis ell_log10 --values=-0.0,0,58.856,69,400 --outputs delta_tau,pr_left,ee_spc,qep_xi_phase",
     "sweep --axis ell_log10 --values=-0.0,0,58.856,69,400 --outputs delta_tau,pr_left,ee_spc,qep_xi_phase "
@@ -95,6 +100,7 @@ _ERRORS = [
     "verify --scales 1",
     "verify --scales=-1,2",
     "verify --n-segments 1",
+    "verify --scales 1,abc",
     "delta-tau --w nan",
     "delta-tau --w -1",
     "delta-tau --M -1",
@@ -107,6 +113,8 @@ _ERRORS = [
     "delta-tau --mode quadrature --v0 0",
     "delta-tau --mode quadrature --v0 1e-300",
     "delta-tau --mode quadrature --J 1e300 --w 1e-300 --v0 1",
+    "delta-tau --mode quadrature --M 1e30 --v0 1",
+    "delta-tau --mode quadrature --v0 299792457.99999994",
     "interfere --L-ratio nan",
     "interfere --L-ratio 1e300 --w 1e10",
     "interfere --delta-tau nan",
@@ -128,6 +136,9 @@ _ERRORS = [
     "sweep --axis J --values 1",
     "sweep --axis w --values 1 --outputs nothing",
     "sweep --axis w --values 1,nan --outputs delta_tau",
+    "sweep --axis w --values 1,abc",
+    "sweep --axis mean_rate --values 1.7e308 --clock-rate 1.7e308 --outputs qep_visibility",
+    "sweep --axis mean_rate --values 1.7e308 --clock-rate 1.7e308 --outputs pr_left",
     "sweep --axis clock_rate --values 1e15,0 --outputs delta_tau",
     "selftest --samples 0",
     "no-such-command",
