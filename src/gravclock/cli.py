@@ -194,21 +194,10 @@ def _with_config(parser: _Parser, argv: list[str], args: argparse.Namespace) -> 
     return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
-def _energies(mean_rate: float, gap_rate: float, hbar: float, prefix: str = "") -> tuple[float, float]:
-    """(E_g, E_e) = (mean_rate -+ gap_rate / 2) hbar, naming the rate flags if either is not finite."""
-    mean_name, gap_name = f"{prefix}mean_rate", f"{prefix}gap_rate"
-    require_finite(mean_name, mean_rate)
-    require_finite(gap_name, gap_rate)
-    e_g, e_e = (mean_rate - 0.5 * gap_rate) * hbar, (mean_rate + 0.5 * gap_rate) * hbar
-    if not (math.isfinite(e_g) and math.isfinite(e_e)):
-        raise DomainError(f"{mean_name} {mean_rate!r} and {gap_name} {gap_rate!r} make a clock energy overflow")
-    return e_g, e_e
-
-
 def _clock_from(ns) -> itf.ClockModel:
     constants = resolve_constants(ns.constants)
     if ns.E_g is None and ns.E_e is None:
-        energies = _energies(ns.mean_rate, ns.gap_rate, constants.hbar)
+        energies = itf.clock_energies(ns.mean_rate, ns.gap_rate, constants.hbar)
         if ns.gap_rate < 0.0:
             raise DomainError(f"gap_rate must not be negative, got {ns.gap_rate!r}")
         return itf.ClockModel(*energies)
@@ -397,7 +386,9 @@ def _cmd_qep(ns) -> int:
     delta_tau = _delta_tau_from(ns, constants)
     prime_gap = ns.prime_gap_rate if ns.prime_gap_rate is not None else ns.gap_rate
     prime_mean = ns.prime_mean_rate if ns.prime_mean_rate is not None else ns.mean_rate
-    e_g_prime, e_e_prime = _energies(prime_mean, prime_gap, constants.hbar, "prime_")
+    e_g_prime, e_e_prime = itf.clock_energies(
+        prime_mean, prime_gap, constants.hbar, "prime_mean_rate", "prime_gap_rate"
+    )
     tt = qep_mod.QepTestTheory(
         H_N=np.diag([clock.E_g, clock.E_e]),
         E_g_prime=e_g_prime,

@@ -28,6 +28,7 @@ from .constants import CODATA, PhysicalConstants
 from .errors import ConfigError, require_finite, require_positive
 from .interferometry import (
     ClockModel,
+    clock_energies,
     detection_probabilities,
     gap_phase,
     gme_entanglement,
@@ -169,6 +170,8 @@ def _entropy_log10(log10_q: float) -> float:
 _PHASE_OUTPUTS = {"phase_mean", "phase_gap", "visibility_deficit", "ee_spc", "ef_sp"}
 _GME_OUTPUTS = {"ee_spc", "ef_sp", "witness"}
 _QEP_OUTPUTS = {name for name in OUTPUTS if name.startswith("qep_")}
+# the outputs that need the clock's energies
+_CLOCK_OUTPUTS = {"pr_left", "pr_right"} | _GME_OUTPUTS | _QEP_OUTPUTS
 
 
 def _columns(p: dict, outputs, constants: PhysicalConstants) -> dict:
@@ -202,14 +205,13 @@ def _columns(p: dict, outputs, constants: PhysicalConstants) -> dict:
             visibility_deficit_log10=_LOG10_2 + 2.0 * _log10_sin(gap_log.log10 - _LOG10_2, 0.5 * phase_gap),
         )
 
-    e_g = (p["mean_rate"] - 0.5 * p["clock_rate"]) * hbar
-    e_e = (p["mean_rate"] + 0.5 * p["clock_rate"]) * hbar
+    if need & _CLOCK_OUTPUTS:
+        clock = ClockModel(*clock_energies(p["mean_rate"], p["clock_rate"], hbar, gap_name="clock_rate"))
     if need & {"pr_left", "pr_right"}:
-        probs = detection_probabilities(ClockModel(E_g=e_g, E_e=e_e), delta_tau, constants)
+        probs = detection_probabilities(clock, delta_tau, constants)
         out.update(pr_left=probs.pr_left, pr_right=probs.pr_right)
 
     if need & _GME_OUTPUTS:
-        clock = ClockModel(E_g=e_g, E_e=e_e)
         gme = gme_entanglement(clock, delta_tau, constants)
         out.update(ee_spc=gme.ee_spc, ef_sp=gme.ef_sp, witness=gme.witness)
     if need & {"ee_spc", "ef_sp"}:
@@ -228,11 +230,11 @@ def _columns(p: dict, outputs, constants: PhysicalConstants) -> dict:
         out["ef_sp_log10"] = _entropy_log10(s_log10 - _LOG10_2 - np.log10(1.0 + root))
 
     if need & _QEP_OUTPUTS:
-        h_n = np.zeros(np.shape(e_g) + (2, 2))
-        h_n[..., 0, 0] = e_g
-        h_n[..., 1, 1] = e_e
+        h_n = np.zeros(np.shape(clock.E_g) + (2, 2))
+        h_n[..., 0, 0] = clock.E_g
+        h_n[..., 1, 1] = clock.E_e
         # the frame-dragging sector has the clock's own energies, mixed by theta
-        tt = qep_mod.QepTestTheory(H_N=h_n, E_g_prime=e_g, E_e_prime=e_e, theta=p["theta"])
+        tt = qep_mod.QepTestTheory(H_N=h_n, E_g_prime=clock.E_g, E_e_prime=clock.E_e, theta=p["theta"])
         qres = qep_mod.qep_gme_entanglement(tt, delta_tau, constants)
         out.update(
             qep_visibility=qres.visibility,

@@ -76,6 +76,22 @@ class ClockModel:
         return self.E_e - self.E_g
 
 
+def clock_energies(mean_rate, gap_rate, hbar: float, mean_name: str = "mean_rate", gap_name: str = "gap_rate"):
+    """(E_g, E_e) = (mean_rate -+ gap_rate / 2) hbar, for floats or arrays of one shape.
+
+    Raises :class:`DomainError` naming the rate flags if either rate is not
+    finite, or if a clock energy overflows (naming the first such pair).
+    """
+    require_finite(mean_name, mean_rate)
+    require_finite(gap_name, gap_rate)
+    e_g, e_e = (mean_rate - 0.5 * gap_rate) * hbar, (mean_rate + 0.5 * gap_rate) * hbar
+    overflow = ~(np.isfinite(e_g) & np.isfinite(e_e))
+    if np.any(overflow):
+        mean, gap = (float(np.broadcast_to(r, overflow.shape)[overflow][0]) for r in (mean_rate, gap_rate))
+        raise DomainError(f"{mean_name} {mean!r} and {gap_name} {gap!r} make a clock energy overflow")
+    return e_g, e_e
+
+
 @dataclass(frozen=True)
 class InterferenceResult:
     visibility: float

@@ -488,6 +488,21 @@ def test_clock_phases_that_overflow_are_validation_errors(capsys, command):
     assert "Warning" not in err
 
 
+CLOCK_OUTPUTS = [name for name in OUTPUTS if name.startswith(("pr_", "ee_", "ef_", "witness", "qep_"))]
+
+
+@pytest.mark.parametrize("output", CLOCK_OUTPUTS)
+def test_sweep_clock_energies_that_overflow_name_the_rates(capsys, output):
+    # the second row's E_e = (1.7e308 + 0.85e308) hbar overflows
+    argv = ("sweep", "--axis", "mean_rate", "--values", "1,1.7e308", "--clock-rate", "1.7e308")
+    code, out, err = run_cli(capsys, *argv, "--outputs", output)
+    assert (code, out) == (2, "")
+    assert err == "validation error: mean_rate 1.7e+308 and clock_rate 1.7e+308 make a clock energy overflow\n"
+    # no clock output: no clock, and no error
+    code, out, err = run_cli(capsys, *argv, "--outputs", "delta_tau")
+    assert (code, err) == (0, "")
+
+
 def test_qep_commutator_ratio_is_finite_at_huge_energies(capsys):
     # (|dE| / max|E|) (|dE'| / max|E'|) sin(2 theta) / 2 = 0.9 (2/3) sin(1) / 2
     code, out, err = run_cli(
