@@ -194,6 +194,17 @@ def _with_config(parser: _Parser, argv: list[str], args: argparse.Namespace) -> 
     return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
+def _float_list(name: str, text) -> list[float]:
+    """The numbers of a comma-separated flag, skipping empty items, naming the flag if one is not a number."""
+    values = []
+    for item in filter(str.strip, str(text).split(",")):
+        try:
+            values.append(float(item))
+        except ValueError:
+            raise ConfigError(f"{name} must be comma-separated numbers, got {item.strip()!r}") from None
+    return values
+
+
 def _clock_from(ns) -> itf.ClockModel:
     constants = resolve_constants(ns.constants)
     if ns.E_g is None and ns.E_e is None:
@@ -432,7 +443,7 @@ def _cmd_sweep(ns) -> int:
     constants = resolve_constants(ns.constants)
     if not ns.axis or ns.values is None:
         raise ConfigError("sweep requires --axis and --values")
-    values = tuple(map(float, filter(str.strip, str(ns.values).split(","))))
+    values = tuple(_float_list("values", ns.values))
     outputs = tuple(o.strip() for o in str(ns.outputs).split(",") if o.strip()) if ns.outputs else ()
     fixed = {}
     for key in ("clock_rate", "mean_rate", "w", "v0", "ell_log10", "theta"):
@@ -448,7 +459,7 @@ def _cmd_sweep(ns) -> int:
 
 def _cmd_verify(ns) -> int:
     constants = PhysicalConstants(c=1.0, G=1.0, hbar=1.0)
-    scales = [float(v) for v in str(ns.scales).split(",") if v.strip()]
+    scales = _float_list("scales", ns.scales)
     model = st.RotatingMassModel(M=1e-6, J=1.25e-3)
     bc = geo.BoundaryConditions(
         st.SpacetimePoint(0.0, 1.0, 0.5 * math.pi, 0.0),

@@ -165,6 +165,21 @@ def test_verify_rejects_unusable_scales(capsys, scales, reason):
     assert "scales" in err and reason in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "--scales", "1,abc"), "scales"),
+        (("verify", "--scales", " 2 , x1"), "scales"),
+        (("sweep", "--axis", "w", "--values", "1,abc"), "values"),
+        (("sweep", "--axis", "w", "--values", "1e-3,,0x10", "--outputs", "delta_tau"), "values"),
+    ],
+)
+def test_comma_lists_name_their_flag(capsys, argv, flag):
+    bad = argv[argv.index(f"--{flag}") + 1].split(",")[-1].strip()
+    expected = f"validation error: {flag} must be comma-separated numbers, got {bad!r}\n"
+    assert run_cli(capsys, *argv) == (2, "", expected)
+
+
 def test_verify_rejects_scales_outside_the_perturbative_regime(capsys):
     code, out, err = run_cli(capsys, "verify", "--n-segments", "64", "--scales", "1e300,2e300")
     assert code == 2
