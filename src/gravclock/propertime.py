@@ -372,9 +372,11 @@ def delta_tau_interferometer(
     closed form's normalization; the two agree as L/w grows, with relative
     truncation error 1 - sin(arctan(2L/w)).  Raises :class:`NoConvergence`,
     naming L/w, if the quadrature reaches its sample cap, and
-    :class:`DomainError`, naming v0, unless 0 <= v0 < c, or naming J, w and
+    :class:`DomainError`, naming v0, unless 0 <= v0 < c, naming J, w and
     v0 when the quadrature's value or any of its samples leaves the normal
-    double range (at w = 1e-3 m and L/w = 1e3, once J * v0 < ~1e-261 in SI units).
+    double range (at w = 1e-3 m and L/w = 1e3, once J * v0 < ~1e-261 in SI units),
+    and naming M, w and v0 (as :class:`NotTimelike`) when an arm sample is
+    not timelike in the background.
     """
     if mode == "closed_form":
         log = closed_form_log(SignedLog.from_linear(model.J), geom.w, geom.v0, constants)
@@ -395,6 +397,11 @@ def delta_tau_interferometer(
             raise NoConvergence(f"arm with L/w = {geom.L / geom.w:.6g}: {exc}") from exc
         except _SubnormalSamples as exc:
             raise out_of_range from exc
+        except NotTimelike as exc:  # the background radicand: J plays no part
+            raise NotTimelike(
+                f"the arm quadrature at M = {model.M!r}, w = {geom.w!r}, v0 = {geom.v0!r} "
+                "has samples that are not timelike in the background"
+            ) from exc
         if not (math.isfinite(value) and (model.J == 0.0 or abs(value) >= _TINY)):
             raise out_of_range
         return PhaseBundle(delta_tau=value, delta_tau_log=SignedLog.from_linear(value))

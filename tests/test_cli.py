@@ -445,6 +445,21 @@ def test_quadrature_with_a_nan_radicand_exits_2_before_refining(capsys, monkeypa
     assert "not timelike" in err
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        # 2GM/(c^2 r) > 1 at the arm's closest point
+        (("--M", "1e30", "--v0", "1"), "M = 1e+30, w = 0.001, v0 = 1.0"),
+        # v^2/c^2 rounds to 1 at some sample
+        (("--v0", "299792457.99999994"), "M = 0.0, w = 0.001, v0 = 299792457.99999994"),
+    ],
+)
+def test_quadrature_samples_that_are_not_timelike_name_the_inputs(capsys, flags, named):
+    code, out, err = run_cli(capsys, "delta-tau", "--mode", "quadrature", *flags)
+    assert (code, out) == (2, "")
+    assert err == f"validation error: the arm quadrature at {named} has samples that are not timelike in the background\n"
+
+
 def test_constants_override_via_env(tmp_path, capsys, monkeypatch):
     override = tmp_path / "constants.cfg"
     override.write_text("c = 1.0\nG = 1.0\nhbar = 1.0\n")
