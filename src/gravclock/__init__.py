@@ -14,14 +14,7 @@ from .errors import (
     UnknownLabel,
     WeakFieldViolation,
 )
-from .spacetime import (
-    CoordinateVelocity,
-    MetricComponents,
-    RotatingMassModel,
-    SpacetimePoint,
-    metric_at,
-    perturbation_validity,
-)
+from .spacetime import RotatingMassModel, SpacetimePoint
 from .propertime import (
     InterferometerGeometry,
     PathSpec,

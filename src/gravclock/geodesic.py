@@ -26,15 +26,9 @@ import numpy as np
 
 from . import kernels
 from .constants import CODATA, PhysicalConstants
-from .errors import DomainError, NoConvergence, NotTimelike
+from .errors import DomainError, NoConvergence, NotTimelike, WeakFieldViolation
 from .propertime import PathSpec, delta_tau_first_order
-from .spacetime import (
-    DEFAULT_WEAK_FIELD_THRESHOLD,
-    CoordinateVelocity,
-    RotatingMassModel,
-    SpacetimePoint,
-    perturbation_validity,
-)
+from .spacetime import DEFAULT_WEAK_FIELD_THRESHOLD, RotatingMassModel, SpacetimePoint
 
 DEFAULT_SEGMENTS = 512
 DEFAULT_TOL = 1e-12
@@ -420,16 +414,18 @@ def verify_first_order(
 
     Raises :class:`DomainError` unless the scales are finite, positive and
     hold at least two distinct values, and unless the largest scaled J
-    stays perturbative: its h_tphi term, against the background, along the
-    straight line from the start event (see
-    :func:`~gravclock.spacetime.perturbation_validity`) must stay below
-    ``DEFAULT_WEAK_FIELD_THRESHOLD``.  A scaled solve's :class:`DomainError`
-    is raised again with its scale named: a predictor start that is not
-    timelike (checked for every scale before the first sweep), or a path
-    that leaves the weak field.  Of several failing scales, the one named is
-    the first in the given order, with its own sweep, as if the scales were
-    solved one after another.  After the solves it also raises :class:`DomainError`,
-    naming the scales, for any residual below the rounding floor
+    stays perturbative: its h_tphi term's share of the background radicand
+    at the start event, along the straight line to the end event (see
+    :func:`~gravclock.kernels.perturbation_share_array`), must stay below
+    ``DEFAULT_WEAK_FIELD_THRESHOLD``; a compactness 2GM/(c^2 r) there at
+    or above that threshold raises :class:`WeakFieldViolation` first.  A
+    scaled solve's :class:`DomainError` is raised again with its scale
+    named: a predictor start that is not timelike (checked for every scale
+    before the first sweep), or a path that leaves the weak field.  Of
+    several failing scales, the one named is the first in the given order,
+    with its own sweep, as if the scales were solved one after another.
+    After the solves it also raises :class:`DomainError`, naming the
+    scales, for any residual below the rounding floor
     n_segments * eps_mach * |tau| of the exact shift, where the fit would
     measure roundoff instead of the formula.
     """
@@ -444,10 +440,14 @@ def verify_first_order(
     validity = math.inf
     if math.isfinite(largest_j):
         direction = (_coords(bc.end) - _coords(bc.start)) / (bc.end.t - bc.start.t)
-        validity = perturbation_validity(
-            RotatingMassModel(M=model.M, J=largest_j), bc.start,
-            CoordinateVelocity(*direction), constants,
-        )
+        validity, compactness = map(float, kernels.perturbation_share_array(
+            bc.start.r, bc.start.theta, *direction,
+            constants.G * model.M, constants.G * largest_j, constants.c,
+        ))
+        if compactness >= DEFAULT_WEAK_FIELD_THRESHOLD:
+            raise WeakFieldViolation(
+                f"2GM/(c^2 r) = {compactness:.3e} >= threshold {DEFAULT_WEAK_FIELD_THRESHOLD:.3e}"
+            )
     if not validity < DEFAULT_WEAK_FIELD_THRESHOLD:
         raise DomainError(
             f"scales up to {eps.max():.6g} leave the perturbative regime: "

@@ -1,9 +1,9 @@
 """Numpy kernels for the proper-time arithmetic.
 
 ``weak_field_terms`` is the one place the weak-field metric enters: the
-radicands, integrands and energy ratios here, and the metric entries of
-:func:`gravclock.spacetime.metric_at`, are all built from its compactness,
-squared speed and frame-dragging entry.
+radicands, integrands, energy ratios and frame-dragging shares here are all
+built from its compactness, squared speed and frame-dragging entry, and no
+other module evaluates the metric.
 
 Kernels take plain float64 arrays plus scalar parameters ``gm = G*M``,
 ``gj = G*J`` and ``c``; they never allocate package types.
@@ -95,6 +95,20 @@ def radicand_array(r, theta, vr, vth, vph, gm, gj, c, pert):
     return radicand_from_terms(eps, v2, h, vph, c, pert)
 
 
+def perturbation_share_array(r, theta, vr, vth, vph, gm, gj, c):
+    """(|2 h_tphi v_phi / c| / |1 - eps - v^2/c^2|, 2GM/(c^2 r)) at each sample.
+
+    The first is the frame-dragging term's share of the background radicand
+    along the velocity: small values certify that h_tphi is a perturbation
+    of the Schwarzschild background for that direction.  It is inf, or NaN
+    without rotation, where the direction is null in the background.
+    """
+    eps, v2, h = weak_field_terms(r, theta, vr, vth, vph, gm, gj, c)
+    background = radicand_from_terms(eps, v2, h, vph, c, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.abs(2.0 * h * vph / c) / np.abs(background), eps
+
+
 def first_order_integrand_array(r, theta, vr, vth, vph, gm, gj, c):
     # -(h_tphi / c) * (dt/dtau_bar) * dphi/dt, integrated against dt; the
     # sign comes from expanding sqrt(-(gbar+h)_munu dx dx): a co-rotating
@@ -118,14 +132,19 @@ def energy_ratio_array(r, theta, vr, vth, vph, gm, c):
     return energy_ratio_from_speed(r, v2, gm, c)
 
 
-def _segments(x, dt, gm, gj, c, pert):
+def _segment_samples(x, dt):
     # u = (r, theta) at each segment's midpoint and its (r, theta, phi)
     # velocity, from its nodes x[..., i, :] and x[..., i + 1, :] (columns r,
-    # theta, phi); then the weak-field terms (eps, v^2, h_tphi) and the
-    # radicand there.  gj is a scalar or one value per path of the stack
+    # theta, phi)
     xl, xr = x[..., :-1, :], x[..., 1:, :]
     mid, vel = 0.5 * (xl + xr), (xr - xl) / dt
-    u = (mid[..., 0], mid[..., 1], vel[..., 0], vel[..., 1], vel[..., 2])
+    return mid[..., 0], mid[..., 1], vel[..., 0], vel[..., 1], vel[..., 2]
+
+
+def _segments(x, dt, gm, gj, c, pert):
+    # each segment's u, its weak-field terms (eps, v^2, h_tphi) and its
+    # radicand.  gj is a scalar or one value per path of the stack
+    u = _segment_samples(x, dt)
     terms = weak_field_terms(*u, gm, _per_segment(gj), c)
     return u, terms, radicand_from_terms(*terms, u[4], c, pert)
 
@@ -150,15 +169,13 @@ def path_functional(x, dt, gm, gj, c, pert):
 
 
 def perturbation_share(x, dt, gm, gj, c):
-    """Largest |2 h_tphi v_phi / c| / |1 - eps - v^2/c^2| over the segments of nodes x.
+    """Largest frame-dragging share over the segments of nodes x.
 
-    The frame-dragging term's share of the background radicand, which
-    :func:`gravclock.spacetime.perturbation_validity` gives at one point;
-    one value per path for a stack of paths.
+    The share of :func:`perturbation_share_array` at each segment's midpoint
+    and velocity; one value per path for a stack of paths.
     """
-    u, (_, _, h), background = _segments(x, dt, gm, gj, c, 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _per_path(np.max(np.abs(2.0 * h * u[4] / c) / np.abs(background), axis=-1))
+    share, _ = perturbation_share_array(*_segment_samples(x, dt), gm, _per_segment(gj), c)
+    return _per_path(np.max(share, axis=-1))
 
 
 def newton_assemble(x, dt, gm, gj, c, pert):

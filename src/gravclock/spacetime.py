@@ -11,7 +11,9 @@ frame-dragging (Lense-Thirring) off-diagonal term
 
     h_tphi = -(4 G J / (c^3 r)) sin^2(theta)      [meters].
 
-All operations are pure functions; overridable constants come in through
+This module holds the source model and the event type; the metric
+arithmetic itself is :func:`gravclock.kernels.weak_field_terms`, which every
+route evaluates, with overridable constants from
 :class:`~gravclock.constants.PhysicalConstants`.
 """
 
@@ -20,9 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import kernels
-from .constants import CODATA, PhysicalConstants
-from .errors import DomainError, WeakFieldViolation, require_finite
+from .errors import DomainError, require_finite
 
 DEFAULT_WEAK_FIELD_THRESHOLD = 0.5
 
@@ -56,82 +56,3 @@ class SpacetimePoint:
             raise DomainError("radius must be positive")
         if not 0.0 <= self.theta <= math.pi:
             raise DomainError("polar angle must lie in [0, pi]")
-
-
-@dataclass(frozen=True)
-class CoordinateVelocity:
-    """Coordinate-time derivatives (dr/dt, dtheta/dt, dphi/dt)."""
-
-    dr_dt: float
-    dtheta_dt: float
-    dphi_dt: float
-
-
-@dataclass(frozen=True)
-class MetricComponents:
-    """Metric entries at one point; h_tphi is the frame-dragging off-diagonal."""
-
-    g_tt: float
-    g_rr: float
-    g_thth: float
-    g_phph: float
-    h_tphi: float
-
-
-def metric_at(
-    model: RotatingMassModel,
-    pt: SpacetimePoint,
-    constants: PhysicalConstants = CODATA,
-) -> MetricComponents:
-    """Evaluate the weak-field metric at a point.
-
-    Raises :class:`WeakFieldViolation` when 2GM/(c^2 r) reaches
-    ``DEFAULT_WEAK_FIELD_THRESHOLD`` and :class:`DomainError` for a
-    non-positive radius.
-    """
-    if pt.r <= 0:
-        raise DomainError("radius must be positive")
-    # v^2 at unit dphi/dt is g_phph
-    eps, g_phph, h_tphi = map(float, kernels.weak_field_terms(
-        pt.r, pt.theta, 0.0, 0.0, 1.0, constants.G * model.M, constants.G * model.J, constants.c,
-    ))
-    if eps >= DEFAULT_WEAK_FIELD_THRESHOLD:
-        raise WeakFieldViolation(
-            f"2GM/(c^2 r) = {eps:.3e} >= threshold {DEFAULT_WEAK_FIELD_THRESHOLD:.3e}"
-        )
-    return MetricComponents(
-        g_tt=-1.0 + eps,
-        g_rr=1.0 + eps,
-        g_thth=pt.r**2,
-        g_phph=g_phph,
-        h_tphi=h_tphi,
-    )
-
-
-def squared_speed(metric: MetricComponents, vel: CoordinateVelocity) -> float:
-    """v^2 = sum_i g_ii (dx^i/dt)^2 with the full spatial metric."""
-    return (
-        metric.g_rr * vel.dr_dt**2
-        + metric.g_thth * vel.dtheta_dt**2
-        + metric.g_phph * vel.dphi_dt**2
-    )
-
-
-def perturbation_validity(
-    model: RotatingMassModel,
-    pt: SpacetimePoint,
-    vel: CoordinateVelocity,
-    constants: PhysicalConstants = CODATA,
-) -> float:
-    """|h_munu dx^mu dx^nu| / |gbar_munu dx^mu dx^nu| along the given direction.
-
-    Small values certify that the frame-dragging term is a perturbation of the
-    Schwarzschild background for this trajectory direction.
-    """
-    g = metric_at(model, pt, constants)
-    c = constants.c
-    numerator = 2.0 * g.h_tphi * c * vel.dphi_dt
-    denominator = g.g_tt * c**2 + squared_speed(g, vel)
-    if denominator == 0.0:
-        raise DomainError("direction is null in the background metric")
-    return abs(numerator / denominator)
