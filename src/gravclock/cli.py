@@ -401,7 +401,7 @@ def _cmd_qep(ns) -> int:
         prime_mean, prime_gap, constants.hbar, "prime_mean_rate", "prime_gap_rate"
     )
     tt = qep_mod.QepTestTheory(
-        H_N=np.diag([clock.E_g, clock.E_e]),
+        clock=clock,
         E_g_prime=e_g_prime,
         E_e_prime=e_e_prime,
         theta=ns.theta,
@@ -520,7 +520,7 @@ def _qep_errors(draws: np.ndarray, constants: PhysicalConstants):
     hbar = constants.hbar
     theta, gap, mean, varphi = draws.T
     tt = qep_mod.QepTestTheory(
-        H_N=np.diag([0.0, hbar]),
+        clock=itf.ClockModel(E_g=0.0, E_e=hbar),
         E_g_prime=(mean - 0.5 * gap) * hbar,
         E_e_prime=(mean + 0.5 * gap) * hbar,
         theta=theta,

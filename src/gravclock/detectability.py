@@ -230,11 +230,8 @@ def _columns(p: dict, outputs, constants: PhysicalConstants) -> dict:
         out["ef_sp_log10"] = _entropy_log10(s_log10 - _LOG10_2 - np.log10(1.0 + root))
 
     if need & _QEP_OUTPUTS:
-        h_n = np.zeros(np.shape(clock.E_g) + (2, 2))
-        h_n[..., 0, 0] = clock.E_g
-        h_n[..., 1, 1] = clock.E_e
         # the frame-dragging sector has the clock's own energies, mixed by theta
-        tt = qep_mod.QepTestTheory(H_N=h_n, E_g_prime=clock.E_g, E_e_prime=clock.E_e, theta=p["theta"])
+        tt = qep_mod.QepTestTheory(clock, E_g_prime=clock.E_g, E_e_prime=clock.E_e, theta=p["theta"])
         qres = qep_mod.qep_gme_entanglement(tt, delta_tau, constants)
         out.update(
             qep_visibility=qres.visibility,

@@ -20,11 +20,13 @@ which equals the root above without cancelling, and the ports and
 entanglement take the cancellation-free forms of
 :mod:`gravclock.interferometry` with 1 - V^2 = sin^2(2 theta) sin^2 psi.
 
-All matrices are stored in the H_N eigenbasis (ground state first).
+H_N is the clock's own Hamiltonian diag(E_g, E_e) (a
+:class:`~gravclock.interferometry.ClockModel`), so its eigenbasis, ground
+state first, is the storage basis of every matrix here, and only the
+commutator diagnostic reads its energies.
 
 Every route broadcasts over a theory whose energies and angles are numpy
-arrays, with ``H_N`` one 2x2 matrix or a stack of them: the closed forms
-(:func:`qep_visibility`, :func:`qep_probabilities`,
+arrays: the closed forms (:func:`qep_visibility`, :func:`qep_probabilities`,
 :func:`qep_gme_entanglement`) and the commutator diagnostic give arrays, and
 the matrix routes (H_f, the arm states and the final state) give stacks with
 the batch axes leading.
@@ -41,7 +43,7 @@ import numpy as np
 from . import clockstate as cs
 from .constants import CODATA, PhysicalConstants
 from .errors import DomainError, require_finite
-from .interferometry import _entanglement, _gme_state, _ports
+from .interferometry import ClockModel, _entanglement, _gme_state, _ports
 
 # the clock starts in the H_N ground state
 _GROUND = np.array([1.0, 0.0], dtype=complex)
@@ -58,48 +60,36 @@ def _relative_spread(x: float, y: float) -> float:
 class QepTestTheory:
     """Newtonian-sector Hamiltonian plus a mixed frame-dragging sector.
 
-    ``H_N`` is any 2x2 Hermitian matrix (joules); its eigenbasis, ground
-    state first, is the storage basis, and its ground state is the clock's
-    initial state.  ``E_g_prime``/``E_e_prime`` are the frame-dragging
-    eigenvalues and ``theta``/``varphi`` fix how the H_N ground state
-    decomposes over the primed eigenbasis.
+    ``clock`` gives H_N = diag(E_g, E_e) (joules), whose ground state is the
+    clock's initial state; :class:`~gravclock.interferometry.ClockModel`
+    checks that its energies are finite with E_g <= E_e.
+    ``E_g_prime``/``E_e_prime`` are the frame-dragging eigenvalues and
+    ``theta``/``varphi`` fix how the H_N ground state decomposes over the
+    primed eigenbasis.
     """
 
-    H_N: np.ndarray
+    clock: ClockModel
     E_g_prime: float
     E_e_prime: float
     theta: float
     varphi: float = 0.0
 
     def __post_init__(self) -> None:
-        h_n = np.asarray(self.H_N, dtype=complex)
-        if h_n.ndim < 2 or h_n.shape[-2:] != (2, 2):
-            raise DomainError("H_N must be a 2x2 matrix")
-        scale = np.maximum(1.0, np.abs(h_n).max(axis=(-2, -1)))
-        asymmetry = np.abs(h_n - np.swapaxes(h_n.conj(), -2, -1)).max(axis=(-2, -1))
-        if not np.all(asymmetry <= 1e-12 * scale):  # NaN fails the comparison too
-            raise DomainError("H_N must be finite and Hermitian")
         for name in ("E_g_prime", "E_e_prime", "varphi"):
             require_finite(name, getattr(self, name))
         if not np.all((0.0 <= self.theta) & (self.theta <= 0.5 * math.pi)):
             raise DomainError("theta must lie in [0, pi/2]")
-        # rotate H_N to its own eigenbasis (ascending => ground first)
-        eigvals = np.linalg.eigh(h_n)[0]
-        diagonal = np.zeros(h_n.shape, dtype=complex)
-        diagonal[..., 0, 0] = eigvals[..., 0]
-        diagonal[..., 1, 1] = eigvals[..., 1]
-        object.__setattr__(self, "H_N", diagonal)
 
     @cached_property
     def commutator_ratio(self) -> float:
         """Dimensionless smallness diagnostic ||[H_N, H_f]|| / (||H_N|| ||H_f||), in spectral norms.
 
-        H_N is stored as diag(a, b), so the ratio is
-        (|a - b| / max(|a|, |b|)) (|dE'| / max(|E_g'|, |E_e'|)) sin(2 theta) / 2;
+        With H_N = diag(E_g, E_e) the ratio is
+        (|dE| / max(|E_g|, |E_e|)) (|dE'| / max(|E_g'|, |E_e'|)) sin(2 theta) / 2;
         no factor exceeds 2, so it is finite for any finite energies.  It is
         0 where H_N or H_f vanishes.
         """
-        spread = _relative_spread(self.H_N[..., 0, 0].real, self.H_N[..., 1, 1].real)
+        spread = _relative_spread(self.clock.E_g, self.clock.E_e)
         spread_prime = _relative_spread(self.E_g_prime, self.E_e_prime)
         return (spread * spread_prime * (0.5 * np.sin(2.0 * self.theta)))[()]
 

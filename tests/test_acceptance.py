@@ -153,7 +153,7 @@ def test_criterion_5_qep_suite():
     worst_reg = 0.0
     for gap, mean, dt in ((1.3, 0.7, 1.0), (2.6, 0.4, 0.7), (0.9, 2.2, 2.3)):
         tt = QepTestTheory(
-            H_N=np.diag([(mean - 0.5 * gap) * HBAR, (mean + 0.5 * gap) * HBAR]),
+            clock=ClockModel((mean - 0.5 * gap) * HBAR, (mean + 0.5 * gap) * HBAR),
             E_g_prime=(mean - 0.5 * gap) * HBAR,
             E_e_prime=(mean + 0.5 * gap) * HBAR,
             theta=0.0,
@@ -174,7 +174,7 @@ def test_criterion_5_qep_suite():
 
     # exact visibility zero at maximal mixing
     tt0 = QepTestTheory(
-        H_N=np.diag([0.0, HBAR]),
+        clock=ClockModel(0.0, HBAR),
         E_g_prime=0.0,
         E_e_prime=(math.pi / 2) * HBAR,
         theta=math.pi / 4,
@@ -190,7 +190,7 @@ def test_criterion_5_qep_suite():
         for j, psi in enumerate(psis):
             mean = 0.25 + 0.61 * psi + 0.17 * theta
             tt = QepTestTheory(
-                H_N=np.diag([0.0, HBAR]),
+                clock=ClockModel(0.0, HBAR),
                 E_g_prime=(mean - 0.5 * psi) * HBAR,
                 E_e_prime=(mean + 0.5 * psi) * HBAR,
                 theta=theta,
@@ -214,7 +214,7 @@ def test_criterion_5_qep_suite():
     inv_w = np.linspace(1e3, 1e4, 200)
     folded = []
     tt = QepTestTheory(
-        H_N=np.diag([0.0, prime_rate * HBAR]),
+        clock=ClockModel(0.0, prime_rate * HBAR),
         E_g_prime=0.0,
         E_e_prime=prime_rate * HBAR,
         theta=theta,

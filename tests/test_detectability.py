@@ -207,3 +207,20 @@ def test_sweep_makes_no_python_call_per_row():
         for n in (10, 1000)
     ]
     assert counts[0] == counts[1], counts
+
+
+def test_a_full_output_sweep_calls_no_linear_algebra(monkeypatch):
+    # every column is a closed form of the clock's energies: no eigensolver,
+    # inverse or norm runs on the sweep's path
+    def forbid(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"the sweep called np.linalg.{name}")
+
+        return call
+
+    for name in dir(np.linalg):
+        value = getattr(np.linalg, name)
+        if not name.startswith("_") and callable(value) and not isinstance(value, type):
+            monkeypatch.setattr(np.linalg, name, forbid(name))
+    cfg = SweepConfig("theta", (0.0, 0.3, 0.785, 0.5 * math.pi), OUTPUTS, {"ell_log10": 59.0})
+    assert np.isfinite(run_sweep(cfg).rows).all()

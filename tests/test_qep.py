@@ -29,7 +29,7 @@ HBAR = CODATA.hbar
 def theory(theta, gap=1.3, mean=0.7, varphi=0.0, n_gap=1.0, n_mean=0.5):
     """Test theory with phases in radians at delta_tau = 1 s."""
     return QepTestTheory(
-        H_N=np.diag([(n_mean - 0.5 * n_gap) * HBAR, (n_mean + 0.5 * n_gap) * HBAR]),
+        clock=ClockModel((n_mean - 0.5 * n_gap) * HBAR, (n_mean + 0.5 * n_gap) * HBAR),
         E_g_prime=(mean - 0.5 * gap) * HBAR,
         E_e_prime=(mean + 0.5 * gap) * HBAR,
         theta=theta,
@@ -222,7 +222,7 @@ def test_visibility_modulation_frequency_in_inverse_width():
     for u in inv_w:
         delta_tau = 16.0 * CODATA.G * j_source / (CODATA.c**4) * u
         tt = QepTestTheory(
-            H_N=np.diag([0.0, prime_rate * HBAR]),
+            clock=ClockModel(0.0, prime_rate * HBAR),
             E_g_prime=0.0,
             E_e_prime=prime_rate * HBAR,
             theta=theta,
@@ -242,13 +242,13 @@ def test_commutator_diagnostic():
     assert tilted.commutator_ratio > 0.1
 
 
-def test_hermiticity_and_angle_validation():
-    with pytest.raises(DomainError):
-        QepTestTheory(H_N=np.array([[0.0, 1.0], [0.0, 0.0]]), E_g_prime=0.0, E_e_prime=1.0, theta=0.1)
-    with pytest.raises(DomainError, match="finite"):
-        QepTestTheory(H_N=np.diag([np.nan, 1.0]), E_g_prime=0.0, E_e_prime=1.0, theta=0.1)
-    with pytest.raises(DomainError):
+def test_angle_validation():
+    with pytest.raises(DomainError, match=r"theta must lie in \[0, pi/2\]"):
         theory(-0.3)
+    with pytest.raises(DomainError, match=r"theta must lie in \[0, pi/2\]"):
+        theory(0.5 * math.pi + 1e-15)
+    with pytest.raises(DomainError, match="varphi must be finite, got nan"):
+        theory(0.1, varphi=math.nan)
 
 
 def test_closed_forms_broadcast_over_a_batch_of_theories():
@@ -260,10 +260,8 @@ def test_closed_forms_broadcast_over_a_batch_of_theories():
     gap, mean = rng.uniform(0.0, 9.0, 64), rng.uniform(-3.0, 3.0, 64)
     dt = rng.uniform(-2.0, 2.0, 64)
     dt[2] = 0.0
-    h_n = np.zeros((64, 2, 2))
-    h_n[:, 1, 1] = HBAR
     batch = QepTestTheory(
-        H_N=h_n,
+        clock=ClockModel(np.zeros(64), np.full(64, HBAR)),
         E_g_prime=(mean - 0.5 * gap) * HBAR,
         E_e_prime=(mean + 0.5 * gap) * HBAR,
         theta=theta,
@@ -276,12 +274,9 @@ def test_closed_forms_broadcast_over_a_batch_of_theories():
 
 
 def test_batch_validation_keeps_the_scalar_messages():
-    h_n = np.zeros((3, 2, 2))
+    clock = ClockModel(np.zeros(3), np.full(3, HBAR))
     with pytest.raises(DomainError, match=r"theta must lie in \[0, pi/2\]"):
-        QepTestTheory(H_N=h_n, E_g_prime=0.0, E_e_prime=HBAR, theta=np.array([0.1, 2.0, 0.3]))
-    h_n[1, 0, 1] = 1.0
-    with pytest.raises(DomainError, match="Hermitian"):
-        QepTestTheory(H_N=h_n, E_g_prime=0.0, E_e_prime=HBAR, theta=0.1)
+        QepTestTheory(clock, E_g_prime=0.0, E_e_prime=HBAR, theta=np.array([0.1, 2.0, 0.3]))
     with pytest.raises(DomainError, match="E_g_prime must be finite, got nan"):
         theory(0.1, gap=math.nan)
 

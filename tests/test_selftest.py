@@ -76,7 +76,7 @@ def per_sample_selftest(seed, samples, constants=CODATA):
         mean = rng.uniform(0.0, 2.0 * math.pi)
         varphi = rng.uniform(0.0, 2.0 * math.pi)
         tt = qep_mod.QepTestTheory(
-            H_N=np.diag([0.0, hbar]),
+            clock=itf.ClockModel(0.0, hbar),
             E_g_prime=(mean - 0.5 * gap) * hbar,
             E_e_prime=(mean + 0.5 * gap) * hbar,
             theta=theta,
