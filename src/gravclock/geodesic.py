@@ -219,7 +219,7 @@ def _line_search(members, searching, nodes, dt, gm, gj, c, pert) -> None:
         alpha *= 0.5
 
 
-def _solve_stack(bc, starts, gm, gj, c, pert, tol, max_sweeps, start_name="starting trajectory"):
+def _solve_stack(bc, starts, gm, gj, c, pert, start_name="starting trajectory"):
     """The Newton iteration of :func:`solve_extremal_path` over a stack of paths.
 
     ``starts`` is a (k, n_segments + 1, 3) stack of starting nodes between
@@ -228,7 +228,8 @@ def _solve_stack(bc, starts, gm, gj, c, pert, tol, max_sweeps, start_name="start
     search, weak-field check, counts and stop, and bit for bit the same
     arithmetic: the members only share the kernel calls, each of which
     treats every path of its stack on its own.  A member leaves the stack
-    when it stops.
+    when it stops.  The tolerance and the sweep cap are ``DEFAULT_TOL`` and
+    ``DEFAULT_MAX_SWEEPS``, read at each call.
 
     Returns (results, failure).  ``failure`` is None, or (i, exc) for the
     first member i, in stack order, whose iteration raised ``exc``: a start
@@ -250,7 +251,7 @@ def _solve_stack(bc, starts, gm, gj, c, pert, tol, max_sweeps, start_name="start
     nodes = np.array(starts[: len(members)], dtype=np.float64)
     gj = gj[: len(members)]
     sweep = 0
-    while members and sweep < max_sweeps:
+    while members and sweep < DEFAULT_MAX_SWEEPS:
         sweep += 1
         for member in members:
             member.stop, member.improved, member.trial = None, False, None
@@ -276,7 +277,7 @@ def _solve_stack(bc, starts, gm, gj, c, pert, tol, max_sweeps, start_name="start
             else:
                 # one polish sweep after the first sub-tolerance change lands the
                 # quadratically converging iteration on its noise floor
-                member.small_count = member.small_count + 1 if member.residual < tol else 0
+                member.small_count = member.small_count + 1 if member.residual < DEFAULT_TOL else 0
                 if member.small_count >= 2:
                     member.stop = "tolerance"
             if not member.stop:
@@ -309,8 +310,6 @@ def solve_extremal_path(
     include_perturbation: bool = False,
     constants: PhysicalConstants = CODATA,
     n_segments: int = DEFAULT_SEGMENTS,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
     start: np.ndarray | None = None,
 ) -> ExtremalPathResult:
     """Maximize proper time over interior nodes at fixed coordinate times.
@@ -328,7 +327,7 @@ def solve_extremal_path(
       sweep takes the whole step, which moves tau only by rounding but lands
       the nodes on the stationary point, keeps it if tau stays finite, and stops;
     - ``"tolerance"``: two successive accepted steps changed tau by less
-      than ``tol`` relative;
+      than ``DEFAULT_TOL`` relative;
     - ``"exhausted"``: no step on the damping ladder (diag - d max|diag| I
       for d = 1e-8, 16e-8, ...), each halved up to 30 times, raised tau.
 
@@ -342,8 +341,8 @@ def solve_extremal_path(
     has left the weak field, where the functional is unbounded above.
     Raises :class:`DomainError` for a ``start`` of the wrong shape or
     endpoints, :class:`NotTimelike` if the starting trajectory is not
-    timelike, and :class:`NoConvergence` when the sweep cap is hit.  This
-    is the one-path case of the stacked iteration that
+    timelike, and :class:`NoConvergence` after ``DEFAULT_MAX_SWEEPS``
+    sweeps.  This is the one-path case of the stacked iteration that
     :func:`verify_first_order` runs over its scales.
     """
     if n_segments < 2:
@@ -368,7 +367,7 @@ def solve_extremal_path(
 
     results, failure = _solve_stack(
         bc, nodes[None], constants.G * model.M, [constants.G * model.J], constants.c,
-        1 if include_perturbation else 0, tol, max_sweeps,
+        1 if include_perturbation else 0,
     )
     if failure is not None:
         raise failure[1]
@@ -477,8 +476,7 @@ def verify_first_order(
     # start; a start that is not timelike fails before the first sweep
     results, failure = _solve_stack(
         bc, base.nodes + eps[:, None, None] * tangent, constants.G * model.M,
-        constants.G * (eps * model.J), constants.c, 1, DEFAULT_TOL, DEFAULT_MAX_SWEEPS,
-        start_name="predictor start",
+        constants.G * (eps * model.J), constants.c, 1, start_name="predictor start",
     )
     if failure is not None:
         i, exc = failure

@@ -50,7 +50,8 @@ class PathSpec:
 
     - "azimuth" samples are uniform in phi, include the endpoints and
       integrate with composite Simpson in phi, each sample weighted by
-      dt/dphi = 1/(dphi/dt), so dphi/dt must not vanish.  The rule suits
+      dt/dphi = 1/(dphi/dt), so dphi/dt must not vanish and the sample
+      count must be odd.  The rule suits
       integrands proportional to dphi/dt, such as the frame-dragging shifts,
       not dtau/dt itself;
     - "midpoint" samples sit at segment midpoints of a uniform t grid (as
@@ -79,6 +80,8 @@ class PathSpec:
             raise DomainError(f"unknown path kind {self.kind!r}")
         if self.kind == "azimuth" and np.any(self.dphi_dt == 0):
             raise DomainError("an azimuth-sampled path needs dphi/dt != 0 at every sample")
+        if self.kind == "azimuth" and self.t.shape[0] % 2 == 0:
+            raise DomainError(f"an azimuth-sampled path needs an odd number of samples, got {self.t.shape[0]}")
 
     @property
     def n_samples(self) -> int:
@@ -126,14 +129,8 @@ class PhaseBundle:
 
 
 def _simpson_uniform(y: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson over samples y on the uniform grid x (signed step)."""
-    n = y.shape[0]
+    """Composite Simpson over an odd number of samples y on the uniform grid x (signed step)."""
     dx = x[1] - x[0]
-    if n == 2:
-        return 0.5 * dx * float(y[0] + y[1])
-    if n % 2 == 0:
-        head = _simpson_uniform(y[:-1], x[:-1])
-        return head + 0.5 * dx * float(y[-2] + y[-1])
     return (dx / 3.0) * float(y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
 
 
@@ -260,11 +257,7 @@ def delta_tau_pair(
     return _quadrature(model, forward_path, integrand, constants)
 
 
-def build_straight_arm(
-    geom: InterferometerGeometry,
-    side: str,
-    n_samples: int = 257,
-) -> PathSpec:
+def build_straight_arm(geom: InterferometerGeometry, side: str) -> PathSpec:
     """Straight equatorial arm at perpendicular distance w/2 from the axis.
 
     Both arms are represented on the same Cartesian track x = w/2,
@@ -279,6 +272,7 @@ def build_straight_arm(
     path.  The frame-dragging integrand is a Lorentzian of width ~w in y but
     about h_tphi dphi in phi, smooth at any L/w, so the quadrature needs
     about a thousand samples where uniform-t sampling would need ~L/w.
+    The path has 257 samples; its ``sampler(n)`` gives the arm at n.
     """
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
@@ -318,7 +312,7 @@ def build_straight_arm(
             start=start, end=end, kind="azimuth", sampler=sampler,
         )
 
-    return sampler(n_samples)
+    return sampler(257)
 
 
 def k_factor(v0, constants: PhysicalConstants = CODATA):

@@ -206,14 +206,15 @@ def test_exact_shift_is_odd_in_the_perturbation(unit_constants):
     assert 0.3 < ratios[2] / ratios[1] < 0.7
 
 
-def test_sweep_cap_raises_no_convergence(unit_constants):
+def test_sweep_cap_raises_no_convergence(unit_constants, monkeypatch):
     from gravclock.errors import NoConvergence
 
     bc = BoundaryConditions(
         SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
     )
-    with pytest.raises(NoConvergence):
-        solve_extremal_path(FLAT, bc, constants=unit_constants, max_sweeps=0)
+    monkeypatch.setattr(geodesic, "DEFAULT_MAX_SWEEPS", 0)
+    with pytest.raises(NoConvergence, match="no convergence after 0 sweeps"):
+        solve_extremal_path(FLAT, bc, constants=unit_constants)
 
 
 def test_boundary_validation(unit_constants):
@@ -387,9 +388,7 @@ def test_stacked_solve_matches_one_path_solves(unit_constants, monkeypatch):
         return real(diag, off, rhs)
 
     monkeypatch.setattr(kernels, "block_thomas", solve)
-    stacked, failure = geodesic._solve_stack(
-        bc, starts, gm, gj, 1.0, 1, geodesic.DEFAULT_TOL, geodesic.DEFAULT_MAX_SWEEPS
-    )
+    stacked, failure = geodesic._solve_stack(bc, starts, gm, gj, 1.0, 1)
     alone = [
         solve_extremal_path(
             RotatingMassModel(M=model.M, J=scale * model.J), bc, True, unit_constants, 512, start=start

@@ -160,12 +160,12 @@ def test_geometry_rejects_non_finite_inputs(kwargs, field):
 
 def test_straight_arm_geometry():
     geom = InterferometerGeometry(w=2e-3, L=1.0, v0=5e2)
-    arm = build_straight_arm(geom, "right", n_samples=4097)
+    arm = build_straight_arm(geom, "right").sampler(4097)
     assert abs(arm.r.min() / (geom.w / 2) - 1.0) < 1e-12
     phi_max = math.atan(2.0 * geom.L / geom.w)
     assert abs(arm.phi[0] + phi_max) < 1e-12
     assert abs(arm.phi[-1] - phi_max) < 1e-12
-    left = build_straight_arm(geom, "left", n_samples=4097)
+    left = build_straight_arm(geom, "left").sampler(4097)
     np.testing.assert_array_equal(left.phi, -arm.phi)
     np.testing.assert_array_equal(left.dphi_dt, -arm.dphi_dt)
     np.testing.assert_array_equal(left.r, arm.r)
@@ -177,6 +177,14 @@ def test_straight_arm_requires_positive_speed():
         build_straight_arm(geom, "right")
     with pytest.raises(DomainError):
         build_straight_arm(InterferometerGeometry(1e-3, 1.0, 1e3), "sideways")
+
+
+@pytest.mark.parametrize("n", [2, 4, 1024])
+def test_azimuth_paths_need_an_odd_sample_count(n):
+    # their Simpson rule in phi pairs the intervals
+    arm = build_straight_arm(InterferometerGeometry(1e-3, 1.0, 1e3), "right")
+    with pytest.raises(DomainError, match=f"^an azimuth-sampled path needs an odd number of samples, got {n}$"):
+        arm.sampler(n)
 
 
 def test_geometry_invariants():
@@ -220,7 +228,7 @@ def test_pair_matches_independent_quadrature():
     # the test's own uniform-t samples of the arm, not the library's nodes
     model = RotatingMassModel(M=1e-6, J=1e-3)
     geom = InterferometerGeometry(w=0.02, L=1.0, v0=1e-3)
-    arm = replace(build_straight_arm(geom, "right", n_samples=20001), sampler=None)
+    arm = replace(build_straight_arm(geom, "right").sampler(20001), sampler=None)
     got = delta_tau_pair(model, arm, UNIT)
     t = np.linspace(0.0, 2.0 * geom.L / geom.v0, 20001)
     y = -geom.L + geom.v0 * t
