@@ -51,9 +51,8 @@ class PathSpec:
     - "azimuth" samples are uniform in phi, include the endpoints and
       integrate with composite Simpson in phi, each sample weighted by
       dt/dphi = 1/(dphi/dt), so dphi/dt must not vanish and the sample
-      count must be odd.  The rule suits
-      integrands proportional to dphi/dt, such as the frame-dragging shifts,
-      not dtau/dt itself;
+      count must be odd.  The rule suits integrands proportional to
+      dphi/dt, such as the frame-dragging shifts, not dtau/dt itself;
     - "midpoint" samples sit at segment midpoints of a uniform t grid (as
       produced by the extremal-path solver) and integrate with the matching
       uniform-weight midpoint rule.

@@ -528,8 +528,8 @@ def test_sweep_clock_energies_that_overflow_name_the_rates(capsys, output):
     code, out, err = run_cli(capsys, *argv, "--outputs", output)
     assert (code, out) == (2, "")
     assert err == "validation error: mean_rate 1.7e+308 and clock_rate 1.7e+308 make a clock energy overflow\n"
-    # no clock output: no clock, and no error
-    code, out, err = run_cli(capsys, *argv, "--outputs", "delta_tau")
+    # the outputs that need no clock build none, so they give no error
+    code, out, err = run_cli(capsys, *argv, "--outputs", "delta_tau,phase_mean,phase_gap,visibility_deficit")
     assert (code, err) == (0, "")
 
 
