@@ -48,7 +48,6 @@ from .interferometry import (
     ClockModel,
     GmeResult,
     InterferenceResult,
-    clock_unitary,
     detection_probabilities,
     gme_entanglement,
     gme_final_state,

@@ -76,18 +76,6 @@ def _fmt(value) -> str:
     return _fmt(float(value))
 
 
-_FLOATS = frozenset((float, np.float64))
-
-
-def _row_format(n: int, sep: str) -> str:
-    """One ``%`` format for n floats, giving the bytes ``_fmt`` gives each, nan and ±inf included."""
-    return sep.join(["%.16e"] * n)
-
-
-def _all_floats(cells) -> bool:
-    return _FLOATS.issuperset(map(type, cells))
-
-
 def _json_dump(obj, out: list[str]) -> None:
     if isinstance(obj, float):
         out.append(_fmt(obj) if math.isfinite(obj) else f'"{_fmt(obj)}"')
@@ -99,12 +87,12 @@ def _json_dump(obj, out: list[str]) -> None:
             out.append(f'"{key}": ')
             _json_dump(val, out)
         out.append("}")
-    elif isinstance(obj, np.ndarray):  # a float64 table: its rows as lists
-        out.append("[[" if len(obj) else "[")
-        out.extend(format_table(obj, ", ", "], [", '"%.16e"'))
-        out.append("]]" if len(obj) else "]")
-    elif isinstance(obj, (list, tuple)) and _all_floats(obj) and all(map(math.isfinite, obj)):
-        out.append("[" + _row_format(len(obj), ", ") % tuple(obj) + "]")
+    elif isinstance(obj, np.ndarray) and not obj.size:
+        out.append("[]")
+    elif isinstance(obj, np.ndarray):  # float64: a list, or a table as a list of rows
+        out.append("[" * obj.ndim)
+        out.extend(format_table(obj.reshape(-1, obj.shape[-1]), ", ", "], [", '"%.16e"'))
+        out.append("]" * obj.ndim)
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, val in enumerate(obj):
@@ -149,12 +137,7 @@ def _emit(args, inputs: dict, columns, rows, constants: PhysicalConstants, outpu
             buf.writelines(format_table(rows, ",", "\n"))
             buf.write("\n" if len(rows) else "")
         else:
-            line = _row_format(len(columns), ",") + "\n"
-            for row in rows:
-                if _all_floats(row):
-                    buf.write(line % tuple(row))
-                else:  # str, bool and int cells
-                    writer.writerow(map(_fmt, row))
+            writer.writerows(map(_fmt, row) for row in rows)
         text = buf.getvalue()
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
@@ -452,7 +435,7 @@ def _cmd_sweep(ns) -> int:
             fixed[key] = val
     cfg = det.SweepConfig(axis=ns.axis, values=values, outputs=outputs, fixed=fixed)
     table = det.run_sweep(cfg, constants)
-    inputs = {"axis": ns.axis, "values": list(values), "outputs": list(outputs), **fixed}
+    inputs = {"axis": ns.axis, "values": np.array(values, dtype=float), "outputs": list(outputs), **fixed}
     _emit(ns, inputs, table.columns, table.rows, constants)
     return EXIT_OK
 

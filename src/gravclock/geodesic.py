@@ -92,8 +92,6 @@ def _midpoint_path(bc: BoundaryConditions, nodes: np.ndarray) -> PathSpec:
         dr_dt=vel[:, 0],
         dtheta_dt=vel[:, 1],
         dphi_dt=vel[:, 2],
-        start=bc.start,
-        end=bc.end,
         kind="midpoint",
     )
 

@@ -18,23 +18,18 @@ s / (2 (1 + sqrt(1 - s))).  Pr(L') keeps (1 + V cos(phase)) / 2, which
 cancels only where V cos(phase) nears -1.  The test theory of
 :mod:`gravclock.qep` shares these forms.
 
-Phase convention: the closed forms place the full gap phase
-dE * delta_tau / hbar between the clock branches while keeping the mean
-phase at Ebar * delta_tau / hbar.  The state-vector constructions here are
-the references ``selftest`` and the tests check the closed forms against;
-they realize that convention exactly by evolving the arms with effective
-branch energies Ebar -+ dE over coordinate proper times -+ delta_tau / 2,
-so the two agree to machine precision.  The common (average) arm proper
-time only contributes a global phase and is dropped.
+The state-vector constructions here are the references ``selftest`` and
+the tests check the closed forms against; they build the clock kets of the
+two arms with :func:`arm_kets`, which holds the phase convention.
 
 Beam splitters are the symmetric 50/50 convention
 |L> -> (|L'> + |R'>)/sqrt 2, |R> -> (|L'> - |R'>)/sqrt 2.
 
 The closed forms take the clock energies and delta_tau as floats or numpy
 arrays and broadcast over them, so a parameter sweep evaluates each one once
-over its whole axis.  The unitaries and state-vector constructions broadcast
-the same way: array energies give a stack of matrices or states with the
-batch axes leading (see :mod:`gravclock.clockstate`).
+over its whole axis.  The state-vector constructions broadcast the same
+way: array energies give a stack of states with the batch axes leading (see
+:mod:`gravclock.clockstate`).
 """
 
 from __future__ import annotations
@@ -107,36 +102,31 @@ class GmeResult:
     witness: float
 
 
-def clock_unitary(clock: ClockModel, tau: float, constants: PhysicalConstants = CODATA) -> np.ndarray:
-    """diag(exp(E_g tau / i hbar), exp(E_e tau / i hbar)) in the {|g>, |e>} basis.
+def arm_kets(mean, gap, basis, amplitudes, delta_tau: float, hbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Clock kets |chi_1>, |chi_2> after the two arms; the one statement of the phase convention.
 
-    Energies and tau broadcast; a stack of clocks gives matrices of shape (..., 2, 2).
+    The clock starts in sum_k a_k |k>, with ``amplitudes`` (a_0, a_1) over
+    ``basis`` (|k_0>, |k_1>), the eigenbasis of the arm Hamiltonian, whose
+    eigenvalues are ``mean`` -+ ``gap`` / 2.  The arms evolve it with branch
+    energies (E_0, E_1) = (mean - gap, mean + gap) over proper times
+    -+ delta_tau / 2:
+
+        chi_{1,2} = sum_k exp(+-i E_k delta_tau / 2 hbar) a_k |k>
+
+    This places the full gap phase gap * delta_tau / hbar between the
+    branches and keeps the mean phase at mean * delta_tau / hbar, as the
+    closed forms do, so the two agree to machine precision.  The common arm
+    proper time only contributes a global phase and is dropped.  Energies,
+    amplitudes and delta_tau broadcast, and kets of shape (..., n) give
+    kets of shape (..., n).
     """
-    hbar = constants.hbar
-    phase_g = -clock.E_g * tau / hbar
-    phase_e = -clock.E_e * tau / hbar
-    u = np.zeros(np.broadcast(phase_g, phase_e).shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = np.exp(1j * phase_g)
-    u[..., 1, 1] = np.exp(1j * phase_e)
-    return u
-
-
-def _effective_clock(clock: ClockModel) -> ClockModel:
-    # branch energies Ebar -+ dE: realizes the closed-form phase convention
-    return ClockModel(clock.mean_energy - clock.gap, clock.mean_energy + clock.gap)
-
-
-def arm_unitaries(
-    clock: ClockModel, delta_tau: float, constants: PhysicalConstants = CODATA
-) -> tuple[np.ndarray, np.ndarray]:
-    """Clock unitaries of the two arms under the closed-form phase convention.
-
-    A stack of clocks gives two stacks of shape (..., 2, 2).
-    """
-    eff = _effective_clock(clock)
+    half = 0.5 * delta_tau / hbar
+    (ket0, ket1), (amp0, amp1) = basis, amplitudes
+    phase0, phase1 = (np.asarray(energy * half)[..., None] for energy in (mean - gap, mean + gap))
+    part0, part1 = np.asarray(amp0)[..., None] * ket0, np.asarray(amp1)[..., None] * ket1
     return (
-        clock_unitary(eff, -0.5 * delta_tau, constants),
-        clock_unitary(eff, 0.5 * delta_tau, constants),
+        np.exp(1j * phase0) * part0 + np.exp(1j * phase1) * part1,
+        np.exp(-1j * phase0) * part0 + np.exp(-1j * phase1) * part1,
     )
 
 
@@ -199,7 +189,9 @@ def detection_probabilities(
     return InterferenceResult(visibility=vis, pr_left=pr_left, pr_right=pr_right, phase_mean=phase)
 
 
-_KET_XI0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+# the clock starts in (|g> + |e>)/sqrt 2 over its energy basis
+_ENERGY_BASIS = np.eye(2, dtype=complex)
+_EVEN = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 _BEAM_SPLITTER = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
@@ -213,8 +205,8 @@ def interferometer_state(
     stored in the after-splitter {|L'>, |R'>} basis.  A stack of clocks gives
     a stack of states.
     """
-    u1, u2 = arm_unitaries(clock, delta_tau, constants)
-    pre = np.stack([u1 @ _KET_XI0, u2 @ _KET_XI0], axis=-2) / math.sqrt(2.0)  # [..., path, clock]
+    kets = arm_kets(clock.mean_energy, clock.gap, _ENERGY_BASIS, _EVEN, delta_tau, constants.hbar)
+    pre = np.stack(kets, axis=-2) / math.sqrt(2.0)  # [..., path, clock]
     post = _BEAM_SPLITTER @ pre
     return cs.StateVector(post.reshape(post.shape[:-2] + (4,)), (("P", 2), ("C", 2)))
 
@@ -245,8 +237,7 @@ def gme_final_state(
     {|0>, |1>} basis.  The clock starts in (|g> + |e>)/sqrt 2, as in
     :func:`interferometer_state`.  A stack of clocks gives a stack of states.
     """
-    u1, u2 = arm_unitaries(clock, delta_tau, constants)
-    return _gme_state(u1 @ _KET_XI0, u2 @ _KET_XI0)
+    return _gme_state(*arm_kets(clock.mean_energy, clock.gap, _ENERGY_BASIS, _EVEN, delta_tau, constants.hbar))
 
 
 def gme_entanglement(

@@ -35,7 +35,7 @@ from . import kernels
 from .constants import CODATA, PhysicalConstants
 from .errors import DomainError, NoConvergence, NotTimelike, require_finite, require_positive
 from .logdomain import SignedLog
-from .spacetime import RotatingMassModel, SpacetimePoint
+from .spacetime import RotatingMassModel
 
 QUADRATURE_REL_TOL = 1e-10
 MAX_QUADRATURE_SAMPLES = 2**20
@@ -65,8 +65,6 @@ class PathSpec:
     dr_dt: np.ndarray
     dtheta_dt: np.ndarray
     dphi_dt: np.ndarray
-    start: SpacetimePoint
-    end: SpacetimePoint
     kind: str
     sampler: Optional[Callable[[int], "PathSpec"]] = None
 
@@ -133,8 +131,8 @@ def _simpson_uniform(y: np.ndarray, x: np.ndarray) -> float:
     return (dx / 3.0) * float(y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
 
 
-class _SubnormalSamples(DomainError):
-    """Samples of an azimuth quadrature fell below the normal double range."""
+class _OutOfRange(DomainError):
+    """Samples of a quadrature left the normal double range."""
 
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
@@ -157,19 +155,22 @@ def _integrate_samples(path: PathSpec, values: np.ndarray) -> float:
         dt = path.t[1] - path.t[0]
         return float(dt * values.sum())
     if _has_subnormal(values) or _has_subnormal(path.dphi_dt):
-        raise _SubnormalSamples("samples of the azimuth quadrature fall below the normal double range")
+        raise _OutOfRange("samples of the azimuth quadrature fall below the normal double range")
     return _simpson_uniform(values / path.dphi_dt, path.phi)
 
 
 def _check_timelike(model: RotatingMassModel, path: PathSpec, constants: PhysicalConstants) -> None:
     # samples that overflowed or divided by zero give an infinite or NaN
-    # radicand, which the check rejects; numpy need not warn about them first
+    # radicand, which would refine to the sample cap; numpy need not warn
+    # about them first
     with np.errstate(all="ignore"):
         rad = kernels.radicand_array(
             path.r, path.theta, path.dr_dt, path.dtheta_dt, path.dphi_dt,
             constants.G * model.M, constants.G * model.J, constants.c, 0,
         )
-    if not np.all(rad > 0.0):  # a NaN radicand too, which would refine to the sample cap
+    if not np.all(np.isfinite(rad)):
+        raise _OutOfRange("samples of the quadrature leave the double range")
+    if not np.all(rad > 0.0):
         raise NotTimelike("path contains samples that are not timelike in the background")
 
 
@@ -181,9 +182,10 @@ def _quadrature(
 ) -> float:
     """Integrate `integrand(path) -> samples` over t, refining when possible.
 
-    A path with a sampler is resampled with twice the intervals until two
-    successive values agree to ``QUADRATURE_REL_TOL``.  Raises :class:`NoConvergence`
-    when the next level would pass ``MAX_QUADRATURE_SAMPLES`` first.
+    ``path`` is the first level.  A path with a sampler is resampled with
+    twice the intervals until two successive values agree to
+    ``QUADRATURE_REL_TOL``.  Raises :class:`NoConvergence` when the next level
+    would pass ``MAX_QUADRATURE_SAMPLES`` first.
     """
 
     def evaluate(p: PathSpec) -> float:
@@ -192,11 +194,10 @@ def _quadrature(
 
     if path.sampler is None:
         return evaluate(path)
-    n = max(256, path.n_samples - 1)
-    n = 2 ** int(math.ceil(math.log2(n)))
+    n = path.n_samples - 1
     previous = None
     while True:
-        value = evaluate(path.sampler(n + 1))
+        value = evaluate(path if previous is None else path.sampler(n + 1))
         change = math.inf if previous is None else abs(value - previous)
         if change <= QUADRATURE_REL_TOL * max(abs(value), 1e-300):
             return value
@@ -298,17 +299,13 @@ def build_straight_arm(geom: InterferometerGeometry, side: str) -> PathSpec:
         theta = np.full(n, 0.5 * math.pi)
         vy = direction * v0
         # an r * r that underflows gives an infinite dphi/dt, which the
-        # quadrature's timelike check rejects
+        # quadrature rejects as out of range
         with np.errstate(all="ignore"):
             dr_dt = y * vy / r
             dphi_dt = half_w * vy / (r * r)
-        dtheta_dt = np.zeros(n)
-        start = SpacetimePoint(t[0], r[0], theta[0], phi[0])
-        end = SpacetimePoint(t[-1], r[-1], theta[-1], phi[-1])
         return PathSpec(
             t=t, r=r, theta=theta, phi=phi,
-            dr_dt=dr_dt, dtheta_dt=dtheta_dt, dphi_dt=dphi_dt,
-            start=start, end=end, kind="azimuth", sampler=sampler,
+            dr_dt=dr_dt, dtheta_dt=np.zeros(n), dphi_dt=dphi_dt, kind="azimuth", sampler=sampler,
         )
 
     return sampler(257)
@@ -388,7 +385,7 @@ def delta_tau_interferometer(
             value = 0.5 * delta_tau_pair(model, arm, constants)
         except NoConvergence as exc:
             raise NoConvergence(f"arm with L/w = {geom.L / geom.w:.6g}: {exc}") from exc
-        except _SubnormalSamples as exc:
+        except _OutOfRange as exc:
             raise out_of_range from exc
         except NotTimelike as exc:  # the background radicand: J plays no part
             raise NotTimelike(

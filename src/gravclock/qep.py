@@ -11,25 +11,26 @@ sin(theta)|e'>, the interferometer closed forms become
     Pr(L') = (1 + V cos(Ebar' delta_tau / hbar + xi delta_tau)) / 2
 
 with the xi branch chosen continuous in delta_tau (xi -> -cos(2 theta) dE'/hbar
-as delta_tau -> 0).  The same doubled-branch phase convention as
-:mod:`gravclock.interferometry` is used so closed forms and state-vector
-constructions agree identically; at theta = 0 every output reduces to the
-equal-Hamiltonian interferometer with the clock frozen at its occupied
-branch energy.  V is evaluated as |cos(2 theta) + i sin(2 theta) cos psi|,
-which equals the root above without cancelling, and the ports and
+as delta_tau -> 0).  The arm states are built by
+:func:`gravclock.interferometry.arm_kets` over the H_f eigenbasis, so closed
+forms and state-vector constructions agree identically; at theta = 0 every
+output reduces to the equal-Hamiltonian interferometer with the clock
+frozen at its occupied branch energy.  V is evaluated as
+|cos(2 theta) + i sin(2 theta) cos psi|, which equals the root above
+without cancelling, and the ports and
 entanglement take the cancellation-free forms of
 :mod:`gravclock.interferometry` with 1 - V^2 = sin^2(2 theta) sin^2 psi.
 
 H_N is the clock's own Hamiltonian diag(E_g, E_e) (a
 :class:`~gravclock.interferometry.ClockModel`), so its eigenbasis, ground
-state first, is the storage basis of every matrix here, and only the
+state first, is the storage basis of every ket here, and only the
 commutator diagnostic reads its energies.
 
 Every route broadcasts over a theory whose energies and angles are numpy
 arrays: the closed forms (:func:`qep_visibility`, :func:`qep_probabilities`,
 :func:`qep_gme_entanglement`) and the commutator diagnostic give arrays, and
-the matrix routes (H_f, the arm states and the final state) give stacks with
-the batch axes leading.
+the state routes (the primed basis, the arm states and the final state) give
+stacks with the batch axes leading.
 """
 
 from __future__ import annotations
@@ -43,10 +44,7 @@ import numpy as np
 from . import clockstate as cs
 from .constants import CODATA, PhysicalConstants
 from .errors import DomainError, require_finite
-from .interferometry import ClockModel, _entanglement, _gme_state, _ports
-
-# the clock starts in the H_N ground state
-_GROUND = np.array([1.0, 0.0], dtype=complex)
+from .interferometry import ClockModel, _entanglement, _gme_state, _ports, arm_kets
 
 
 def _relative_spread(x: float, y: float) -> float:
@@ -111,12 +109,6 @@ class QepTestTheory:
         e_prime = np.stack(np.broadcast_arrays(e_first, ct), axis=-1)
         return g_prime, e_prime
 
-    def h_f_matrix(self) -> np.ndarray:
-        g_p, e_p = self.primed_basis()
-        e_g = np.asarray(self.E_g_prime)[..., None, None]
-        e_e = np.asarray(self.E_e_prime)[..., None, None]
-        return e_g * cs._outer(g_p, g_p.conj()) + e_e * cs._outer(e_p, e_p.conj())
-
 
 @dataclass(frozen=True)
 class QepResult:
@@ -128,33 +120,16 @@ class QepResult:
     ef_sp: float = math.nan
 
 
-def _exp_hermitian(h: np.ndarray, factor: complex) -> np.ndarray:
-    """exp(factor * h) for Hermitian h via its spectral decomposition.
-
-    ``h`` may be a stack of shape (..., n, n) and ``factor`` an array over its
-    batch axes.
-    """
-    eigvals, eigvecs = np.linalg.eigh(h)
-    weights = np.exp(np.asarray(factor)[..., None] * eigvals)
-    return (eigvecs * weights[..., None, :]) @ np.swapaxes(eigvecs.conj(), -2, -1)
-
-
-def _doubled_h_f(tt: QepTestTheory) -> np.ndarray:
-    # branch energies Ebar' -+ dE' about the mean: closed-form convention
-    h_f = tt.h_f_matrix()
-    mean = np.asarray(tt.mean_prime)[..., None, None]
-    eye = np.eye(2, dtype=complex)
-    return mean * eye + 2.0 * (h_f - mean * eye)
-
-
 def qep_arm_states(
     tt: QepTestTheory, delta_tau: float, constants: PhysicalConstants = CODATA
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Clock states |chi_1>, |chi_2> after traversing the two arms, of shape (..., 2)."""
-    h_eff = _doubled_h_f(tt)
-    u1 = _exp_hermitian(h_eff, 1j * (0.5 * delta_tau / constants.hbar))
-    u2 = _exp_hermitian(h_eff, 1j * (-0.5 * delta_tau / constants.hbar))
-    return u1 @ _GROUND, u2 @ _GROUND
+    """Clock states |chi_1>, |chi_2> after traversing the two arms, of shape (..., 2).
+
+    The clock starts in the H_N ground state |g> = <g'|g> |g'> + <e'|g> |e'>.
+    """
+    g_prime, e_prime = tt.primed_basis()
+    amplitudes = (g_prime[..., 0].conj(), e_prime[..., 0].conj())
+    return arm_kets(tt.mean_prime, tt.gap_prime, (g_prime, e_prime), amplitudes, delta_tau, constants.hbar)
 
 
 def _continuous_arctan(cos_2theta: float, psi: float) -> float:

@@ -14,7 +14,7 @@ from gravclock import kernels
 from gravclock.constants import CODATA, PhysicalConstants
 from gravclock.errors import DomainError, NotTimelike
 from gravclock.propertime import PathSpec, _integrate_samples
-from gravclock.spacetime import RotatingMassModel, SpacetimePoint
+from gravclock.spacetime import RotatingMassModel
 
 
 def build_circular_arc(
@@ -35,18 +35,15 @@ def build_circular_arc(
 
     def sampler(n: int) -> PathSpec:
         t = np.linspace(0.0, total_time, n)
-        phi = omega * t
-        start = SpacetimePoint(t[0], r0, theta, phi[0])
-        end = SpacetimePoint(t[-1], r0, theta, phi[-1])
         return PathSpec(
             t=t,
             r=np.full(n, r0),
             theta=np.full(n, theta),
-            phi=phi,
+            phi=omega * t,
             dr_dt=np.zeros(n),
             dtheta_dt=np.zeros(n),
             dphi_dt=np.full(n, omega),
-            start=start, end=end, kind="azimuth", sampler=sampler,
+            kind="azimuth", sampler=sampler,
         )
 
     return sampler(n_samples)

@@ -17,8 +17,10 @@ from gravclock.clockstate import (
 from gravclock.constants import CODATA
 from gravclock.errors import DomainError
 from gravclock.interferometry import (
+    _ENERGY_BASIS,
+    _EVEN,
     ClockModel,
-    clock_unitary,
+    arm_kets,
     detection_probabilities,
     gap_phase,
     gme_entanglement,
@@ -36,30 +38,32 @@ def phase_clock(mean, gap):
     return ClockModel(E_g=(mean - 0.5 * gap) * HBAR, E_e=(mean + 0.5 * gap) * HBAR)
 
 
-def test_clock_unitary_identity_and_unitarity():
-    clock = phase_clock(0.8, 1.7)
-    np.testing.assert_allclose(clock_unitary(clock, 0.0), np.eye(2), atol=1e-15)
-    rng = np.random.default_rng(21)
-    for _ in range(50):
-        u = clock_unitary(clock, rng.uniform(-5, 5))
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
-
-
-def test_clock_unitary_composition():
-    clock = phase_clock(0.8, 1.7)
-    u = clock_unitary(clock, 1.3) @ clock_unitary(clock, 0.9)
-    np.testing.assert_allclose(u, clock_unitary(clock, 2.2), atol=1e-12)
+def _clock_kets(clock, delta_tau):
+    """The interferometer's arm kets, from (|g> + |e>)/sqrt 2."""
+    return arm_kets(clock.mean_energy, clock.gap, _ENERGY_BASIS, _EVEN, delta_tau, HBAR)
 
 
 def test_relative_evolution_is_the_arm_quotient():
-    # U(P1)^dagger U(P2) for arms whose proper times differ by dt is U(dt)
+    # chi_2 / chi_1 per branch is exp(-i E_k dt / hbar) with E_k = Ebar -+ dE, so
+    # the branches part by twice the gap phase and the overlap is |cos(dE dt / hbar)|
     clock = phase_clock(0.8, 1.7)
-    dt = 0.37
-    quotient = clock_unitary(clock, 2.0 + dt) @ clock_unitary(clock, 2.0).conj().T
-    np.testing.assert_allclose(clock_unitary(clock, dt), quotient, atol=1e-12)
-    phases = np.angle(np.diag(quotient))
-    diff = (phases[0] - phases[1]) % (2 * math.pi)
-    assert abs(diff - (clock.gap * dt / HBAR) % (2 * math.pi)) < 1e-12
+    for dt in (0.0, 0.37, -1.1, 2.9):
+        chi1, chi2 = _clock_kets(clock, dt)
+        phases = np.angle(chi2 / chi1)
+        diff = (phases[0] - phases[1]) % (2 * math.pi)
+        assert abs(diff - (2.0 * clock.gap * dt / HBAR) % (2 * math.pi)) < 1e-12
+        assert abs(abs(np.vdot(chi1, chi2)) - abs(math.cos(clock.gap * dt / HBAR))) < 1e-15
+
+
+def test_arm_kets_round_like_complex_exponentials():
+    clock = phase_clock(0.4, 1.1)
+    for dt in (0.0, 0.5, -0.5, 3.0):
+        half = 0.5 * dt / HBAR
+        energies = (clock.mean_energy - clock.gap, clock.mean_energy + clock.gap)
+        chi1, chi2 = _clock_kets(clock, dt)
+        amp = 1.0 / math.sqrt(2.0)
+        assert list(chi1) == [cmath.exp(1j * (e * half)) * amp for e in energies]
+        assert list(chi2) == [cmath.exp(-1j * (e * half)) * amp for e in energies]
 
 
 def test_visibility_values():
@@ -267,21 +271,9 @@ def test_stacked_clocks_build_each_members_state_bit_for_bit():
     stacked = phase_clock(mean, gap)
     gme = gme_final_state(stacked, 1.0)
     path_clock = interferometer_state(stacked, 1.0)
-    unitary = clock_unitary(stacked, 0.7)
     assert gme.amplitudes.shape == (3, 4, 8)
     assert path_clock.amplitudes.shape == (3, 4, 4)
-    assert unitary.shape == (3, 4, 2, 2)
     for index in np.ndindex(3, 4):
         clock = phase_clock(mean[index], gap[index])
         assert np.array_equal(gme.amplitudes[index], gme_final_state(clock, 1.0).amplitudes)
         assert np.array_equal(path_clock.amplitudes[index], interferometer_state(clock, 1.0).amplitudes)
-        assert np.array_equal(unitary[index], clock_unitary(clock, 0.7))
-
-
-def test_clock_unitary_rounds_like_complex_exponentials():
-    clock = phase_clock(0.4, 1.1)
-    for tau in (0.0, 0.5, -0.5, 3.0):
-        expected = [cmath.exp(-1j * clock.E_g * tau / HBAR), cmath.exp(-1j * clock.E_e * tau / HBAR)]
-        got = clock_unitary(clock, tau)
-        assert [got[0, 0], got[1, 1]] == expected
-        assert got[0, 1] == 0 and got[1, 0] == 0

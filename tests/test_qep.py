@@ -15,7 +15,6 @@ from gravclock.errors import DomainError
 from gravclock.interferometry import ClockModel, detection_probabilities, gme_entanglement
 from gravclock.qep import (
     QepTestTheory,
-    _exp_hermitian,
     qep_final_state,
     qep_arm_states,
     qep_gme_entanglement,
@@ -37,28 +36,32 @@ def theory(theta, gap=1.3, mean=0.7, varphi=0.0, n_gap=1.0, n_mean=0.5):
     )
 
 
-# the relative evolution exp(H_f delta_tau / i hbar), by the spectral
-# exponential that the arm states use
+# the arm kets of the test theory, from the H_N ground state
 
 
 def test_relative_evolution_diagonal_when_bases_align():
-    u = _exp_hermitian(theory(0.0).h_f_matrix(), -1j / HBAR)
-    assert abs(u[0, 1]) < 1e-15
-    assert abs(u[1, 0]) < 1e-15
+    # at theta = 0 the ground state is |g'>: each arm only multiplies it by a phase
+    for dt in (0.0, 0.5, -2.0):
+        for chi in qep_arm_states(theory(0.0), dt):
+            assert chi[1] == 0.0
+            assert abs(abs(chi[0]) - 1.0) < 1e-15
 
 
 def test_relative_evolution_unitary():
     rng = np.random.default_rng(31)
     for _ in range(50):
         tt = theory(rng.uniform(0, math.pi / 2), rng.uniform(0, 6), rng.uniform(0, 6), rng.uniform(0, 6))
-        u = _exp_hermitian(tt.h_f_matrix(), -1j * rng.uniform(0, 3) / HBAR)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
+        for chi in qep_arm_states(tt, rng.uniform(-3, 3)):
+            assert abs(np.vdot(chi, chi).real - 1.0) < 1e-14
 
 
 def test_degenerate_frame_sector_gives_global_phase():
+    # dE' = 0: both arms see Ebar' on every branch, so chi_1 and chi_2 are the
+    # ground state times exp(+-i Ebar' dt / 2 hbar)
     tt = theory(0.3, gap=0.0, mean=0.9)
-    u = _exp_hermitian(tt.h_f_matrix(), -1j / HBAR)
-    np.testing.assert_allclose(u, np.exp(-0.9j) * np.eye(2), atol=1e-12)
+    chi1, chi2 = qep_arm_states(tt, 1.0)
+    np.testing.assert_allclose(chi1, np.exp(0.45j) * np.array([1.0, 0.0]), atol=1e-15)
+    np.testing.assert_allclose(chi2, np.exp(-0.9j) * chi1, atol=1e-15)
 
 
 def test_visibility_is_one_when_bases_align():
@@ -289,15 +292,13 @@ def test_stacked_theory_builds_each_members_matrices_and_states_bit_for_bit():
     stacked = theory(theta, gap, mean, varphi)
     chi1, chi2 = qep_arm_states(stacked, 1.0)
     state = qep_final_state(stacked, 1.0)
-    h_f = stacked.h_f_matrix()
     ratio = stacked.commutator_ratio
-    assert state.amplitudes.shape == (6, 8) and h_f.shape == (6, 2, 2)
+    assert state.amplitudes.shape == (6, 8) and chi1.shape == (6, 2)
     for i in range(6):
         single = theory(theta[i], gap[i], mean[i], varphi[i])
         one1, one2 = qep_arm_states(single, 1.0)
         assert np.array_equal(chi1[i], one1) and np.array_equal(chi2[i], one2)
         assert np.array_equal(state.amplitudes[i], qep_final_state(single, 1.0).amplitudes)
-        assert np.array_equal(h_f[i], single.h_f_matrix())
         assert ratio[i] == single.commutator_ratio
 
 

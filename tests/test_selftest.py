@@ -133,3 +133,20 @@ def test_blocks_do_not_reorder_the_draws(capsys, monkeypatch, samples):
     monkeypatch.setattr(cli, "SELFTEST_BLOCK", 7)
     _, blocks_of_seven = selftest_json(capsys, 3, samples)
     assert blocks_of_seven == one_block
+
+
+def test_the_arm_states_and_selftest_call_no_eigensolver(capsys, monkeypatch):
+    # the arm kets are built in bases whose eigenvectors are known, so no
+    # np.linalg.eigh runs to find them again
+    def forbid(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbid)
+    hbar = CODATA.hbar
+    theta, gap, mean, varphi = np.random.default_rng(42).uniform(0.0, [[1.5], [6.0], [6.0], [6.0]], size=(4, 5))
+    clock = itf.ClockModel(0.0, hbar)
+    tt = qep_mod.QepTestTheory(clock, (mean - 0.5 * gap) * hbar, (mean + 0.5 * gap) * hbar, theta, varphi)
+    chi1, chi2 = qep_mod.qep_arm_states(tt, 1.0)
+    assert chi1.shape == chi2.shape == (5, 2)
+    assert cli.run_command(["selftest", "--samples", "20"]) == 0
+    assert "false" not in capsys.readouterr().out
