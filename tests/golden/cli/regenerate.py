@@ -57,6 +57,9 @@ _COMMANDS = [
     "delta-tau --w 1e300",
     "delta-tau --mode quadrature --v0 1",
     "delta-tau --mode both --v0 1 --L-ratio 1e4",
+    # arms whose quadrature takes two levels (L/w < 10) and three at a long arm
+    "delta-tau --mode both --v0 1 --L-ratio 1.5",
+    "delta-tau --mode quadrature --v0 1 --L-ratio 1e8",
     "delta-tau --mode both --v0 30 --M 1e3 --J 5.86e33 --w 1e-3 --format json",
     "interfere",
     "interfere --delta-tau 1e-15",
@@ -116,6 +119,8 @@ _ERRORS = [
     "delta-tau --mode quadrature --J 1e300 --w 1e-300 --v0 1",
     "delta-tau --mode quadrature --M 1e30 --v0 1",
     "delta-tau --mode quadrature --v0 299792457.99999994",
+    "delta-tau --mode quadrature --v0 1 --L-ratio 1e17",
+    "delta-tau --mode quadrature --v0 1 --w 1e300",
     "interfere --L-ratio nan",
     "interfere --L-ratio 1e300 --w 1e10",
     "interfere --delta-tau nan",
