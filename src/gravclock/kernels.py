@@ -112,19 +112,21 @@ def perturbation_share_array(r, theta, vr, vth, vph, gm, gj, c):
 def first_order_integrand_array(r, theta, vr, vth, vph, gm, gj, c):
     # -(h_tphi / c) * (dt/dtau_bar) * dphi/dt, integrated against dt; the
     # sign comes from expanding sqrt(-(gbar+h)_munu dx dx): a co-rotating
-    # traversal gains proper time when J > 0
+    # traversal gains proper time when J > 0.  Returned with the background
+    # radicand (radicand_array's at pert 0) of the same weak-field pass
     eps, v2, h = weak_field_terms(r, theta, vr, vth, vph, gm, gj, c)
     rad = radicand_from_terms(eps, v2, h, vph, c, 0)
-    return -h * vph / (c * np.sqrt(rad))
+    return -h * vph / (c * np.sqrt(rad)), rad
 
 
 def pair_integrand_array(r, theta, vr, vth, vph, gm, gj, c):
     # Same first-order shift but with dt/dtau_bar replaced by the conserved
     # energy-ratio form  -(E/m c^2) / gbar_tt, doubled for the time-reversed
-    # partner: the (2 E / m c^3) int h_0i / gbar_00 dx^i route.
+    # partner: the (2 E / m c^3) int h_0i / gbar_00 dx^i route.  Returned with
+    # the background radicand, as the single-path integrand is
     eps, v2, h = weak_field_terms(r, theta, vr, vth, vph, gm, gj, c)
     ratio = energy_ratio_from_speed(r, v2, gm, c)
-    return -2.0 * (h / c) * ratio / (1.0 - eps) * vph
+    return -2.0 * (h / c) * ratio / (1.0 - eps) * vph, radicand_from_terms(eps, v2, h, vph, c, 0)
 
 
 def energy_ratio_array(r, theta, vr, vth, vph, gm, c):

@@ -56,6 +56,9 @@ class PathSpec:
     - "midpoint" samples sit at segment midpoints of a uniform t grid (as
       produced by the extremal-path solver) and integrate with the matching
       uniform-weight midpoint rule.
+
+    A path with a ``sampler(n)``, which resamples it at n samples, is an
+    azimuth path of 4k + 1 samples whose even samples are sampler(2k + 1)'s.
     """
 
     t: np.ndarray
@@ -71,14 +74,16 @@ class PathSpec:
     def __post_init__(self) -> None:
         if self.t.shape[0] < 2:
             raise DomainError("a path needs at least two samples")
-        if np.any(np.diff(self.t) <= 0):
+        if (self.t[1:] - self.t[:-1] <= 0).any():  # np.diff(t) <= 0 somewhere
             raise DomainError("coordinate time must be strictly increasing")
         if self.kind not in ("azimuth", "midpoint"):
             raise DomainError(f"unknown path kind {self.kind!r}")
-        if self.kind == "azimuth" and np.any(self.dphi_dt == 0):
+        if self.kind == "azimuth" and (self.dphi_dt == 0).any():
             raise DomainError("an azimuth-sampled path needs dphi/dt != 0 at every sample")
         if self.kind == "azimuth" and self.t.shape[0] % 2 == 0:
             raise DomainError(f"an azimuth-sampled path needs an odd number of samples, got {self.t.shape[0]}")
+        if self.sampler is not None and (self.kind != "azimuth" or self.t.shape[0] % 4 != 1):
+            raise DomainError(f"a sampled path needs 4k + 1 azimuth samples, got {self.n_samples} {self.kind} samples")
 
     @property
     def n_samples(self) -> int:
@@ -143,10 +148,11 @@ def _has_subnormal(x: np.ndarray) -> bool:
     return bool(small.any()) and bool(np.any(x[small] != 0.0))
 
 
-def _integrate_samples(path: PathSpec, values: np.ndarray) -> float:
+def _integrate_samples(path: PathSpec, values: np.ndarray, step: int = 1) -> float:
     """Integral of sampled ``values`` over t, by the rule matching ``path.kind``.
 
-    The azimuth rule raises :class:`DomainError` when a sample or a dphi/dt
+    ``step`` picks every step-th sample, a coarser azimuth path.  The azimuth
+    rule raises :class:`DomainError` when a sample or a dphi/dt of that level
     is subnormal: 1/(dphi/dt) grows as (r/w)^2 toward an arm's ends and
     magnifies the absolute rounding of such samples, so the integral would be
     off in its leading digits, or keep changing until the sample cap.
@@ -154,50 +160,54 @@ def _integrate_samples(path: PathSpec, values: np.ndarray) -> float:
     if path.kind == "midpoint":
         dt = path.t[1] - path.t[0]
         return float(dt * values.sum())
-    if _has_subnormal(values) or _has_subnormal(path.dphi_dt):
+    values, dphi_dt = values[::step], path.dphi_dt[::step]
+    if _has_subnormal(values) or _has_subnormal(dphi_dt):
         raise _OutOfRange("samples of the azimuth quadrature fall below the normal double range")
-    return _simpson_uniform(values / path.dphi_dt, path.phi)
+    return _simpson_uniform(values / dphi_dt, path.phi[::step])
 
 
-def _check_timelike(model: RotatingMassModel, path: PathSpec, constants: PhysicalConstants) -> None:
+def _check_timelike(rad: np.ndarray) -> None:
     # samples that overflowed or divided by zero give an infinite or NaN
-    # radicand, which would refine to the sample cap; numpy need not warn
-    # about them first
-    with np.errstate(all="ignore"):
-        rad = kernels.radicand_array(
-            path.r, path.theta, path.dr_dt, path.dtheta_dt, path.dphi_dt,
-            constants.G * model.M, constants.G * model.J, constants.c, 0,
-        )
-    if not np.all(np.isfinite(rad)):
+    # radicand, which would refine to the sample cap
+    if not np.isfinite(rad).all():
         raise _OutOfRange("samples of the quadrature leave the double range")
-    if not np.all(rad > 0.0):
+    if not (rad > 0.0).all():
         raise NotTimelike("path contains samples that are not timelike in the background")
 
 
-def _quadrature(
-    model: RotatingMassModel,
-    path: PathSpec,
-    integrand,
-    constants: PhysicalConstants,
-) -> float:
-    """Integrate `integrand(path) -> samples` over t, refining when possible.
+def _levels(path: PathSpec, integrand):
+    """Successive quadrature levels, from one ``integrand`` call per sampling.
 
-    ``path`` is the first level.  A path with a sampler is resampled with
-    twice the intervals until two successive values agree to
+    A path with a sampler gives two levels, then each resampling one.
+    """
+    steps = (1,) if path.sampler is None else (2, 1)
+    while True:
+        # numpy need not warn about samples that the checks reject
+        with np.errstate(all="ignore"):
+            values, rad = integrand(path)
+        for step in steps:
+            _check_timelike(rad[::step])
+            yield _integrate_samples(path, values, step)
+        if path.sampler is None:
+            return
+        path, steps = path.sampler(2 * path.n_samples - 1), (1,)
+
+
+def _quadrature(path: PathSpec, integrand) -> float:
+    """Integrate ``integrand(path) -> (samples, background radicand)`` over t.
+
+    A path without a sampler is one level.  A path with one (4k + 1 azimuth
+    samples) gives two: its even samples, then all of them.  Then it is
+    resampled with twice the intervals until two successive levels agree to
     ``QUADRATURE_REL_TOL``.  Raises :class:`NoConvergence` when the next level
     would pass ``MAX_QUADRATURE_SAMPLES`` first.
     """
-
-    def evaluate(p: PathSpec) -> float:
-        _check_timelike(model, p, constants)
-        return _integrate_samples(p, integrand(p))
-
+    levels = _levels(path, integrand)
     if path.sampler is None:
-        return evaluate(path)
-    n = path.n_samples - 1
+        return next(levels)
+    n = (path.n_samples - 1) // 2
     previous = None
-    while True:
-        value = evaluate(path if previous is None else path.sampler(n + 1))
+    for value in levels:
         change = math.inf if previous is None else abs(value - previous)
         if change <= QUADRATURE_REL_TOL * max(abs(value), 1e-300):
             return value
@@ -226,12 +236,12 @@ def delta_tau_first_order(
     gm = constants.G * model.M
     gj = constants.G * model.J
 
-    def integrand(p: PathSpec) -> np.ndarray:
+    def integrand(p: PathSpec) -> tuple[np.ndarray, np.ndarray]:
         return kernels.first_order_integrand_array(
             p.r, p.theta, p.dr_dt, p.dtheta_dt, p.dphi_dt, gm, gj, constants.c
         )
 
-    return _quadrature(model, background_path, integrand, constants)
+    return _quadrature(background_path, integrand)
 
 
 def delta_tau_pair(
@@ -249,12 +259,12 @@ def delta_tau_pair(
     gm = constants.G * model.M
     gj = constants.G * model.J
 
-    def integrand(p: PathSpec) -> np.ndarray:
+    def integrand(p: PathSpec) -> tuple[np.ndarray, np.ndarray]:
         return kernels.pair_integrand_array(
             p.r, p.theta, p.dr_dt, p.dtheta_dt, p.dphi_dt, gm, gj, constants.c
         )
 
-    return _quadrature(model, forward_path, integrand, constants)
+    return _quadrature(forward_path, integrand)
 
 
 def build_straight_arm(geom: InterferometerGeometry, side: str) -> PathSpec:
@@ -272,7 +282,8 @@ def build_straight_arm(geom: InterferometerGeometry, side: str) -> PathSpec:
     path.  The frame-dragging integrand is a Lorentzian of width ~w in y but
     about h_tphi dphi in phi, smooth at any L/w, so the quadrature needs
     about a thousand samples where uniform-t sampling would need ~L/w.
-    The path has 257 samples; its ``sampler(n)`` gives the arm at n.
+    The path has 513 samples (its even samples are the arm at 257), and
+    ``sampler(n)`` gives the arm at n; either raises when r * r overflows.
     """
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
@@ -289,26 +300,29 @@ def build_straight_arm(geom: InterferometerGeometry, side: str) -> PathSpec:
         u = np.linspace(-phi_max, phi_max, n)
         y_ahead = half_w * np.tan(u)  # distance travelled is L + y_ahead
         t = (L + y_ahead) / v0
-        if np.any(np.diff(t) <= 0):
-            raise DomainError(
-                f"L/w = {L / w:.6g} is too long to resolve {n} arm samples in coordinate time"
-            )
         y = direction * y_ahead
         r = np.hypot(half_w, y)
         phi = direction * u
         theta = np.full(n, 0.5 * math.pi)
         vy = direction * v0
         # an r * r that underflows gives an infinite dphi/dt, which the
-        # quadrature rejects as out of range
+        # quadrature rejects as out of range, and one that overflows a zero
         with np.errstate(all="ignore"):
             dr_dt = y * vy / r
             dphi_dt = half_w * vy / (r * r)
-        return PathSpec(
-            t=t, r=r, theta=theta, phi=phi,
-            dr_dt=dr_dt, dtheta_dt=np.zeros(n), dphi_dt=dphi_dt, kind="azimuth", sampler=sampler,
-        )
+        try:
+            return PathSpec(
+                t=t, r=r, theta=theta, phi=phi,
+                dr_dt=dr_dt, dtheta_dt=np.zeros(n), dphi_dt=dphi_dt, kind="azimuth", sampler=sampler,
+            )
+        except DomainError:  # PathSpec's checks of t and dphi/dt, in its order, named by cause
+            if (t[1:] - t[:-1] <= 0).any():
+                raise DomainError(f"L/w = {L / w:.6g} is too long to resolve {n} arm samples in coordinate time")
+            if not dphi_dt.all():
+                raise _OutOfRange("arm samples leave the double range")
+            raise
 
-    return sampler(257)
+    return sampler(513)
 
 
 def k_factor(v0, constants: PhysicalConstants = CODATA):
@@ -376,13 +390,12 @@ def delta_tau_interferometer(
         return PhaseBundle(delta_tau=value, delta_tau_log=log)
     if mode == "quadrature":
         k_factor(geom.v0, constants)  # raises unless 0 <= v0 < c
-        arm = build_straight_arm(geom, "right")
         # its integrand, ~ G J v0 / (c^4 r^3), can leave double range where the closed form does not
         out_of_range = DomainError(
             f"the arm quadrature at J = {model.J!r}, w = {geom.w!r}, v0 = {geom.v0!r} leaves double range"
         )
         try:
-            value = 0.5 * delta_tau_pair(model, arm, constants)
+            value = 0.5 * delta_tau_pair(model, build_straight_arm(geom, "right"), constants)
         except NoConvergence as exc:
             raise NoConvergence(f"arm with L/w = {geom.L / geom.w:.6g}: {exc}") from exc
         except _OutOfRange as exc:

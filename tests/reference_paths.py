@@ -22,7 +22,7 @@ def build_circular_arc(
     speed: float,
     phi_span: float,
     theta: float = 0.5 * math.pi,
-    n_samples: int = 513,
+    n_samples: int = 1025,
 ) -> PathSpec:
     """Constant-radius equatorial arc traversed at constant coordinate speed.
 

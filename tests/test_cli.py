@@ -445,6 +445,13 @@ def test_quadrature_with_a_nan_radicand_exits_2_before_refining(capsys, monkeypa
     assert err == "validation error: the arm quadrature at J = 1e+300, w = 1e-300, v0 = 1.0 leaves double range\n"
 
 
+def test_an_arm_whose_r_squared_overflows_names_the_inputs(capsys):
+    # L = 1e304 at w = 1e300: r * r overflows at the arm's ends, so dphi/dt rounds to 0
+    code, out, err = run_cli(capsys, "delta-tau", "--mode", "quadrature", "--v0", "1", "--w", "1e300")
+    assert (code, out) == (2, "")
+    assert err == "validation error: the arm quadrature at J = 1.0, w = 1e+300, v0 = 1.0 leaves double range\n"
+
+
 @pytest.mark.parametrize(
     "flags, named",
     [

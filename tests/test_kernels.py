@@ -51,10 +51,14 @@ def test_integrands_match_full_metric_arithmetic(sample_arrays):
     v2 = g_rr * vr**2 + g_thth * vth**2 + g_phph * vph**2
     dt_dtau = 1.0 / np.sqrt(-g_tt - v2 / C**2)
     ratio = 1.0 + 0.5 * v2 / C**2 - GM / (C**2 * r)
-    first = kernels.first_order_integrand_array(r, th, vr, vth, vph, GM, GJ, C)
+    first, first_rad = kernels.first_order_integrand_array(r, th, vr, vth, vph, GM, GJ, C)
     np.testing.assert_allclose(first, -(h_tphi / C) * dt_dtau * vph, rtol=1e-13, atol=0.0)
-    pair = kernels.pair_integrand_array(r, th, vr, vth, vph, GM, GJ, C)
+    pair, pair_rad = kernels.pair_integrand_array(r, th, vr, vth, vph, GM, GJ, C)
     np.testing.assert_allclose(pair, -2.0 * (h_tphi / C) * ratio / -g_tt * vph, rtol=1e-13, atol=0.0)
+    # the background radicand each integrand pass returns, bit for bit
+    background = kernels.radicand_array(r, th, vr, vth, vph, GM, GJ, C, 0)
+    np.testing.assert_array_equal(first_rad, background)
+    np.testing.assert_array_equal(pair_rad, background)
     ratios = kernels.energy_ratio_array(r, th, vr, vth, vph, GM, C)
     np.testing.assert_allclose(ratios, ratio, rtol=1e-15, atol=0.0)
 

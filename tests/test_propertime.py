@@ -4,12 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gravclock import propertime
+from gravclock import kernels, propertime
 from gravclock.constants import CODATA, PhysicalConstants
-from gravclock.errors import DomainError, NoConvergence
+from gravclock.errors import DomainError, NoConvergence, NotTimelike
 from gravclock.logdomain import SignedLog
 from gravclock.propertime import (
     InterferometerGeometry,
+    PathSpec,
     build_straight_arm,
     delta_tau_first_order,
     delta_tau_interferometer,
@@ -133,6 +134,116 @@ def test_quadrature_matches_finite_arm_closed_form_at_any_length(monkeypatch):
     for errs in errors.values():
         assert all(b < a or b < 1e-12 for a, b in zip(errs, errs[1:])), errs
         assert errs[-1] < 1e-12
+
+
+def _sequential_quadrature(path, integrand_kernel, gm, gj, c):
+    """The arm quadrature as a sequence of separate samplings: sampler(257), sampler(513), ...
+
+    Each level gets its own background-radicand check, subnormal check and
+    Simpson sum in phi, under the library's stopping rule.
+    """
+    n, previous = 256, None
+    while True:
+        p = path.sampler(n + 1)
+        fields = (p.r, p.theta, p.dr_dt, p.dtheta_dt, p.dphi_dt)
+        rad = kernels.radicand_array(*fields, gm, gj, c, 0)
+        assert np.all(np.isfinite(rad)) and np.all(rad > 0.0)
+        values = integrand_kernel(*fields, gm, gj, c)[0]
+        for x in (values, p.dphi_dt):
+            assert not np.any((np.abs(x) < np.finfo(float).tiny) & (x != 0.0))
+        y = values / p.dphi_dt
+        value = ((p.phi[1] - p.phi[0]) / 3.0) * float(
+            y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()
+        )
+        change = math.inf if previous is None else abs(value - previous)
+        if change <= propertime.QUADRATURE_REL_TOL * max(abs(value), 1e-300):
+            return value, n + 1
+        assert 2 * n <= propertime.MAX_QUADRATURE_SAMPLES
+        previous, n = value, 2 * n
+
+
+@pytest.mark.parametrize("ratio", [1.01, 1.5, 10.0, 1e3, 3e4, 1e6, 1e8])
+@pytest.mark.parametrize(
+    "w, v0, J, M",
+    [(1e-3, 1.0, 1.0, 0.0), (7.3, 3e4, -2.5e33, 6e24), (2e-6, 1e-3, 1e-12, 1e3), (1e3, 2e7, 4e40, 1e20)],
+)
+def test_arm_levels_equal_separate_samplings_bit_for_bit(ratio, w, v0, J, M):
+    # one sampling at 513 gives the 257 and 513 levels; later levels double
+    model, geom = RotatingMassModel(M=M, J=J), InterferometerGeometry(w, ratio * w, v0)
+    arm = build_straight_arm(geom, "right")
+    assert arm.n_samples == 513
+    gm, gj = CODATA.G * M, CODATA.G * J
+    for route, kernel in (
+        (delta_tau_pair, kernels.pair_integrand_array),
+        (delta_tau_first_order, kernels.first_order_integrand_array),
+    ):
+        expected, last = _sequential_quadrature(arm, kernel, gm, gj, CODATA.c)
+        assert route(model, arm).hex() == expected.hex(), (route.__name__, last)
+    quad = delta_tau_interferometer(model, geom, "quadrature").delta_tau
+    assert quad.hex() == (0.5 * _sequential_quadrature(arm, kernels.pair_integrand_array, gm, gj, CODATA.c)[0]).hex()
+
+
+@pytest.mark.parametrize("ratio, sizes", [(1e3, [513, 1025]), (1.5, [513])])
+def test_an_arm_quadrature_samples_each_level_once(monkeypatch, ratio, sizes):
+    calls = {"pair": [], "radicand": []}
+    for name, key in (("pair_integrand_array", "pair"), ("radicand_array", "radicand")):
+        kernel = getattr(kernels, name)
+
+        def counting(*args, kernel=kernel, key=key):
+            calls[key].append(np.size(args[0]))
+            return kernel(*args)
+
+        monkeypatch.setattr(kernels, name, counting)
+    geom = InterferometerGeometry(1e-3, ratio * 1e-3, 1.0)
+    delta_tau_interferometer(RotatingMassModel(0.0, 1.0), geom, "quadrature")
+    assert calls == {"pair": sizes, "radicand": []}
+
+
+def _hand_built(even, odd):
+    """A 9-sample azimuth arc whose even and odd samples carry the given (dr/dt, dphi/dt)."""
+    dr_dt, dphi_dt = np.array([even if i % 2 == 0 else odd for i in range(9)], dtype=float).T
+    phi = np.linspace(0.0, 0.8, 9)
+
+    def sampler(n):
+        raise AssertionError("the first two levels fail their checks")
+
+    return PathSpec(
+        t=phi / 0.5, r=np.ones(9), theta=np.full(9, 0.5 * math.pi), phi=phi,
+        dr_dt=dr_dt, dtheta_dt=np.zeros(9), dphi_dt=dphi_dt, kind="azimuth", sampler=sampler,
+    )
+
+
+@pytest.mark.parametrize("route", [delta_tau_pair, delta_tau_first_order])
+@pytest.mark.parametrize(
+    "even, odd, J, error",
+    [
+        # in unit constants an infinite speed leaves double range and a
+        # speed above 1 is not timelike
+        ((math.inf, 0.5), (0.0, 2.0), 1.0, propertime._OutOfRange),
+        ((0.0, 2.0), (math.inf, 0.5), 1.0, NotTimelike),
+        # a subnormal J gives subnormal integrand samples, a subnormal
+        # dphi/dt is out of range too
+        ((0.0, 0.5), (0.0, 2.0), 1e-310, propertime._OutOfRange),
+        ((0.0, 0.5), (2.0, 1e-310), 1.0, NotTimelike),
+    ],
+)
+def test_the_coarse_level_is_checked_before_the_fine_one(route, even, odd, J, error):
+    # the even samples are the first level, so their error wins, as when
+    # each level was sampled on its own
+    with pytest.raises(error):
+        route(RotatingMassModel(0.0, J), _hand_built(even, odd), UNIT)
+
+
+def test_a_resampled_path_needs_4k_plus_1_samples():
+    arm = build_straight_arm(InterferometerGeometry(1e-3, 1.0, 1e3), "right")
+    with pytest.raises(DomainError, match="^a sampled path needs 4k \\+ 1 azimuth samples, got 515 azimuth samples$"):
+        arm.sampler(515)
+
+
+def test_hand_built_azimuth_paths_need_nonzero_dphi_dt():
+    arc = replace(build_circular_arc(r0=1.0, speed=1e-3, phi_span=0.8), sampler=None)
+    with pytest.raises(DomainError, match="^an azimuth-sampled path needs dphi/dt != 0 at every sample$"):
+        replace(arc, dphi_dt=np.where(np.arange(arc.n_samples) == 3, 0.0, arc.dphi_dt))
 
 
 def test_quadrature_raises_at_the_sample_cap(monkeypatch):
