@@ -57,7 +57,6 @@ from .qep import (
     QepTestTheory,
     qep_final_state,
     qep_gme_entanglement,
-    qep_probabilities,
     qep_visibility,
 )
 from .detectability import (

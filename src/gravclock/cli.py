@@ -21,6 +21,7 @@ import csv
 import functools
 import io
 import math
+import re
 import sys
 
 import numpy as np
@@ -60,6 +61,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # so -1e30, -.5, -inf or -1,2 reads as a value; argparse's takes -1 and -1.5 only
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):  # argparse would sys.exit(2); we want 64
         raise _UsageError(message)
 
@@ -188,8 +194,7 @@ def _float_list(name: str, text) -> list[float]:
     return values
 
 
-def _clock_from(ns) -> itf.ClockModel:
-    constants = resolve_constants(ns.constants)
+def _clock_from(ns, constants: PhysicalConstants) -> itf.ClockModel:
     if ns.E_g is None and ns.E_e is None:
         energies = itf.clock_energies(ns.mean_rate, ns.gap_rate, constants.hbar)
         if ns.gap_rate < 0.0:
@@ -322,23 +327,19 @@ def _cmd_delta_tau(ns) -> int:
     inputs = {"M": ns.M, "J": ns.J, "w": ns.w, "v0": ns.v0, "L_ratio": ns.L_ratio, "mode": ns.mode}
     columns: list[str] = []
     row: list[float] = []
-    if ns.mode in ("closed_form", "both"):
-        bundle = pt.delta_tau_interferometer(model, geom, "closed_form", constants)
-        suffix = "_closed_form" if ns.mode == "both" else ""
-        columns += [f"delta_tau{suffix}", f"delta_tau{suffix}_log10"]
-        row += [bundle.delta_tau, bundle.log10_delta_tau]
-    if ns.mode in ("quadrature", "both"):
-        bundle = pt.delta_tau_interferometer(model, geom, "quadrature", constants)
-        suffix = "_quadrature" if ns.mode == "both" else ""
-        columns += [f"delta_tau{suffix}", f"delta_tau{suffix}_log10"]
-        row += [bundle.delta_tau, bundle.log10_delta_tau]
+    for mode in ("closed_form", "quadrature"):
+        if ns.mode in (mode, "both"):
+            bundle = pt.delta_tau_interferometer(model, geom, mode, constants)
+            suffix = f"_{mode}" if ns.mode == "both" else ""
+            columns += [f"delta_tau{suffix}", f"delta_tau{suffix}_log10"]
+            row += [bundle.delta_tau, bundle.log10_delta_tau]
     _emit(ns, inputs, columns, [row], constants)
     return EXIT_OK
 
 
 def _cmd_interfere(ns) -> int:
     constants = resolve_constants(ns.constants)
-    clock = _clock_from(ns)
+    clock = _clock_from(ns, constants)
     delta_tau = _delta_tau_from(ns, constants)
     _check_phases(delta_tau, constants, gap=clock.gap, mean=clock.mean_energy)
     res = itf.detection_probabilities(clock, delta_tau, constants)
@@ -362,7 +363,7 @@ def _cmd_interfere(ns) -> int:
 
 def _cmd_gme(ns) -> int:
     constants = resolve_constants(ns.constants)
-    clock = _clock_from(ns)
+    clock = _clock_from(ns, constants)
     delta_tau = _delta_tau_from(ns, constants)
     _check_phases(delta_tau, constants, gap=clock.gap, mean=clock.mean_energy)
     res = itf.gme_entanglement(clock, delta_tau, constants)
@@ -376,7 +377,7 @@ def _cmd_gme(ns) -> int:
 
 def _cmd_qep(ns) -> int:
     constants = resolve_constants(ns.constants)
-    clock = _clock_from(ns)
+    clock = _clock_from(ns, constants)
     delta_tau = _delta_tau_from(ns, constants)
     prime_gap = ns.prime_gap_rate if ns.prime_gap_rate is not None else ns.gap_rate
     prime_mean = ns.prime_mean_rate if ns.prime_mean_rate is not None else ns.mean_rate
@@ -384,11 +385,7 @@ def _cmd_qep(ns) -> int:
         prime_mean, prime_gap, constants.hbar, "prime_mean_rate", "prime_gap_rate"
     )
     tt = qep_mod.QepTestTheory(
-        clock=clock,
-        E_g_prime=e_g_prime,
-        E_e_prime=e_e_prime,
-        theta=ns.theta,
-        varphi=ns.varphi,
+        clock=clock, E_g_prime=e_g_prime, E_e_prime=e_e_prime, theta=ns.theta, varphi=ns.varphi
     )
     _check_phases(delta_tau, constants, gap=tt.gap_prime, mean=tt.mean_prime)
     res = qep_mod.qep_gme_entanglement(tt, delta_tau, constants)
@@ -428,11 +425,7 @@ def _cmd_sweep(ns) -> int:
         raise ConfigError("sweep requires --axis and --values")
     values = tuple(_float_list("values", ns.values))
     outputs = tuple(o.strip() for o in str(ns.outputs).split(",") if o.strip()) if ns.outputs else ()
-    fixed = {}
-    for key in ("clock_rate", "mean_rate", "w", "v0", "ell_log10", "theta"):
-        val = getattr(ns, key)
-        if val is not None and key != ns.axis:
-            fixed[key] = val
+    fixed = {key: getattr(ns, key) for key in det.AXES if key != ns.axis and getattr(ns, key) is not None}
     cfg = det.SweepConfig(axis=ns.axis, values=values, outputs=outputs, fixed=fixed)
     table = det.run_sweep(cfg, constants)
     inputs = {"axis": ns.axis, "values": np.array(values, dtype=float), "outputs": list(outputs), **fixed}
@@ -519,7 +512,7 @@ def _qep_errors(draws: np.ndarray, constants: PhysicalConstants):
         np.abs(overlap - res.visibility),
         np.abs(res.ee_spc - von_neumann_entropy(reduced_density(state, ["S"]))),
         np.abs(res.ef_sp - entanglement_of_formation(reduced_density(state, ["S", "P"]))),
-        np.abs(qep_mod.qep_probabilities(tt, 1.0, constants).pr_left - pl),
+        np.abs(res.pr_left - pl),
     )
 
 

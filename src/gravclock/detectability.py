@@ -117,9 +117,7 @@ class SweepConfig:
                 raise ConfigError(f"unknown fixed parameter {key!r}")
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {float(value)!r}")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ConfigError("axis values must be finite")
+        require_finite(self.axis, self.values)
 
 
 @dataclass(frozen=True)

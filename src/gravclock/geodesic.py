@@ -152,7 +152,7 @@ class _Member:
     trial: tuple | None = None  # the accepted (nodes, tau)
 
 
-def _ladder(members, nodes, grad, diag, off, dt, gm, gj, c, pert) -> None:
+def _ladder(members, nodes, grad, diag, off, dt, gm, gj, c) -> None:
     # one sweep's damping ladder for every member: each rung solves, in one
     # stacked call, the members that no earlier rung moved
     damping_scale = np.maximum(np.abs(diag).max(axis=(-3, -2, -1)), 1e-300)
@@ -180,11 +180,11 @@ def _ladder(members, nodes, grad, diag, off, dt, gm, gj, c, pert) -> None:
                 # the nodes onto the stationary point: take it whole
                 member.stop = "decrement"
             searching.append((j, step))
-        _line_search(members, searching, nodes, dt, gm, gj, c, pert)
+        _line_search(members, searching, nodes, dt, gm, gj, c)
         pending = [j for j in pending if not (members[j].stop or members[j].improved)]
 
 
-def _line_search(members, searching, nodes, dt, gm, gj, c, pert) -> None:
+def _line_search(members, searching, nodes, dt, gm, gj, c) -> None:
     # halve each (j, step) of `searching` up to 30 times until tau rises or,
     # for a member that stops on the decrement, try its whole step once;
     # each round evaluates the candidates of every member still searching
@@ -202,7 +202,7 @@ def _line_search(members, searching, nodes, dt, gm, gj, c, pert) -> None:
             break
         values = kernels.path_functional(
             np.stack([candidate for _, _, candidate in moved]),
-            dt, gm, gj[[j for j, _, _ in moved]], c, pert,
+            dt, gm, gj[[j for j, _, _ in moved]], c,
         )
         searching = []
         for (j, step, candidate), value in zip(moved, values):
@@ -217,7 +217,7 @@ def _line_search(members, searching, nodes, dt, gm, gj, c, pert) -> None:
         alpha *= 0.5
 
 
-def _solve_stack(bc, starts, gm, gj, c, pert, start_name="starting trajectory"):
+def _solve_stack(bc, starts, gm, gj, c, start_name="starting trajectory"):
     """The Newton iteration of :func:`solve_extremal_path` over a stack of paths.
 
     ``starts`` is a (k, n_segments + 1, 3) stack of starting nodes between
@@ -241,7 +241,7 @@ def _solve_stack(bc, starts, gm, gj, c, pert, start_name="starting trajectory"):
     results = [None] * len(starts)
     failure = None
     members = []
-    for i, tau in enumerate(kernels.path_functional(starts, dt, gm, gj, c, pert)):
+    for i, tau in enumerate(kernels.path_functional(starts, dt, gm, gj, c)):
         if math.isnan(tau):
             failure = (i, NotTimelike(f"the {start_name} is not timelike"))
             break
@@ -253,7 +253,7 @@ def _solve_stack(bc, starts, gm, gj, c, pert, start_name="starting trajectory"):
         sweep += 1
         for member in members:
             member.stop, member.improved, member.trial = None, False, None
-        _ladder(members, nodes, *kernels.newton_assemble(nodes, dt, gm, gj, c, pert), dt, gm, gj, c, pert)
+        _ladder(members, nodes, *kernels.newton_assemble(nodes, dt, gm, gj, c), dt, gm, gj, c)
 
         for j, member in enumerate(members):
             if member.trial is not None:
@@ -261,7 +261,7 @@ def _solve_stack(bc, starts, gm, gj, c, pert, start_name="starting trajectory"):
                 if member.improved:
                     member.residual = abs(tau - member.tau) / max(abs(tau), 1e-300)
                 nodes[j], member.tau = candidate, tau
-        errors = _weak_field_errors(nodes, dt, gm, gj, c, sweep) if pert else [None] * len(members)
+        errors = _weak_field_errors(nodes, dt, gm, gj, c, sweep) if gj.any() else [None] * len(members)
         keep = []
         for j, member in enumerate(members):
             if errors[j] is not None:
@@ -305,7 +305,6 @@ def _solve_stack(bc, starts, gm, gj, c, pert, start_name="starting trajectory"):
 def solve_extremal_path(
     model: RotatingMassModel,
     bc: BoundaryConditions,
-    include_perturbation: bool = False,
     constants: PhysicalConstants = CODATA,
     n_segments: int = DEFAULT_SEGMENTS,
     start: np.ndarray | None = None,
@@ -332,8 +331,9 @@ def solve_extremal_path(
     A block solve that meets a singular 3x3 block (``np.linalg.LinAlgError``)
     is a failed rung of that ladder: the sweep tries the next damping.
     ``solves`` counts the Newton-step solves: one per sweep plus each damped
-    retry.  With ``include_perturbation``, a sweep that leaves a node at
-    r <= 0, or gives a segment a frame-dragging share
+    retry.  G J = 0 gives the background (Schwarzschild) functional, and
+    nothing else switches h_tphi off.  At a nonzero G J, a sweep that leaves
+    a node at r <= 0, or gives a segment a frame-dragging share
     |2 h_tphi v_phi / c| / |1 - eps - v^2/c^2| of at least
     ``DEFAULT_WEAK_FIELD_THRESHOLD``, raises :class:`DomainError`: the path
     has left the weak field, where the functional is unbounded above.
@@ -364,8 +364,7 @@ def solve_extremal_path(
             raise DomainError("start must begin and end at the boundary events")
 
     results, failure = _solve_stack(
-        bc, nodes[None], constants.G * model.M, [constants.G * model.J], constants.c,
-        1 if include_perturbation else 0,
+        bc, nodes[None], constants.G * model.M, [constants.G * model.J], constants.c
     )
     if failure is not None:
         raise failure[1]
@@ -453,28 +452,27 @@ def verify_first_order(
         )
 
     base = solve_extremal_path(
-        model, bc, include_perturbation=False, constants=constants, n_segments=n_segments
+        RotatingMassModel(model.M, 0.0), bc, constants=constants, n_segments=n_segments
     )
     prediction_unit = delta_tau_first_order(model, base.path, constants)
 
     # Euler predictor: at J = model.J, one Newton step from the base nodes is
     # the tangent t of the maximum's path in the scale, so scale e starts
     # at base + e t, O(e^2) from its maximum
-    tangent = np.zeros_like(base.nodes)
     grad, diag, off = kernels.newton_assemble(
-        base.nodes, (bc.end.t - bc.start.t) / n_segments,
-        constants.G * model.M, constants.G * model.J, constants.c, 1,
+        base.nodes[None], (bc.end.t - bc.start.t) / n_segments,
+        constants.G * model.M, constants.G * model.J, constants.c,
     )
-    try:
-        tangent[1:-1] = kernels.block_thomas(diag, off, -grad)
-    except np.linalg.LinAlgError:
-        pass  # every scale starts from the base nodes
+    (step,) = _steps(diag, off, grad)
+    tangent = np.zeros_like(base.nodes)
+    if step is not None:  # else a singular block: every scale starts from the base nodes
+        tangent[1:-1] = step
 
     # every scale in one stacked Newton iteration, each from its predictor
     # start; a start that is not timelike fails before the first sweep
     results, failure = _solve_stack(
         bc, base.nodes + eps[:, None, None] * tangent, constants.G * model.M,
-        constants.G * (eps * model.J), constants.c, 1, start_name="predictor start",
+        constants.G * (eps * model.J), constants.c, start_name="predictor start",
     )
     if failure is not None:
         i, exc = failure

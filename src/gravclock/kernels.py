@@ -6,7 +6,9 @@ built from its compactness, squared speed and frame-dragging entry, and no
 other module evaluates the metric.
 
 Kernels take plain float64 arrays plus scalar parameters ``gm = G*M``,
-``gj = G*J`` and ``c``; they never allocate package types.
+``gj = G*J`` and ``c``; they never allocate package types.  G*J = 0 is the
+background: it gives h_tphi = -0.0, which leaves the Schwarzschild radicand
+bit for bit, and nothing else switches h_tphi on.
 
 The extremal-path solver's kernels (``path_functional``,
 ``perturbation_share``, ``newton_assemble`` and ``block_thomas``) also take
@@ -41,15 +43,16 @@ def weak_field_terms(r, theta, vr, vth, vph, gm, gj, c):
     return eps, v2, h
 
 
-def radicand_from_terms(eps, v2, h, vph, c, pert):
-    """(dtau/dt)^2 = 1 - eps - v^2/c^2, minus (2 h_tphi / c) dphi/dt if `pert`."""
-    rad = 1.0 - eps - v2 / (c * c)
-    if pert:
-        rad = rad - 2.0 * h * vph / c
-    return rad
+def _background_radicand(eps, v2, c):
+    return 1.0 - eps - v2 / (c * c)
 
 
-def radicand_derivatives(r, theta, vr, vth, vph, eps, gj, c, pert):
+def radicand_from_terms(eps, v2, h, vph, c):
+    """(dtau/dt)^2 = 1 - eps - v^2/c^2 - (2 h_tphi / c) dphi/dt."""
+    return _background_radicand(eps, v2, c) - 2.0 * h * vph / c
+
+
+def radicand_derivatives(r, theta, vr, vth, vph, eps, gj, c):
     """Closed-form derivatives of the radicand in u = (r, theta, vr, vth, vph).
 
     Returns the gradient as a tuple of five arrays and the Hessian as a dict
@@ -62,7 +65,7 @@ def radicand_derivatives(r, theta, vr, vth, vph, eps, gj, c, pert):
     e = eps / r  # -d eps / dr
     w2 = vth * vth + s * vph * vph
     # (2/c) h_tphi = k sin^2(theta), in the term -(2/c) h_tphi vph
-    k = -8.0 * gj / (c**4 * r) if pert else np.zeros_like(r)
+    k = -8.0 * gj / (c**4 * r)
     d1 = (
         e + q * (e * vr * vr - 2.0 * r * w2) + k * s * vph / r,
         -(q * r * r * vph + k) * s_t * vph,
@@ -90,9 +93,9 @@ def energy_ratio_from_speed(r, v2, gm, c):
     return 1.0 + 0.5 * v2 / (c * c) - gm / (c * c * r)
 
 
-def radicand_array(r, theta, vr, vth, vph, gm, gj, c, pert):
+def radicand_array(r, theta, vr, vth, vph, gm, gj, c):
     eps, v2, h = weak_field_terms(r, theta, vr, vth, vph, gm, gj, c)
-    return radicand_from_terms(eps, v2, h, vph, c, pert)
+    return radicand_from_terms(eps, v2, h, vph, c)
 
 
 def perturbation_share_array(r, theta, vr, vth, vph, gm, gj, c):
@@ -104,7 +107,7 @@ def perturbation_share_array(r, theta, vr, vth, vph, gm, gj, c):
     without rotation, where the direction is null in the background.
     """
     eps, v2, h = weak_field_terms(r, theta, vr, vth, vph, gm, gj, c)
-    background = radicand_from_terms(eps, v2, h, vph, c, 0)
+    background = _background_radicand(eps, v2, c)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.abs(2.0 * h * vph / c) / np.abs(background), eps
 
@@ -113,9 +116,9 @@ def first_order_integrand_array(r, theta, vr, vth, vph, gm, gj, c):
     # -(h_tphi / c) * (dt/dtau_bar) * dphi/dt, integrated against dt; the
     # sign comes from expanding sqrt(-(gbar+h)_munu dx dx): a co-rotating
     # traversal gains proper time when J > 0.  Returned with the background
-    # radicand (radicand_array's at pert 0) of the same weak-field pass
+    # radicand (radicand_array's at gj = 0) of the same weak-field pass
     eps, v2, h = weak_field_terms(r, theta, vr, vth, vph, gm, gj, c)
-    rad = radicand_from_terms(eps, v2, h, vph, c, 0)
+    rad = _background_radicand(eps, v2, c)
     return -h * vph / (c * np.sqrt(rad)), rad
 
 
@@ -126,7 +129,7 @@ def pair_integrand_array(r, theta, vr, vth, vph, gm, gj, c):
     # the background radicand, as the single-path integrand is
     eps, v2, h = weak_field_terms(r, theta, vr, vth, vph, gm, gj, c)
     ratio = energy_ratio_from_speed(r, v2, gm, c)
-    return -2.0 * (h / c) * ratio / (1.0 - eps) * vph, radicand_from_terms(eps, v2, h, vph, c, 0)
+    return -2.0 * (h / c) * ratio / (1.0 - eps) * vph, _background_radicand(eps, v2, c)
 
 
 def energy_ratio_array(r, theta, vr, vth, vph, gm, c):
@@ -143,12 +146,12 @@ def _segment_samples(x, dt):
     return mid[..., 0], mid[..., 1], vel[..., 0], vel[..., 1], vel[..., 2]
 
 
-def _segments(x, dt, gm, gj, c, pert):
+def _segments(x, dt, gm, gj, c):
     # each segment's u, its weak-field terms (eps, v^2, h_tphi) and its
     # radicand.  gj is a scalar or one value per path of the stack
     u = _segment_samples(x, dt)
     terms = weak_field_terms(*u, gm, _per_segment(gj), c)
-    return u, terms, radicand_from_terms(*terms, u[4], c, pert)
+    return u, terms, radicand_from_terms(*terms, u[4], c)
 
 
 def _per_segment(gj):
@@ -161,13 +164,13 @@ def _per_path(total):
     return float(total) if np.ndim(total) == 0 else total
 
 
-def path_functional(x, dt, gm, gj, c, pert):
+def path_functional(x, dt, gm, gj, c):
     """Midpoint-rule proper time of the nodes x, one value per path of a stack.
 
     NaN for a path with a segment that is not timelike.
     """
     with np.errstate(invalid="ignore"):
-        return _per_path(dt * np.sum(np.sqrt(_segments(x, dt, gm, gj, c, pert)[2]), axis=-1))
+        return _per_path(dt * np.sum(np.sqrt(_segments(x, dt, gm, gj, c)[2]), axis=-1))
 
 
 def perturbation_share(x, dt, gm, gj, c):
@@ -180,7 +183,7 @@ def perturbation_share(x, dt, gm, gj, c):
     return _per_path(np.max(share, axis=-1))
 
 
-def newton_assemble(x, dt, gm, gj, c, pert):
+def newton_assemble(x, dt, gm, gj, c):
     """Exact gradient and block-tridiagonal Hessian of the path functional.
 
     Returns (grad, diag, off) over the m = n_segments - 1 interior nodes:
@@ -198,7 +201,7 @@ def newton_assemble(x, dt, gm, gj, c, pert):
     -gl gl^T, -gr gr^T and -gl gr^T over dt sqrt R, with gl and gr the
     segment's gradient at its left and right node.
     """
-    gl, gr, w, d2 = _segment_derivatives(x, dt, gm, gj, c, pert)
+    gl, gr, w, d2 = _segment_derivatives(x, dt, gm, gj, c)
     diag, off = _curvature_blocks(d2)
     del d2  # before the rank-one products, which are the largest temporaries
     # the rank-one part, -g g^T w, carried to the nodes; interior node i + 1
@@ -210,13 +213,13 @@ def newton_assemble(x, dt, gm, gj, c, pert):
     return gr[..., :-1, :] + gl[..., 1:, :], diag, off
 
 
-def _segment_derivatives(x, dt, gm, gj, c, pert):
+def _segment_derivatives(x, dt, gm, gj, c):
     # each segment's gradient at its left and right node, P^T g_p -+ g_v / dt,
     # the weight w = 1 / (dt sqrt R) of its rank-one part, and its R'' part
     # scaled in place to PP (entries (0, 0), (0, 1), (1, 1)), VV ((2, 2),
     # (3, 3), (4, 4)) and X ((0, 2), (0, 3), (0, 4), (1, 4))
-    u, (eps, _, _), rad = _segments(x, dt, gm, gj, c, pert)
-    d1, d2 = radicand_derivatives(*u, eps, _per_segment(gj), c, pert)
+    u, (eps, _, _), rad = _segments(x, dt, gm, gj, c)
+    d1, d2 = radicand_derivatives(*u, eps, _per_segment(gj), c)
     root = np.sqrt(rad)
     del u, eps, _, rad  # a stack's segment arrays add up: keep only what is used
     s = dt / (2.0 * root)

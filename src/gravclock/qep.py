@@ -27,8 +27,8 @@ state first, is the storage basis of every ket here, and only the
 commutator diagnostic reads its energies.
 
 Every route broadcasts over a theory whose energies and angles are numpy
-arrays: the closed forms (:func:`qep_visibility`, :func:`qep_probabilities`,
-:func:`qep_gme_entanglement`) and the commutator diagnostic give arrays, and
+arrays: the closed forms (:func:`qep_visibility`, :func:`qep_gme_entanglement`)
+and the commutator diagnostic give arrays, and
 the state routes (the primed basis, the arm states and the final state) give
 stacks with the batch axes leading.
 """
@@ -114,10 +114,10 @@ class QepTestTheory:
 class QepResult:
     visibility: float
     xi_delta_tau: float
-    pr_left: float = math.nan
-    pr_right: float = math.nan
-    ee_spc: float = math.nan
-    ef_sp: float = math.nan
+    pr_left: float
+    pr_right: float
+    ee_spc: float
+    ef_sp: float
 
 
 def qep_arm_states(
@@ -176,15 +176,6 @@ def qep_final_state(
     A stacked theory gives a stack of states.
     """
     return _gme_state(*qep_arm_states(tt, delta_tau, constants))
-
-
-def qep_probabilities(
-    tt: QepTestTheory, delta_tau: float, constants: PhysicalConstants = CODATA
-) -> QepResult:
-    """Closed-form detection probabilities of the test theory."""
-    vis, spread, xi_dtau, phase = _visibility_and_phase(tt, delta_tau, constants)
-    pr_left, pr_right = _ports(vis, spread, phase)
-    return QepResult(visibility=vis, xi_delta_tau=xi_dtau, pr_left=pr_left, pr_right=pr_right)
 
 
 def qep_gme_entanglement(

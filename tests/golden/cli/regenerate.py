@@ -55,6 +55,8 @@ _COMMANDS = [
     "delta-tau",
     "delta-tau --J 2.5 --w 3e-3 --v0 1e3 --format json",
     "delta-tau --w 1e300",
+    # a negative value in exponent form is a value, not an option
+    "delta-tau --J -1e30",
     "delta-tau --mode quadrature --v0 1",
     "delta-tau --mode both --v0 1 --L-ratio 1e4",
     # arms whose quadrature takes two levels (L/w < 10) and three at a long arm
@@ -106,6 +108,7 @@ _ERRORS = [
     "verify --n-segments 1",
     "verify --scales 1,abc",
     "delta-tau --w nan",
+    "delta-tau --J -inf",
     "delta-tau --w -1",
     "delta-tau --M -1",
     "delta-tau --L-ratio 0.5",
@@ -143,6 +146,7 @@ _ERRORS = [
     "sweep --axis w --values 1 --outputs nothing",
     "sweep --axis w --values 1,nan --outputs delta_tau",
     "sweep --axis w --values 1,abc",
+    "sweep --axis v0 --values -1,2 --outputs delta_tau",
     "sweep --axis mean_rate --values 1.7e308 --clock-rate 1.7e308 --outputs qep_visibility",
     "sweep --axis mean_rate --values 1.7e308 --clock-rate 1.7e308 --outputs pr_left",
     "sweep --axis clock_rate --values 1e15,0 --outputs delta_tau",

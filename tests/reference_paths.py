@@ -52,10 +52,9 @@ def build_circular_arc(
 def proper_time_along(
     model: RotatingMassModel,
     path: PathSpec,
-    include_perturbation: bool = False,
     constants: PhysicalConstants = CODATA,
 ) -> float:
-    """Quadrature of the full-metric dtau/dt over a sampled path.
+    """Quadrature of the full-metric dtau/dt over a sampled path; J = 0 gives the background's.
 
     Uses the midpoint rule of the solver's paths, so re-evaluating a solver
     path reproduces the solver's own functional value.  Raises
@@ -68,7 +67,6 @@ def proper_time_along(
     rad = kernels.radicand_array(
         path.r, path.theta, path.dr_dt, path.dtheta_dt, path.dphi_dt,
         constants.G * model.M, constants.G * model.J, constants.c,
-        1 if include_perturbation else 0,
     )
     if np.any(rad <= 0.0):
         raise NotTimelike("path contains samples that are not timelike")

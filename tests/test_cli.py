@@ -227,6 +227,25 @@ def test_non_finite_inputs_are_validation_errors(capsys, argv, field):
 
 
 @pytest.mark.parametrize(
+    "head, flag, value",
+    [
+        (("delta-tau",), "--J", "-1e30"),
+        (("delta-tau",), "--J", "-1E+30"),
+        (("delta-tau",), "--J", "-.5"),
+        (("delta-tau",), "--J", "-inf"),
+        (("delta-tau",), "--J", "-NaN"),
+        (("interfere",), "--mean-rate", "-5e14"),
+        (("sweep", "--axis", "v0", "--outputs", "delta_tau"), "--values", "-1,2"),
+    ],
+)
+def test_negative_values_in_every_float_form_are_values_not_options(capsys, head, flag, value):
+    # "--flag=value" can never read as an option, so "--flag value" must match it
+    spaced = run_cli(capsys, *head, flag, value)
+    assert spaced == run_cli(capsys, *head, f"{flag}={value}")
+    assert spaced[0] != cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("delta-tau", "--v0", "1e300"),

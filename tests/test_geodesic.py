@@ -19,13 +19,18 @@ FLAT = RotatingMassModel(M=0.0, J=0.0)
 EQ = math.pi / 2
 
 
-def _functional_value(model, nodes, t_start, t_end, include_perturbation, constants):
+def _functional_value(model, nodes, t_start, t_end, constants):
     """Discrete proper time of a node trajectory (midpoint rule per segment)."""
     dt = (t_end - t_start) / (nodes.shape[0] - 1)
     return kernels.path_functional(
         np.ascontiguousarray(nodes, dtype=np.float64), dt, constants.G * model.M,
-        constants.G * model.J, constants.c, 1 if include_perturbation else 0,
+        constants.G * model.J, constants.c,
     )
+
+
+def _background(model):
+    """The model without its rotation: G J = 0 drops the frame-dragging term."""
+    return RotatingMassModel(M=model.M, J=0.0)
 
 
 def _cartesian(pt):
@@ -77,14 +82,14 @@ def test_flat_solution_has_uniform_coordinate_speed(flat_solution):
 
 def test_proper_time_along_reproduces_solver_functional(flat_solution, unit_constants):
     _, res = flat_solution
-    again = proper_time_along(FLAT, res.path, False, unit_constants)
+    again = proper_time_along(FLAT, res.path, unit_constants)
     assert abs(again / res.proper_time - 1.0) < 1e-12
 
 
 def test_proper_time_along_rejects_azimuth_paths(unit_constants):
     arm = build_straight_arm(InterferometerGeometry(w=1.0, L=1e3, v0=1e-3), "right")
     with pytest.raises(DomainError, match="azimuth"):
-        proper_time_along(FLAT, arm, False, unit_constants)
+        proper_time_along(FLAT, arm, unit_constants)
 
 
 def test_perturbed_minus_unperturbed_on_same_path_is_the_first_order_shift(unit_constants):
@@ -94,12 +99,12 @@ def test_perturbed_minus_unperturbed_on_same_path_is_the_first_order_shift(unit_
     bc = BoundaryConditions(
         SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
     )
-    path = solve_extremal_path(model, bc, False, unit_constants, 256).path
+    path = solve_extremal_path(_background(model), bc, unit_constants, 256).path
 
     def mismatch(scale):
         scaled = RotatingMassModel(M=model.M, J=scale * model.J)
-        on_path = proper_time_along(scaled, path, True, unit_constants) - proper_time_along(
-            scaled, path, False, unit_constants
+        on_path = proper_time_along(scaled, path, unit_constants) - proper_time_along(
+            _background(scaled), path, unit_constants
         )
         first = delta_tau_first_order(scaled, path, unit_constants)
         return abs(on_path - first), abs(first)
@@ -146,7 +151,7 @@ def test_extremality_random_node_perturbations(unit_constants):
         for delta in (4e-4, 2e-4):
             nodes = res.nodes.copy()
             nodes[node, coord] += delta
-            perturbed = _functional_value(model, nodes, bc.start.t, bc.end.t, False, unit_constants)
+            perturbed = _functional_value(model, nodes, bc.start.t, bc.end.t, unit_constants)
             drop = res.proper_time - perturbed
             assert drop > 0.0
             drops.append(drop)
@@ -165,7 +170,7 @@ def test_first_order_residual_scaling(unit_constants):
     assert report.slope >= 1.8
     assert report.slope < 2.3
     # the prediction reuses the public first-order quadrature on the solver path
-    base = solve_extremal_path(model, bc, False, unit_constants, 512)
+    base = solve_extremal_path(_background(model), bc, unit_constants, 512)
     assert report.predicted_shifts[3] == pytest.approx(
         0.64 * delta_tau_first_order(model, base.path, unit_constants), rel=1e-12
     )
@@ -187,12 +192,12 @@ def test_exact_shift_is_odd_in_the_perturbation(unit_constants):
     bc = BoundaryConditions(
         SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
     )
-    base = solve_extremal_path(model, bc, False, unit_constants, 512)
+    base = solve_extremal_path(_background(model), bc, unit_constants, 512)
 
     def exact(scale):
         scaled = RotatingMassModel(M=model.M, J=scale * model.J)
         return (
-            solve_extremal_path(scaled, bc, True, unit_constants, 512).proper_time
+            solve_extremal_path(scaled, bc, unit_constants, 512).proper_time
             - base.proper_time
         )
 
@@ -269,14 +274,14 @@ def test_line_search_skips_candidates_equal_to_the_nodes(unit_constants, monkeyp
     bc = BoundaryConditions(
         SpacetimePoint(0.0, 1.0, EQ, 5e7), SpacetimePoint(30.0, 1.0, EQ, 5e7 + 0.3)
     )
-    res = solve_extremal_path(model, bc, True, unit_constants, 512)
+    res = solve_extremal_path(model, bc, unit_constants, 512)
     monkeypatch.undo()
 
     evaluations = events.count("e")
     assert assembled and evaluations > len(assembled)
     assert repeats == []
     assert res.converged
-    again = _functional_value(model, res.nodes, bc.start.t, bc.end.t, True, unit_constants)
+    again = _functional_value(model, res.nodes, bc.start.t, bc.end.t, unit_constants)
     assert res.proper_time == again
     # a damping level that is followed by a damped retry accepted nothing;
     # fewer than its 30 halvings means the rounded-away step cut it short
@@ -354,11 +359,44 @@ def test_predictor_start_reaches_the_maximum_of_the_chord_start(unit_constants, 
     for scale, start, predicted in zip([0.5, 8.0], starts, scaled):
         assert not np.array_equal(start, base.nodes)
         chord = solve_extremal_path(
-            RotatingMassModel(M=model.M, J=scale * model.J), bc, True, unit_constants, 512
+            RotatingMassModel(M=model.M, J=scale * model.J), bc, unit_constants, 512
         )
         assert predicted.stop == chord.stop == "decrement"
         assert predicted.sweeps <= chord.sweeps
         assert abs(predicted.proper_time - chord.proper_time) <= 1e-13 * abs(chord.proper_time)
+
+
+def test_a_singular_predictor_block_starts_every_scale_from_the_base_nodes(unit_constants, monkeypatch):
+    # only the predictor's solve meets a singular block: every scale then
+    # starts from the base nodes and must reach the maximum that its
+    # predictor start reaches
+    model = RotatingMassModel(M=1e-6, J=1.25e-3)
+    bc = BoundaryConditions(
+        SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
+    )
+    scales = [0.5, 8.0]
+    stacks = _record_stacks(monkeypatch)
+    verify_first_order(model, bc, scales, constants=unit_constants, n_segments=512)
+    base = stacks[0][1][0]
+    predicted = stacks[1][1]
+    singular = kernels.newton_assemble(base.nodes, 30.0 / 512, 1e-6, model.J, 1.0)[1]
+    real = kernels.block_thomas
+
+    def solve(diag, off, rhs):
+        if any(np.array_equal(member, singular) for member in diag.reshape((-1,) + singular.shape)):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(diag, off, rhs)
+
+    monkeypatch.setattr(kernels, "block_thomas", solve)
+    stacks.clear()
+    verify_first_order(model, bc, scales, constants=unit_constants, n_segments=512)
+    monkeypatch.undo()
+
+    starts, fallback = stacks[1]
+    for start, one, many in zip(starts, fallback, predicted):
+        assert np.array_equal(start, base.nodes)
+        assert one.stop == "decrement"
+        assert abs(one.proper_time - many.proper_time) <= 1e-13 * abs(many.proper_time)
 
 
 def test_stacked_solve_matches_one_path_solves(unit_constants, monkeypatch):
@@ -373,13 +411,13 @@ def test_stacked_solve_matches_one_path_solves(unit_constants, monkeypatch):
     scales = np.array([0.08, 5.12, 8.0, 2.0])
     dt = 30.0 / 512
     gm, gj = 1e-6, unit_constants.G * (scales * model.J)
-    base = solve_extremal_path(model, bc, False, unit_constants, 512)
-    grad, diag, off = kernels.newton_assemble(base.nodes, dt, gm, model.J, 1.0, 1)
+    base = solve_extremal_path(_background(model), bc, unit_constants, 512)
+    grad, diag, off = kernels.newton_assemble(base.nodes, dt, gm, model.J, 1.0)
     tangent = np.zeros_like(base.nodes)
     tangent[1:-1] = kernels.block_thomas(diag, off, -grad)
     starts = base.nodes + scales[:, None, None] * tangent
 
-    singular = kernels.newton_assemble(starts[3], dt, gm, gj[3], 1.0, 1)[1]
+    singular = kernels.newton_assemble(starts[3], dt, gm, gj[3], 1.0)[1]
     real = kernels.block_thomas
 
     def solve(diag, off, rhs):
@@ -388,10 +426,10 @@ def test_stacked_solve_matches_one_path_solves(unit_constants, monkeypatch):
         return real(diag, off, rhs)
 
     monkeypatch.setattr(kernels, "block_thomas", solve)
-    stacked, failure = geodesic._solve_stack(bc, starts, gm, gj, 1.0, 1)
+    stacked, failure = geodesic._solve_stack(bc, starts, gm, gj, 1.0)
     alone = [
         solve_extremal_path(
-            RotatingMassModel(M=model.M, J=scale * model.J), bc, True, unit_constants, 512, start=start
+            RotatingMassModel(M=model.M, J=scale * model.J), bc, unit_constants, 512, start=start
         )
         for scale, start in zip(scales, starts)
     ]
@@ -433,7 +471,7 @@ def test_a_singular_block_is_a_failed_rung_of_the_damping_ladder(unit_constants,
     bc = BoundaryConditions(
         SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
     )
-    undisturbed = solve_extremal_path(model, bc, True, unit_constants, 512)
+    undisturbed = solve_extremal_path(model, bc, unit_constants, 512)
     real = kernels.block_thomas
     calls = []
 
@@ -444,7 +482,7 @@ def test_a_singular_block_is_a_failed_rung_of_the_damping_ladder(unit_constants,
         return real(*args)
 
     monkeypatch.setattr(kernels, "block_thomas", solve)
-    res = solve_extremal_path(model, bc, True, unit_constants, 512)
+    res = solve_extremal_path(model, bc, unit_constants, 512)
     monkeypatch.undo()
     # the first sweep retried at the first damping, and the rest ran as before
     assert not np.array_equal(calls[1][0], calls[0][0])
@@ -461,4 +499,4 @@ def test_perturbed_solve_that_leaves_the_weak_field_raises(unit_constants):
     )
     for j, n_segments, reason in [(0.25, 2, "r <= 0"), (30 * 1.25e-3, 512, "weak field")]:
         with pytest.raises(DomainError, match=reason):
-            solve_extremal_path(RotatingMassModel(M=1e-6, J=j), bc, True, unit_constants, n_segments)
+            solve_extremal_path(RotatingMassModel(M=1e-6, J=j), bc, unit_constants, n_segments)

@@ -23,25 +23,25 @@ def sample_arrays():
     )
 
 
-def _metric_entries(r, theta):
+def _metric_entries(r, theta, gj=GJ):
     """Full metric entries (g_tt, g_rr, g_thth, g_phph, h_tphi), written out."""
     eps = 2.0 * GM / (C**2 * r)
     s2 = np.sin(theta) ** 2
-    return -(1.0 - eps), 1.0 + eps, r**2, r**2 * s2, -4.0 * GJ * s2 / (C**3 * r)
+    return -(1.0 - eps), 1.0 + eps, r**2, r**2 * s2, -4.0 * gj * s2 / (C**3 * r)
 
 
 def test_radicand_matches_full_metric_contraction(sample_arrays):
     r, th, vr, vth, vph = sample_arrays
-    g_tt, g_rr, g_thth, g_phph, h_tphi = _metric_entries(r, th)
-    for pert in (0, 1):
+    for gj in (0.0, GJ):
+        g_tt, g_rr, g_thth, g_phph, h_tphi = _metric_entries(r, th, gj)
         contraction = -(
             g_tt * C**2
             + g_rr * vr**2
             + g_thth * vth**2
             + g_phph * vph**2
-            + pert * 2.0 * h_tphi * C * vph
+            + 2.0 * h_tphi * C * vph
         )
-        rad = kernels.radicand_array(r, th, vr, vth, vph, GM, GJ, C, pert)
+        rad = kernels.radicand_array(r, th, vr, vth, vph, GM, gj, C)
         np.testing.assert_allclose(rad, contraction / C**2, rtol=1e-13, atol=0.0)
 
 
@@ -56,7 +56,7 @@ def test_integrands_match_full_metric_arithmetic(sample_arrays):
     pair, pair_rad = kernels.pair_integrand_array(r, th, vr, vth, vph, GM, GJ, C)
     np.testing.assert_allclose(pair, -2.0 * (h_tphi / C) * ratio / -g_tt * vph, rtol=1e-13, atol=0.0)
     # the background radicand each integrand pass returns, bit for bit
-    background = kernels.radicand_array(r, th, vr, vth, vph, GM, GJ, C, 0)
+    background = kernels.radicand_array(r, th, vr, vth, vph, GM, 0.0, C)
     np.testing.assert_array_equal(first_rad, background)
     np.testing.assert_array_equal(pair_rad, background)
     ratios = kernels.energy_ratio_array(r, th, vr, vth, vph, GM, C)
@@ -90,7 +90,7 @@ def _assert_matches_dense_solve(diag, off, rhs, expected=None):
 @pytest.mark.parametrize("damping", [0.0, 1e-8 * 16.0**5])
 def test_block_thomas_matches_dense_solve(n_segments, damping):
     x, dt = _node_path(n_segments)
-    grad, diag, off = kernels.newton_assemble(x, dt, GM, GJ, C, 1)
+    grad, diag, off = kernels.newton_assemble(x, dt, GM, GJ, C)
     if damping:
         # the solver's damping ladder: diag - damping * max|diag| * I
         diag = diag - damping * np.abs(diag).max() * np.eye(3)[None, :, :]
@@ -101,7 +101,7 @@ def test_block_thomas_matches_dense_solve(n_segments, damping):
 def test_block_thomas_matches_dense_solve_off_the_equator(n_segments):
     # theta from 0.4 to 1.1 rad: sin and cos of theta both enter each block
     x, dt = _node_path(n_segments, theta=(0.4, 1.1))
-    grad, diag, off = kernels.newton_assemble(x, dt, GM, GJ, C, 1)
+    grad, diag, off = kernels.newton_assemble(x, dt, GM, GJ, C)
     _assert_matches_dense_solve(diag, off, -grad)
 
 
@@ -141,7 +141,7 @@ def test_perturbation_share_matches_the_pointwise_validity():
     assert kernels.perturbation_share(x, dt, GM, GJ, C) == pytest.approx(shares.max(), rel=1e-12)
 
 
-def _per_probe_assemble(x, dt, gm, gj, c, pert, hg, hh):
+def _per_probe_assemble(x, dt, gm, gj, c, hg, hh):
     """The Newton system one probe at a time, as newton_assemble once built it."""
     n = x.shape[0] - 1
     m = n - 1
@@ -153,7 +153,7 @@ def _per_probe_assemble(x, dt, gm, gj, c, pert, hg, hh):
         rad = kernels.radicand_array(
             0.5 * (a[:, 0] + b[:, 0]), 0.5 * (a[:, 1] + b[:, 1]),
             (b[:, 0] - a[:, 0]) / dt, (b[:, 1] - a[:, 1]) / dt, (b[:, 2] - a[:, 2]) / dt,
-            gm, gj, c, pert,
+            gm, gj, c,
         )
         return dt * np.sqrt(rad)
 
@@ -197,13 +197,13 @@ def _perturbed_path(n_segments):
 
 
 @pytest.mark.parametrize("n_segments", [2, 3, 5, 512])
-@pytest.mark.parametrize("pert", [0, 1])
-def test_newton_gradient_matches_a_complex_step_derivative(n_segments, pert):
+@pytest.mark.parametrize("gj", [0.0, GJ])
+def test_newton_gradient_matches_a_complex_step_derivative(n_segments, gj):
     # f(x + i h) = f(x) + i h f'(x) + O(h^2) has no subtraction to round, so
     # Im f / h is f' to working precision; shifting every third interior
     # node at once keeps each segment's two nodes apart
     x, dt = _perturbed_path(n_segments)
-    grad, _, _ = kernels.newton_assemble(x, dt, GM, GJ, C, pert)
+    grad, _, _ = kernels.newton_assemble(x, dt, GM, gj, C)
     h = 1e-30
     expected = np.empty_like(grad)
     for j in range(3):
@@ -211,18 +211,18 @@ def test_newton_gradient_matches_a_complex_step_derivative(n_segments, pert):
             nodes = np.arange(first, n_segments, 3)
             shifted = x.astype(complex)
             shifted[nodes, j] += 1j * h
-            seg = dt * np.sqrt(kernels._segments(shifted, dt, GM, GJ, C, pert)[2]).imag / h
+            seg = dt * np.sqrt(kernels._segments(shifted, dt, GM, gj, C)[2]).imag / h
             expected[nodes - 1, j] = seg[nodes - 1] + seg[nodes]
     np.testing.assert_allclose(grad, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("n_segments", [2, 3, 5, 512])
-@pytest.mark.parametrize("pert", [0, 1])
-def test_newton_hessian_matches_a_richardson_difference_of_the_gradient(n_segments, pert):
+@pytest.mark.parametrize("gj", [0.0, GJ])
+def test_newton_hessian_matches_a_richardson_difference_of_the_gradient(n_segments, gj):
     # the Hessian's columns are derivatives of the exact gradient; central
     # differences at h and h/2, Richardson-combined, are good to O(h^4)
     x, dt = _perturbed_path(n_segments)
-    _, diag, off = kernels.newton_assemble(x, dt, GM, GJ, C, pert)
+    _, diag, off = kernels.newton_assemble(x, dt, GM, gj, C)
     m = n_segments - 1
     steps = np.full(3, 1e-3 * dt)
 
@@ -230,8 +230,8 @@ def test_newton_hessian_matches_a_richardson_difference_of_the_gradient(n_segmen
         up, down = x.copy(), x.copy()
         up[node, j] += h
         down[node, j] -= h
-        grad_up = kernels.newton_assemble(up, dt, GM, GJ, C, pert)[0]
-        grad_down = kernels.newton_assemble(down, dt, GM, GJ, C, pert)[0]
+        grad_up = kernels.newton_assemble(up, dt, GM, gj, C)[0]
+        grad_down = kernels.newton_assemble(down, dt, GM, gj, C)[0]
         return (grad_up - grad_down) / (2.0 * h)
 
     # every node's columns on the short paths; at 512 segments, the first,
@@ -247,8 +247,8 @@ def test_newton_hessian_matches_a_richardson_difference_of_the_gradient(n_segmen
 
 
 @pytest.mark.parametrize("n_segments", [2, 3, 5, 512])
-@pytest.mark.parametrize("pert", [0, 1])
-def test_newton_assemble_agrees_with_the_finite_difference_oracle(n_segments, pert):
+@pytest.mark.parametrize("gj", [0.0, GJ])
+def test_newton_assemble_agrees_with_the_finite_difference_oracle(n_segments, gj):
     # the finite-difference assembly the solver used before, at its step
     # sizes: agreement to its truncation error, plus the rounding of its
     # second differences, eps |dt sqrt(R)| / hh^2, which dominates at the
@@ -258,9 +258,9 @@ def test_newton_assemble_agrees_with_the_finite_difference_oracle(n_segments, pe
     metric_scale = np.array([1.0, r_scale, r_scale])
     hg = np.minimum(1e-4 * C * dt, 3e-5 * r_scale) / metric_scale
     hh = np.minimum(3e-4 * C * dt, 1e-4 * r_scale) / metric_scale
-    expected = _per_probe_assemble(x, dt, GM, GJ, C, pert, hg, hh)
-    got = kernels.newton_assemble(x, dt, GM, GJ, C, pert)
-    seg = dt * np.sqrt(kernels._segments(x, dt, GM, GJ, C, pert)[2])
+    expected = _per_probe_assemble(x, dt, GM, gj, C, hg, hh)
+    got = kernels.newton_assemble(x, dt, GM, gj, C)
+    seg = dt * np.sqrt(kernels._segments(x, dt, GM, gj, C)[2])
     rounding = (0.0, 8.0 * np.finfo(float).eps * seg.max() / hh.min() ** 2)
     for k, (want, have) in enumerate(zip(expected, got)):
         assert want.shape == have.shape
@@ -281,26 +281,26 @@ def _stack(n_segments):
 
 @pytest.mark.parametrize("n_segments", [2, 3, 5, 512])
 def test_stacked_kernels_equal_one_path_calls_bit_for_bit(n_segments):
-    xs, dt, gjs = _stack(n_segments)
-    for pert in (0, 1):
-        values = kernels.path_functional(xs, dt, GM, gjs, C, pert)
-        systems = kernels.newton_assemble(xs, dt, GM, gjs, C, pert)
+    xs, dt, rotating = _stack(n_segments)
+    for gjs in (np.zeros_like(rotating), rotating):
+        values = kernels.path_functional(xs, dt, GM, gjs, C)
+        systems = kernels.newton_assemble(xs, dt, GM, gjs, C)
         steps = kernels.block_thomas(systems[1], systems[2], -systems[0])
         for i in range(len(xs)):
-            assert values[i] == kernels.path_functional(xs[i], dt, GM, gjs[i], C, pert)
-            alone = kernels.newton_assemble(xs[i], dt, GM, gjs[i], C, pert)
+            assert values[i] == kernels.path_functional(xs[i], dt, GM, gjs[i], C)
+            alone = kernels.newton_assemble(xs[i], dt, GM, gjs[i], C)
             for stacked, one in zip(systems, alone):
                 assert stacked[i].shape == one.shape and np.array_equal(stacked[i], one)
             assert np.array_equal(steps[i], kernels.block_thomas(alone[1], alone[2], -alone[0]))
-    shares = kernels.perturbation_share(xs, dt, GM, gjs, C)
+    shares = kernels.perturbation_share(xs, dt, GM, rotating, C)
     for i in range(len(xs)):
-        assert shares[i] == kernels.perturbation_share(xs[i], dt, GM, gjs[i], C)
+        assert shares[i] == kernels.perturbation_share(xs[i], dt, GM, rotating[i], C)
 
 
 @pytest.mark.parametrize("n_segments", [3, 512])
 def test_a_singular_block_fails_only_its_own_path_of_a_stack(n_segments):
     xs, dt, gjs = _stack(n_segments)
-    grad, diag, off = kernels.newton_assemble(xs, dt, GM, gjs, C, 1)
+    grad, diag, off = kernels.newton_assemble(xs, dt, GM, gjs, C)
     steps = kernels.block_thomas(diag, off, -grad)
     # an exactly singular block on the middle path, one that the first
     # reduction level inverts

@@ -146,7 +146,7 @@ def _sequential_quadrature(path, integrand_kernel, gm, gj, c):
     while True:
         p = path.sampler(n + 1)
         fields = (p.r, p.theta, p.dr_dt, p.dtheta_dt, p.dphi_dt)
-        rad = kernels.radicand_array(*fields, gm, gj, c, 0)
+        rad = kernels.radicand_array(*fields, gm, 0.0, c)
         assert np.all(np.isfinite(rad)) and np.all(rad > 0.0)
         values = integrand_kernel(*fields, gm, gj, c)[0]
         for x in (values, p.dphi_dt):

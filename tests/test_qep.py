@@ -18,7 +18,6 @@ from gravclock.qep import (
     qep_final_state,
     qep_arm_states,
     qep_gme_entanglement,
-    qep_probabilities,
     qep_visibility,
 )
 
@@ -119,12 +118,12 @@ def test_observable_product_stays_continuous_through_vanishing_visibility():
     # V cos((Ebar' + xi) delta_tau / hbar) entering every observable does not
     tt = theory(math.pi / 4, gap=math.pi / 2, mean=1.3)
     dts = np.linspace(0.9, 1.1, 401)  # strides across the V = 0 point at dt = 1
-    pr = np.array([qep_probabilities(tt, dt).pr_left for dt in dts])
+    pr = np.array([qep_gme_entanglement(tt, dt).pr_left for dt in dts])
     assert np.abs(np.diff(pr)).max() < 5.0 * (dts[1] - dts[0])
 
 
 def test_probabilities_limits_and_oracle():
-    res = qep_probabilities(theory(0.35), 0.0)
+    res = qep_gme_entanglement(theory(0.35), 0.0)
     assert (res.pr_left, res.pr_right) == (1.0, 0.0)
     rng = np.random.default_rng(33)
     for _ in range(100):
@@ -132,7 +131,7 @@ def test_probabilities_limits_and_oracle():
             rng.uniform(0, math.pi / 2), rng.uniform(0, 6), rng.uniform(0, 6), rng.uniform(0, 6)
         )
         dt = rng.uniform(0, 3)
-        res = qep_probabilities(tt, dt)
+        res = qep_gme_entanglement(tt, dt)
         assert abs(res.pr_left + res.pr_right - 1.0) < 1e-12
         assert 0.0 <= res.visibility <= 1.0
         marginal = reduced_density(qep_final_state(tt, dt), ["P"]).matrix[0, 0]

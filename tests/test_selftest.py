@@ -91,7 +91,7 @@ def per_sample_selftest(seed, samples, constants=CODATA):
             worst_qef, abs(res.ef_sp - entanglement_of_formation(reduced_density(state, ["S", "P"])))
         )
         pl = float(np.real(reduced_density(state, ["P"]).matrix[0, 0]))
-        worst_qpr = max(worst_qpr, abs(qep_mod.qep_probabilities(tt, 1.0, constants).pr_left - pl))
+        worst_qpr = max(worst_qpr, abs(res.pr_left - pl))
     worst["qep_visibility_vs_overlap"] = worst_q
     worst["qep_entropy_vs_oracle"] = worst_qee
     worst["qep_formation_vs_oracle"] = worst_qef

@@ -31,7 +31,7 @@ def _share(model, pt, vel):
 
 def _radicand(model, pt, vel):
     """(dtau/dt)^2 from the kernels, frame dragging included."""
-    return kernels.radicand_array(pt.r, pt.theta, *vel, *_params(model), 1)
+    return kernels.radicand_array(pt.r, pt.theta, *vel, *_params(model))
 
 
 def test_minkowski_limit_is_exactly_flat():
