@@ -37,7 +37,7 @@ class NotTimelike(DomainError):
 
 
 class NoConvergence(GravclockError, RuntimeError):
-    """An iterative solver hit its sweep cap before reaching tolerance."""
+    """An iterative solver hit its cap (sweeps or samples) before converging."""
 
 
 class DimensionMismatch(GravclockError, ValueError):

@@ -4,7 +4,7 @@ Fix two events and ask for the timelike path between them that extremizes
 (maximizes) proper time.  The solver discretizes the trajectory on a uniform
 coordinate-time grid, evaluates the proper time with a midpoint rule per
 segment, and relaxes the interior spatial nodes with damped Newton sweeps
-until the functional stops changing.  Because the discrete functional is
+until no step can raise the functional.  Because the discrete functional is
 extremized exactly, the envelope argument holds exactly in the discrete
 setting too: the difference between perturbed and unperturbed maxima equals
 the first-order quadrature of the frame-dragging term along the unperturbed
@@ -31,7 +31,6 @@ from .propertime import PathSpec, delta_tau_first_order
 from .spacetime import DEFAULT_WEAK_FIELD_THRESHOLD, RotatingMassModel, SpacetimePoint
 
 DEFAULT_SEGMENTS = 512
-DEFAULT_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 10_000
 # the undamped solve, then diag - d max|diag| I for d = 1e-8, 16e-8, ... < 1e8
 _DAMPING_LADDER = (0.0, *(1e-8 * 16.0**k for k in range(14)))
@@ -56,7 +55,7 @@ class ExtremalPathResult:
     sweeps: int
     nodes: np.ndarray  # (n_segments + 1, 3) rows (r, theta, phi)
     solves: int  # Newton-step solves, one per sweep plus each damped retry
-    stop: str  # "decrement", "tolerance" or "exhausted"
+    stop: str  # "decrement" or "exhausted"
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,22 +118,13 @@ def _weak_field_errors(nodes, dt, gm, gj, c, sweep) -> list:
 
 
 def _steps(diag, off, grad) -> list:
-    # one Newton step -H^-1 g per path of the stack, or None where a block
-    # is singular; the batched inverse raises for the whole stack, so a
-    # stack that raises is solved again one path at a time.  Solving for
-    # +g and negating is exact, and spares the stack a negated copy of g
-    try:
-        return [-step for step in kernels.block_thomas(diag, off, grad)]
-    except np.linalg.LinAlgError:
-        if len(diag) == 1:
-            return [None]
-    steps = []
-    for member in zip(diag, off, grad):
-        try:
-            steps.append(-kernels.block_thomas(*member))
-        except np.linalg.LinAlgError:
-            steps.append(None)
-    return steps
+    # one Newton step -H^-1 g per path of the stack, or None where a
+    # singular block left the path's solve non-finite.  Solving for +g and
+    # negating is exact, and spares the stack a negated copy of g
+    return [
+        -step if np.isfinite(step).all() else None
+        for step in kernels.block_thomas(diag, off, grad)
+    ]
 
 
 @dataclass(eq=False)
@@ -145,7 +135,6 @@ class _Member:
     tau: float
     residual: float = math.inf
     solves: int = 0
-    small_count: int = 0
     # the outcome of the current sweep
     stop: str | None = None
     improved: bool = False
@@ -226,8 +215,8 @@ def _solve_stack(bc, starts, gm, gj, c, start_name="starting trajectory"):
     search, weak-field check, counts and stop, and bit for bit the same
     arithmetic: the members only share the kernel calls, each of which
     treats every path of its stack on its own.  A member leaves the stack
-    when it stops.  The tolerance and the sweep cap are ``DEFAULT_TOL`` and
-    ``DEFAULT_MAX_SWEEPS``, read at each call.
+    when it stops.  The sweep cap is ``DEFAULT_MAX_SWEEPS``, read at each
+    call.
 
     Returns (results, failure).  ``failure`` is None, or (i, exc) for the
     first member i, in stack order, whose iteration raised ``exc``: a start
@@ -267,29 +256,20 @@ def _solve_stack(bc, starts, gm, gj, c, start_name="starting trajectory"):
             if errors[j] is not None:
                 failure = (member.index, errors[j])
                 break  # the members after it no longer matter
-            if not member.improved:
-                # either the decrement or the whole damping ladder says the
-                # gradient is numerically exhausted: this is the maximum
-                member.stop = member.stop or "exhausted"
-                member.residual = 0.0
-            else:
-                # one polish sweep after the first sub-tolerance change lands the
-                # quadratically converging iteration on its noise floor
-                member.small_count = member.small_count + 1 if member.residual < DEFAULT_TOL else 0
-                if member.small_count >= 2:
-                    member.stop = "tolerance"
-            if not member.stop:
+            if member.improved:
                 keep.append(j)
                 continue
+            # either the decrement or the whole damping ladder says the
+            # gradient is numerically exhausted: this is the maximum
             results[member.index] = ExtremalPathResult(
                 path=_midpoint_path(bc, nodes[j]),
                 proper_time=member.tau,
                 converged=True,
-                residual_norm=member.residual,
+                residual_norm=0.0,
                 sweeps=sweep,
                 nodes=nodes[j].copy(),
                 solves=member.solves,
-                stop=member.stop,
+                stop=member.stop or "exhausted",
             )
         if len(keep) < len(members):
             members = [members[j] for j in keep]
@@ -323,13 +303,11 @@ def solve_extremal_path(
       in [0, 4 eps_mach |tau|], below what the functional can resolve: the
       sweep takes the whole step, which moves tau only by rounding but lands
       the nodes on the stationary point, keeps it if tau stays finite, and stops;
-    - ``"tolerance"``: two successive accepted steps changed tau by less
-      than ``DEFAULT_TOL`` relative;
     - ``"exhausted"``: no step on the damping ladder (diag - d max|diag| I
       for d = 1e-8, 16e-8, ...), each halved up to 30 times, raised tau.
 
-    A block solve that meets a singular 3x3 block (``np.linalg.LinAlgError``)
-    is a failed rung of that ladder: the sweep tries the next damping.
+    A block solve that meets a singular 3x3 block gives a non-finite step,
+    which is a failed rung of that ladder: the sweep tries the next damping.
     ``solves`` counts the Newton-step solves: one per sweep plus each damped
     retry.  G J = 0 gives the background (Schwarzschild) functional, and
     nothing else switches h_tphi off.  At a nonzero G J, a sweep that leaves

@@ -20,8 +20,10 @@ iterations through shared calls.  The Newton step comes from
 the path functional, built entry by entry from the radicand's closed-form
 derivatives in ``radicand_derivatives``) and ``block_thomas``, which solves
 that system by block cyclic reduction in symmetric storage (the upper
-blocks only): log2(m) levels, each with one batched inverse of 3x3 blocks,
-instead of m sequential solves.
+blocks only): log2(m) levels, each with one batched adjugate inverse of
+symmetric 3x3 blocks, instead of m sequential solves.  The adjugate does
+not pivot, and a singular block leaves only its own path's step
+non-finite.
 """
 
 from __future__ import annotations
@@ -265,6 +267,23 @@ def _curvature_blocks(d2):
     return diag.reshape(diag.shape[:-1] + (3, 3)), off.reshape(off.shape[:-1] + (3, 3))
 
 
+def _symmetric_inverse(a):
+    # the inverse of each symmetric 3x3 block of a, its six cofactors over
+    # its determinant, read from the upper triangle
+    a00, a01, a02 = a[..., 0, 0], a[..., 0, 1], a[..., 0, 2]
+    a11, a12, a22 = a[..., 1, 1], a[..., 1, 2], a[..., 2, 2]
+    c00 = a11 * a22 - a12 * a12
+    c01 = a02 * a12 - a01 * a22
+    c02 = a01 * a12 - a02 * a11
+    c11 = a00 * a22 - a02 * a02
+    c12 = a01 * a02 - a00 * a12
+    c22 = a00 * a11 - a01 * a01
+    det = a00 * c00 + a01 * c01 + a02 * c02
+    inv = np.stack((c00, c01, c02, c01, c11, c12, c02, c12, c22), axis=-1) / det[..., None]
+    return inv.reshape(a.shape)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
 def block_thomas(diag, off, rhs):
     """Solve the symmetric block-tridiagonal system of a Newton step.
 
@@ -273,13 +292,14 @@ def block_thomas(diag, off, rhs):
     stack of such systems with the same leading axes on all three.  Block
     cyclic reduction in symmetric storage: only the upper blocks are kept,
     since each lower block is the transpose of the upper block before it.
-    Each level inverts the odd-indexed diagonal blocks with one batched
-    ``np.linalg.inv``, leaving a block-tridiagonal system of half the size
-    on the even-indexed blocks, so m blocks take log2(m) vectorized levels.
-    Like block Gaussian elimination it pivots only inside each 3x3 block,
-    never across blocks, which is stable for the definite (or damped)
-    Hessians the solver builds.  A singular block anywhere in the stack
-    raises ``np.linalg.LinAlgError``.
+    Each level inverts the odd-indexed diagonal blocks by their adjugates
+    (:func:`_symmetric_inverse`), leaving a block-tridiagonal system of half
+    the size on the even-indexed blocks, so m blocks take log2(m) vectorized
+    levels, and the last block is solved by its adjugate too.  Nothing
+    pivots, neither inside a block nor across blocks, which is stable for
+    the definite (or damped) Hessians the solver builds.  A singular block
+    raises nothing: it gives inf or NaN in its own path's rows only, and
+    every other path of the stack gets what it gets alone.
     """
     # each level eliminates the odd rows and keeps only their t for the
     # back-substitution, so a level's system is freed once the next is formed
@@ -299,7 +319,7 @@ def block_thomas(diag, off, rhs):
         t[..., :n_up, :, 3:6] = off[..., 1::2, :, :]
         t[..., n_up:, :, 3:6] = 0.0
         t[..., 6] = rhs[..., 1::2, :]
-        t = np.linalg.inv(diag[..., 1::2, :, :]) @ t
+        t = _symmetric_inverse(diag[..., 1::2, :, :]) @ t
         levels.append(t)
 
         # even rows: substitute the odd neighbours, odd j on the right of
@@ -318,7 +338,7 @@ def block_thomas(diag, off, rhs):
         rhs[..., 1:, :] -= left[..., 3]
         del left
 
-    x = np.linalg.solve(diag, rhs[..., None])[..., 0]
+    x = (_symmetric_inverse(diag) @ rhs[..., None])[..., 0]
     # back-substitute each level's odd blocks from their even neighbours
     for t in reversed(levels):
         n_up = x.shape[-2] - 1

@@ -350,6 +350,22 @@ def test_non_finite_constants_are_validation_errors(tmp_path, capsys, line, name
     assert f"physical constant {name} must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("c 1.0", "expected 'key = value'"),
+        ("speed = 1.0", "unknown constant 'speed'"),
+        ("c = fast", "bad float 'fast'"),
+    ],
+)
+def test_bad_constants_entries_name_the_file_and_line(tmp_path, capsys, line, message):
+    override = tmp_path / "constants.cfg"
+    override.write_text(f"# header\n{line}\n")
+    code, out, err = run_cli(capsys, "delta-tau", "--constants", str(override))
+    assert (code, out) == (2, "")
+    assert err == f"validation error: {override}:2: {message}\n"
+
+
 def _fresh_interpreter(code):
     """Run `code` in a new Python process that imports gravclock from these sources."""
     src = str(Path(gravclock.__file__).resolve().parents[1])

@@ -176,6 +176,16 @@ def test_dimension_checks():
         state_vector([1, 0, 0], QQ)
     with pytest.raises(DimensionMismatch):
         tensor_state([state_vector([1, 0], [("A", 2)]), state_vector([1, 0], [("A", 2)])])
+    with pytest.raises(DimensionMismatch, match=r"^tensor_state needs at least one factor$"):
+        tensor_state([])
+    with pytest.raises(DimensionMismatch, match=r"^matrix shape \(3, 3\) != \(2, 2\)$"):
+        DensityMatrix(np.eye(3, dtype=complex) / 3, (("S", 2),))
+
+
+@pytest.mark.parametrize("x", [-0.5, 1.5])
+def test_binary_entropy_rejects_arguments_outside_zero_to_one(x):
+    with pytest.raises(DomainError, match=rf"^binary entropy argument {x!r} outside \[0, 1\]$"):
+        binary_entropy(x)
 
 
 def test_density_matrix_validation():

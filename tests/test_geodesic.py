@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gravclock import geodesic, kernels
-from gravclock.errors import DomainError
+from gravclock.errors import DomainError, NoConvergence
 from gravclock.geodesic import (
     BoundaryConditions,
     energy_ratio_samples,
@@ -304,6 +304,21 @@ def _record_stacks(monkeypatch):
     return stacks
 
 
+def _singular_for(singular):
+    # kernels.block_thomas as a singular block leaves it: the real solution,
+    # with NaN rows for each path of the stack whose diagonal blocks equal
+    # `singular`
+    real = kernels.block_thomas
+
+    def solve(diag, off, rhs):
+        hit = [np.array_equal(member, singular) for member in diag.reshape((-1,) + singular.shape)]
+        steps = real(diag, off, rhs)
+        steps[np.reshape(hit, diag.shape[:-3])] = np.nan
+        return steps
+
+    return solve
+
+
 def test_verify_solves_stop_on_the_newton_decrement(monkeypatch, capsys):
     # every solve of the default study, the radial one included, ends on
     # the first, undamped solve of its last sweep: one solve per sweep
@@ -344,6 +359,43 @@ def test_verify_makes_one_stacked_sweep_for_all_its_scales(monkeypatch, capsys):
     assert calls["block_thomas"] <= 9
 
 
+def test_a_scale_at_the_sweep_cap_raises_no_convergence_as_it_is(unit_constants, monkeypatch, capsys):
+    # the sweep cap is the one stop of an iteration that does not converge:
+    # a cap of one sweep on the scales' stack alone, which the default
+    # study's scales need 2-3 sweeps to leave, raises its NoConvergence
+    # unchanged, with no scale named, and the CLI exits 3
+    from gravclock.cli import run_command
+
+    failures = []
+    real = geodesic._solve_stack
+
+    def capped(*args, start_name="starting trajectory"):
+        with monkeypatch.context() as patch:
+            if start_name == "predictor start":
+                patch.setattr(geodesic, "DEFAULT_MAX_SWEEPS", 1)
+            results, failure = real(*args, start_name=start_name)
+        failures.append(failure)
+        return results, failure
+
+    monkeypatch.setattr(geodesic, "_solve_stack", capped)
+    assert run_command(["verify"]) == 3
+    _, err = capsys.readouterr()
+    base, (index, exc) = failures
+    assert base is None and index == 0
+    assert isinstance(exc, NoConvergence)
+    assert str(exc).startswith("no convergence after 1 sweeps (last relative change ")
+    assert err == f"no convergence: {exc}\n"
+
+    model = RotatingMassModel(M=1e-6, J=1.25e-3)
+    bc = BoundaryConditions(
+        SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
+    )
+    failures.clear()
+    with pytest.raises(NoConvergence) as raised:
+        verify_first_order(model, bc, [0.5, 8.0], constants=unit_constants, n_segments=512)
+    assert raised.value is failures[1][1]
+
+
 def test_predictor_start_reaches_the_maximum_of_the_chord_start(unit_constants, monkeypatch):
     model = RotatingMassModel(M=1e-6, J=1.25e-3)
     bc = BoundaryConditions(
@@ -380,14 +432,7 @@ def test_a_singular_predictor_block_starts_every_scale_from_the_base_nodes(unit_
     base = stacks[0][1][0]
     predicted = stacks[1][1]
     singular = kernels.newton_assemble(base.nodes, 30.0 / 512, 1e-6, model.J, 1.0)[1]
-    real = kernels.block_thomas
-
-    def solve(diag, off, rhs):
-        if any(np.array_equal(member, singular) for member in diag.reshape((-1,) + singular.shape)):
-            raise np.linalg.LinAlgError("Singular matrix")
-        return real(diag, off, rhs)
-
-    monkeypatch.setattr(kernels, "block_thomas", solve)
+    monkeypatch.setattr(kernels, "block_thomas", _singular_for(singular))
     stacks.clear()
     verify_first_order(model, bc, scales, constants=unit_constants, n_segments=512)
     monkeypatch.undo()
@@ -401,9 +446,9 @@ def test_a_singular_predictor_block_starts_every_scale_from_the_base_nodes(unit_
 
 def test_stacked_solve_matches_one_path_solves(unit_constants, monkeypatch):
     # the predictor starts of three scales, and a fourth member whose first,
-    # undamped system raises as a singular block would: the stack solves it
-    # again one path at a time, so that member alone goes on to the first
-    # damped rung, and every member must end exactly as it does alone
+    # undamped system gives NaN rows as a singular block would: that member
+    # alone goes on to the first damped rung, and every member must end
+    # exactly as it does alone
     model = RotatingMassModel(M=1e-6, J=1.25e-3)
     bc = BoundaryConditions(
         SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
@@ -418,14 +463,7 @@ def test_stacked_solve_matches_one_path_solves(unit_constants, monkeypatch):
     starts = base.nodes + scales[:, None, None] * tangent
 
     singular = kernels.newton_assemble(starts[3], dt, gm, gj[3], 1.0)[1]
-    real = kernels.block_thomas
-
-    def solve(diag, off, rhs):
-        if any(np.array_equal(member, singular) for member in diag.reshape((-1,) + singular.shape)):
-            raise np.linalg.LinAlgError("Singular matrix")
-        return real(diag, off, rhs)
-
-    monkeypatch.setattr(kernels, "block_thomas", solve)
+    monkeypatch.setattr(kernels, "block_thomas", _singular_for(singular))
     stacked, failure = geodesic._solve_stack(bc, starts, gm, gj, 1.0)
     alone = [
         solve_extremal_path(
@@ -477,9 +515,10 @@ def test_a_singular_block_is_a_failed_rung_of_the_damping_ladder(unit_constants,
 
     def solve(*args):
         calls.append(args)
+        steps = real(*args)
         if len(calls) == 1:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return real(*args)
+            steps[...] = np.nan  # the one path's rows, as a singular block leaves them
+        return steps
 
     monkeypatch.setattr(kernels, "block_thomas", solve)
     res = solve_extremal_path(model, bc, unit_constants, 512)

@@ -1,6 +1,7 @@
 """The numpy kernels against independent dense and full-metric arithmetic."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,14 +106,27 @@ def test_block_thomas_matches_dense_solve_off_the_equator(n_segments):
     _assert_matches_dense_solve(diag, off, -grad)
 
 
+def _assert_matches_scaled_dense_solve(unscaled, rng):
+    # the system -S A S for a symmetric block-tridiagonal A: the congruence
+    # with S = diag(1, 1e3, 1e-3) per block makes the coordinate scales as
+    # unlike as r, theta and phi can be.  The dense reference solves the
+    # unscaled system, where partial pivoting is not misled by the scales:
+    # x = -S^-1 A^-1 S^-1 b
+    m = unscaled.shape[0] // 3
+    scale = np.tile([1.0, 1e3, 1e-3], m)
+    rhs = rng.standard_normal((m, 3))
+    expected = -(np.linalg.solve(unscaled, rhs.ravel() / scale) / scale).reshape(m, 3)
+    dense = -scale[:, None] * unscaled * scale[None, :]
+    blocks = dense.reshape(m, 3, m, 3).transpose(0, 2, 1, 3)  # blocks[i, j]: block (i, j)
+    k = np.arange(m)
+    _assert_matches_dense_solve(blocks[k, k], blocks[k[:-1], k[1:]], rhs, expected)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 255, 511])
 def test_block_thomas_matches_dense_solve_on_coupled_random_systems(m):
     # -M M^T for a block lower-bidiagonal M is symmetric, negative definite
     # and block tridiagonal, with every entry of every block coupled (its
-    # condition number is ~1e2 here); the congruence with S = diag(1, 1e3,
-    # 1e-3) per block makes the coordinate scales as unlike as r, theta and
-    # phi can be.  The dense reference solves the unscaled system, where
-    # partial pivoting is not misled by the scales: x = -S^-1 (M M^T)^-1 S^-1 b
+    # condition number is ~1e2 here)
     rng = np.random.default_rng(m)
     lower = np.zeros((3 * m, 3 * m))
     for i in range(m):
@@ -121,13 +135,29 @@ def test_block_thomas_matches_dense_solve_on_coupled_random_systems(m):
             lower[3 * i : 3 * i + 3, 3 * i - 3 : 3 * i] = rng.standard_normal((3, 3))
     unscaled = lower @ lower.T
     assert np.linalg.eigvalsh(unscaled).min() > 0.0
-    scale = np.tile([1.0, 1e3, 1e-3], m)
-    rhs = rng.standard_normal((m, 3))
-    expected = -(np.linalg.solve(unscaled, rhs.ravel() / scale) / scale).reshape(m, 3)
-    dense = -scale[:, None] * unscaled * scale[None, :]
-    blocks = dense.reshape(m, 3, m, 3).transpose(0, 2, 1, 3)  # blocks[i, j]: block (i, j)
-    k = np.arange(m)
-    _assert_matches_dense_solve(blocks[k, k], blocks[k[:-1], k[1:]], rhs, expected)
+    _assert_matches_scaled_dense_solve(unscaled, rng)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 255, 511])
+def test_block_thomas_matches_dense_solve_on_indefinite_random_systems(m):
+    # the undamped rung solves whatever Hessian a sweep assembles, and the
+    # adjugate does not pivot.  Each diagonal block is Q diag(d) Q^T with d
+    # of both signs and |d| in [5, 6), which dominates its off-diagonal
+    # blocks (entries 0.3 N(0, 1)): the system is indefinite but every block
+    # that the reduction inverts stays far from singular
+    rng = np.random.default_rng(100 + m)
+    unscaled = np.zeros((3 * m, 3 * m))
+    for i in range(m):
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        d = np.array([1.0, -1.0, rng.choice([-1.0, 1.0])]) * (5.0 + rng.random(3))
+        unscaled[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = (q * d) @ q.T
+        if i:
+            b = 0.3 * rng.standard_normal((3, 3))
+            unscaled[3 * i : 3 * i + 3, 3 * i - 3 : 3 * i] = b
+            unscaled[3 * i - 3 : 3 * i, 3 * i : 3 * i + 3] = b.T
+    eigenvalues = np.linalg.eigvalsh(unscaled)
+    assert eigenvalues.min() < -1.0 and eigenvalues.max() > 1.0 and np.abs(eigenvalues).min() > 1.0
+    _assert_matches_scaled_dense_solve(unscaled, rng)
 
 
 def test_perturbation_share_matches_the_pointwise_validity():
@@ -303,11 +333,15 @@ def test_a_singular_block_fails_only_its_own_path_of_a_stack(n_segments):
     grad, diag, off = kernels.newton_assemble(xs, dt, GM, gjs, C)
     steps = kernels.block_thomas(diag, off, -grad)
     # an exactly singular block on the middle path, one that the first
-    # reduction level inverts
+    # reduction level inverts: no exception and no warning, non-finite rows
+    # for that path, stacked and alone, and the other paths bit for bit
     diag[1, 1] = 0.0
-    with pytest.raises(np.linalg.LinAlgError):
-        kernels.block_thomas(diag, off, -grad)
-    with pytest.raises(np.linalg.LinAlgError):
-        kernels.block_thomas(diag[1], off[1], -grad[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = kernels.block_thomas(diag, off, -grad)
+        alone = kernels.block_thomas(diag[1], off[1], -grad[1])
+    for failed in (stacked[1], alone):
+        assert not np.isfinite(failed).all(axis=-1).any()
     for i in (0, 2):
+        assert np.array_equal(stacked[i], steps[i])
         assert np.array_equal(kernels.block_thomas(diag[i], off[i], -grad[i]), steps[i])

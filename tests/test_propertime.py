@@ -247,6 +247,17 @@ def test_hand_built_azimuth_paths_need_nonzero_dphi_dt():
         replace(arc, dphi_dt=np.where(np.arange(arc.n_samples) == 3, 0.0, arc.dphi_dt))
 
 
+def test_paths_and_modes_outside_the_domain_are_named():
+    arc = replace(build_circular_arc(r0=1.0, speed=1e-3, phi_span=0.8), sampler=None)
+    with pytest.raises(DomainError, match="^a path needs at least two samples$"):
+        replace(arc, t=arc.t[:1])
+    with pytest.raises(DomainError, match="^unknown path kind 'bogus'$"):
+        replace(arc, kind="bogus")
+    geom = InterferometerGeometry(w=1e-3, L=1.0, v0=1.0)
+    with pytest.raises(DomainError, match="^mode must be 'closed_form' or 'quadrature', got 'bogus'$"):
+        delta_tau_interferometer(RotatingMassModel(0.0, 1.0), geom, "bogus")
+
+
 def test_quadrature_raises_at_the_sample_cap(monkeypatch):
     monkeypatch.setattr(propertime, "MAX_QUADRATURE_SAMPLES", 512)
     model = RotatingMassModel(0.0, 1.0)
