@@ -3,8 +3,8 @@
 Fix two events and ask for the timelike path between them that extremizes
 (maximizes) proper time.  The solver discretizes the trajectory on a uniform
 coordinate-time grid, evaluates the proper time with a midpoint rule per
-segment, and relaxes the interior spatial nodes with damped Newton sweeps
-until no step can raise the functional.  Because the discrete functional is
+segment, and relaxes the interior spatial nodes with Newton sweeps until
+no step can raise the functional.  Because the discrete functional is
 extremized exactly, the envelope argument holds exactly in the discrete
 setting too: the difference between perturbed and unperturbed maxima equals
 the first-order quadrature of the frame-dragging term along the unperturbed
@@ -32,8 +32,6 @@ from .spacetime import DEFAULT_WEAK_FIELD_THRESHOLD, RotatingMassModel, Spacetim
 
 DEFAULT_SEGMENTS = 512
 DEFAULT_MAX_SWEEPS = 10_000
-# the undamped solve, then diag - d max|diag| I for d = 1e-8, 16e-8, ... < 1e8
-_DAMPING_LADDER = (0.0, *(1e-8 * 16.0**k for k in range(14)))
 
 
 @dataclass(frozen=True)
@@ -51,10 +49,8 @@ class ExtremalPathResult:
     path: PathSpec
     proper_time: float
     converged: bool
-    residual_norm: float
     sweeps: int
     nodes: np.ndarray  # (n_segments + 1, 3) rows (r, theta, phi)
-    solves: int  # Newton-step solves, one per sweep plus each damped retry
     stop: str  # "decrement" or "exhausted"
 
 
@@ -133,77 +129,45 @@ class _Member:
 
     index: int  # its position in the caller's stack
     tau: float
-    residual: float = math.inf
-    solves: int = 0
-    # the outcome of the current sweep
-    stop: str | None = None
-    improved: bool = False
-    trial: tuple | None = None  # the accepted (nodes, tau)
+    residual: float = math.inf  # the relative change of tau at its last step
 
 
-def _ladder(members, nodes, grad, diag, off, dt, gm, gj, c) -> None:
-    # one sweep's damping ladder for every member: each rung solves, in one
-    # stacked call, the members that no earlier rung moved
-    damping_scale = np.maximum(np.abs(diag).max(axis=(-3, -2, -1)), 1e-300)
-    # the Newton decrement: a predicted gain below a few ulps of tau cannot
-    # show in the functional, so the step has nothing left to find
-    gain_floor = 4.0 * np.finfo(float).eps
-    pending = list(range(len(members)))
-    for damping in _DAMPING_LADDER:
-        if not pending:
-            break
-        whole = len(pending) == len(members)
-        d = diag if whole else diag[pending]
-        if damping:
-            d = d - (damping * damping_scale[pending])[:, None, None, None] * np.eye(3)
-        steps = _steps(d, off if whole else off[pending], grad if whole else grad[pending])
-        searching = []
-        for j, step in zip(pending, steps):
-            member = members[j]
-            member.solves += 1
-            if step is None:
-                continue  # a singular block: this rung gives no step
-            gain = 0.5 * float(np.vdot(grad[j], step))
-            if not damping and 0.0 <= gain <= gain_floor * abs(member.tau):
-                # tau cannot resolve the gain, but the step still carries
-                # the nodes onto the stationary point: take it whole
-                member.stop = "decrement"
-            searching.append((j, step))
-        _line_search(members, searching, nodes, dt, gm, gj, c)
-        pending = [j for j in pending if not (members[j].stop or members[j].improved)]
-
-
-def _line_search(members, searching, nodes, dt, gm, gj, c) -> None:
-    # halve each (j, step) of `searching` up to 30 times until tau rises or,
-    # for a member that stops on the decrement, try its whole step once;
-    # each round evaluates the candidates of every member still searching
-    alpha = 1.0
-    for _ in range(30):
-        moved = []
-        for j, step in searching:
-            candidate = nodes[j].copy()
-            candidate[1:-1] += alpha * step
-            # a step that rounds away at every node rounds away at every
-            # smaller alpha too: the candidate can only give back tau
-            if not np.array_equal(candidate, nodes[j]):
-                moved.append((j, step, candidate))
-        if not moved:
-            break
-        values = kernels.path_functional(
-            np.stack([candidate for _, _, candidate in moved]),
-            dt, gm, gj[[j for j, _, _ in moved]], c,
-        )
-        searching = []
-        for (j, step, candidate), value in zip(moved, values):
-            member, value = members[j], float(value)
-            if member.stop:
-                if math.isfinite(value):
-                    member.trial = candidate, value
-            elif not math.isnan(value) and value > member.tau:
-                member.trial, member.improved = (candidate, value), True
-            else:
-                searching.append((j, step))
-        alpha *= 0.5
+def _sweep(members, nodes, dt, gm, gj, c, sweep) -> tuple:
+    # one undamped Newton step for every member, taken in place where it
+    # raises tau.  Returns a stop and an error per member: "decrement",
+    # "exhausted" or None if it goes on, and its DomainError or None
+    grad, diag, off = kernels.newton_assemble(nodes, dt, gm, gj, c)
+    stops, errors = [None] * len(members), [None] * len(members)
+    trial = nodes.copy()
+    for j, step in enumerate(_steps(diag, off, grad)):
+        gain = math.nan if step is None else 0.5 * float(np.vdot(grad[j], step))
+        if not gain >= 0.0:
+            errors[j] = DomainError(
+                f"sweep {sweep} found no maximum of the proper time near the path: "
+                "its Hessian is not negative definite"
+            )
+            continue
+        # the Newton decrement: a predicted gain below a few ulps of tau
+        # cannot show in the functional, so the step has nothing left to
+        # find, but it still carries the nodes onto the stationary point
+        if gain <= 4.0 * np.finfo(float).eps * abs(members[j].tau):
+            stops[j] = "decrement"
+        trial[j, 1:-1] += step
+    for j, value in enumerate(kernels.path_functional(trial, dt, gm, gj, c)):
+        member, value = members[j], float(value)
+        if errors[j]:
+            continue
+        if stops[j]:
+            if math.isfinite(value):  # the decrement's step, taken whole
+                nodes[j], member.tau = trial[j], value
+        elif value > member.tau:
+            member.residual = abs(value - member.tau) / max(abs(value), 1e-300)
+            nodes[j], member.tau = trial[j], value
+        elif value == member.tau:
+            stops[j] = "exhausted"  # the step rounds away
+        else:  # lower, or NaN
+            errors[j] = DomainError(f"sweep {sweep}: the Newton step did not raise the proper time")
+    return stops, errors
 
 
 def _solve_stack(bc, starts, gm, gj, c, start_name="starting trajectory"):
@@ -211,16 +175,16 @@ def _solve_stack(bc, starts, gm, gj, c, start_name="starting trajectory"):
 
     ``starts`` is a (k, n_segments + 1, 3) stack of starting nodes between
     the events of ``bc`` and ``gj`` holds G J for each.  Every member runs
-    the iteration it would run alone, with its own damping ladder, line
-    search, weak-field check, counts and stop, and bit for bit the same
-    arithmetic: the members only share the kernel calls, each of which
-    treats every path of its stack on its own.  A member leaves the stack
-    when it stops.  The sweep cap is ``DEFAULT_MAX_SWEEPS``, read at each
-    call.
+    the iteration it would run alone, with its own Newton step, weak-field
+    check, sweep count and stop, and bit for bit the same arithmetic: the
+    members only share the kernel calls, each of which treats every path
+    of its stack on its own.  A member leaves the stack when it stops.  The
+    sweep cap is ``DEFAULT_MAX_SWEEPS``, read at each call.
 
     Returns (results, failure).  ``failure`` is None, or (i, exc) for the
     first member i, in stack order, whose iteration raised ``exc``: a start
-    that is not timelike (named by ``start_name``), a step that leaves the
+    that is not timelike (named by ``start_name``), a Hessian that is not
+    negative definite, a step that does not raise tau or that leaves the
     weak field, or the sweep cap.  A failing member drops every member
     after it, and the members before it still run to their end, so this
     is the error that solving the members one after another would raise.
@@ -240,36 +204,25 @@ def _solve_stack(bc, starts, gm, gj, c, start_name="starting trajectory"):
     sweep = 0
     while members and sweep < DEFAULT_MAX_SWEEPS:
         sweep += 1
-        for member in members:
-            member.stop, member.improved, member.trial = None, False, None
-        _ladder(members, nodes, *kernels.newton_assemble(nodes, dt, gm, gj, c), dt, gm, gj, c)
-
-        for j, member in enumerate(members):
-            if member.trial is not None:
-                candidate, tau = member.trial
-                if member.improved:
-                    member.residual = abs(tau - member.tau) / max(abs(tau), 1e-300)
-                nodes[j], member.tau = candidate, tau
-        errors = _weak_field_errors(nodes, dt, gm, gj, c, sweep) if gj.any() else [None] * len(members)
+        stops, errors = _sweep(members, nodes, dt, gm, gj, c, sweep)
+        if gj.any():
+            weak = _weak_field_errors(nodes, dt, gm, gj, c, sweep)
+            errors = [error or left for error, left in zip(errors, weak)]
         keep = []
         for j, member in enumerate(members):
             if errors[j] is not None:
                 failure = (member.index, errors[j])
                 break  # the members after it no longer matter
-            if member.improved:
+            if stops[j] is None:
                 keep.append(j)
                 continue
-            # either the decrement or the whole damping ladder says the
-            # gradient is numerically exhausted: this is the maximum
             results[member.index] = ExtremalPathResult(
                 path=_midpoint_path(bc, nodes[j]),
                 proper_time=member.tau,
                 converged=True,
-                residual_norm=0.0,
                 sweeps=sweep,
                 nodes=nodes[j].copy(),
-                solves=member.solves,
-                stop=member.stop or "exhausted",
+                stop=stops[j],
             )
         if len(keep) < len(members):
             members = [members[j] for j in keep]
@@ -295,23 +248,25 @@ def solve_extremal_path(
     nodes (r, theta, phi) whose first and last rows are the boundary events,
     or, by default, from the nodes linear in (r, theta, phi) between them.
     Each sweep assembles the exact gradient and block-tridiagonal Hessian
-    of the discrete proper time and solves for the Newton step.  The
-    result's ``stop`` says why the iteration ended:
+    of the discrete proper time, solves for the Newton step and takes it
+    whole, with no damping or line search.  The result's ``stop`` says why
+    the iteration ended:
 
     - ``"decrement"``: the step's predicted gain ½ gradᵀ·step (the Newton
       decrement; Boyd and Vandenberghe, *Convex Optimization*, §9.5.1) lies
       in [0, 4 eps_mach |tau|], below what the functional can resolve: the
       sweep takes the whole step, which moves tau only by rounding but lands
       the nodes on the stationary point, keeps it if tau stays finite, and stops;
-    - ``"exhausted"``: no step on the damping ladder (diag - d max|diag| I
-      for d = 1e-8, 16e-8, ...), each halved up to 30 times, raised tau.
+    - ``"exhausted"``: the predicted gain is larger, but the step gives
+      back tau exactly: it rounds away, and the nodes stay where they are.
 
-    A block solve that meets a singular 3x3 block gives a non-finite step,
-    which is a failed rung of that ladder: the sweep tries the next damping.
-    ``solves`` counts the Newton-step solves: one per sweep plus each damped
-    retry.  G J = 0 gives the background (Schwarzschild) functional, and
-    nothing else switches h_tphi off.  At a nonzero G J, a sweep that leaves
-    a node at r <= 0, or gives a segment a frame-dragging share
+    Any other sweep raises :class:`DomainError`, naming it: a predicted gain
+    below 0, or a singular 3x3 block that leaves the step non-finite, means
+    the Hessian is not negative definite, so no maximum lies near the path;
+    and a step that gives a lower or NaN tau did not raise the proper time.
+    G J = 0 gives the background (Schwarzschild) functional, and nothing
+    else switches h_tphi off.  At a nonzero G J, a sweep that leaves a node
+    at r <= 0, or gives a segment a frame-dragging share
     |2 h_tphi v_phi / c| / |1 - eps - v^2/c^2| of at least
     ``DEFAULT_WEAK_FIELD_THRESHOLD``, raises :class:`DomainError`: the path
     has left the weak field, where the functional is unbounded above.
@@ -395,7 +350,8 @@ def verify_first_order(
     or above that threshold raises :class:`WeakFieldViolation` first.  A
     scaled solve's :class:`DomainError` is raised again with its scale
     named: a predictor start that is not timelike (checked for every scale
-    before the first sweep), or a path that leaves the weak field.  Of
+    before the first sweep), a sweep that finds no maximum or does not
+    raise the proper time, or a path that leaves the weak field.  Of
     several failing scales, the one named is the first in the given order,
     with its own sweep, as if the scales were solved one after another.
     After the solves it also raises :class:`DomainError`, naming the

@@ -297,7 +297,7 @@ def block_thomas(diag, off, rhs):
     the size on the even-indexed blocks, so m blocks take log2(m) vectorized
     levels, and the last block is solved by its adjugate too.  Nothing
     pivots, neither inside a block nor across blocks, which is stable for
-    the definite (or damped) Hessians the solver builds.  A singular block
+    the negative definite Hessians the solver takes steps from.  A singular block
     raises nothing: it gives inf or NaN in its own path's rows only, and
     every other path of the stack gets what it gets alone.
     """

@@ -41,8 +41,10 @@ _VERIFY = [
     "verify --scales 10,13",
     "verify --scales 14,13",
     "verify --scales 1e-3,2e-3",
+    "verify --scales 14.5,1",
     "verify --scales 15,30",
     "verify --scales 1,15",
+    "verify --scales 20,1",
     "verify --scales 30,1",
     "verify --scales 15,300",
     "verify --scales 1,300",

@@ -115,29 +115,33 @@ def test_validation_error_exit_code(capsys):
     assert "validation" in err
 
 
-def test_verify_rejects_scales_whose_solve_leaves_the_weak_field(capsys):
-    # the scale-15 solve heads for r = 0, where the perturbed functional is
-    # unbounded above; it used to climb for all 10000 sweeps and exit 3
+def test_verify_rejects_scales_whose_solve_finds_no_maximum(capsys):
+    # past ~14 the maximum is gone (a fold) and the scale-15 solve heads for
+    # r = 0, where the perturbed functional is unbounded above: its Hessian
+    # stops being negative definite, and the solve says so at that sweep
     code, out, err = run_cli(capsys, "verify", "--scales", "15,30")
     assert code == 2
     assert out == ""
-    assert "scale 15:" in err and "weak field" in err
+    assert "scale 15: sweep 3 found no maximum" in err
 
 
-_LEFT_THE_WEAK_FIELD = (
-    "scale {}: sweep {} left the weak field: |2 h_tphi v_phi / c| is {} of "
-    "|1 - eps - v^2/c^2| on a segment (limit 0.5)"
+_NO_MAXIMUM = (
+    "scale {}: sweep {} found no maximum of the proper time near the path: "
+    "its Hessian is not negative definite"
 )
 
 
 _FIRST_FAILING_SCALE = [
     # the scales are solved together, but the error is the one that
     # solving them in order gives: the first failing scale in the list, at
-    # its own sweep, although scale 30 fails first, at sweep 6
-    ("15,30", _LEFT_THE_WEAK_FIELD.format(15, 13, 0.656)),
-    ("1,15", _LEFT_THE_WEAK_FIELD.format(15, 13, 0.656)),
-    ("30,1", _LEFT_THE_WEAK_FIELD.format(30, 6, 1.55)),
-    ("15,300", _LEFT_THE_WEAK_FIELD.format(15, 13, 0.656)),
+    # its own sweep, although scale 30 fails first, at sweep 1
+    ("15,30", _NO_MAXIMUM.format(15, 3)),
+    ("1,15", _NO_MAXIMUM.format(15, 3)),
+    ("30,1", _NO_MAXIMUM.format(30, 1)),
+    ("15,300", _NO_MAXIMUM.format(15, 3)),
+    ("20,1", _NO_MAXIMUM.format(20, 2)),
+    # the step that a negative definite Hessian gives overshoots
+    ("14.5,1", "scale 14.5: sweep 3: the Newton step did not raise the proper time"),
     # from ~300 the predictor start itself is not timelike
     ("300,1", "scale 300: the predictor start is not timelike"),
 ]

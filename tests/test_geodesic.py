@@ -234,60 +234,24 @@ def test_boundary_validation(unit_constants):
         solve_extremal_path(FLAT, spacelike, constants=unit_constants)
 
 
-def test_line_search_skips_candidates_equal_to_the_nodes(unit_constants, monkeypatch):
-    # a candidate bit-equal to the assembled nodes evaluates to exactly the
-    # current proper time and can never be accepted, so the solver must not
-    # spend a functional evaluation on it.  The functional depends on phi
-    # only through differences, so offsetting both endpoints by 5e7 rad
-    # changes nothing but the rounding of the phi nodes (one ulp ~ 7e-9):
-    # the last steps then round away at every node while their predicted
-    # gain stays above the decrement floor, and the line search reaches them
-    assembled = []
-    repeats = []
-    events = []  # "a" assembly, "s" Newton-step solve, "e" functional evaluation
-    real_assemble = kernels.newton_assemble
-    real_solve = kernels.block_thomas
-    real_functional = kernels.path_functional
-
-    def assemble(x, *args):
-        assembled.append(x.copy())
-        events.append("a")
-        return real_assemble(x, *args)
-
-    def solve(*args):
-        events.append("s")
-        return real_solve(*args)
-
-    def functional(x, *args):
-        # one path, or a stack of them, against the one path last assembled
-        events.append("e")
-        if assembled:
-            last = assembled[-1][0]
-            if any(np.array_equal(path, last) for path in x.reshape((-1,) + last.shape)):
-                repeats.append(len(assembled))
-        return real_functional(x, *args)
-
-    monkeypatch.setattr(kernels, "newton_assemble", assemble)
-    monkeypatch.setattr(kernels, "block_thomas", solve)
-    monkeypatch.setattr(kernels, "path_functional", functional)
+def test_a_step_that_rounds_away_at_every_node_stops_exhausted(unit_constants):
+    # the functional depends on phi only through differences, so offsetting
+    # both endpoints by 5e7 rad changes nothing but the rounding of the phi
+    # nodes (one ulp ~ 7e-9): the last step then rounds away at every node
+    # while its predicted gain stays above the decrement floor
     model = RotatingMassModel(M=1e-6, J=1.25e-3)
-    bc = BoundaryConditions(
-        SpacetimePoint(0.0, 1.0, EQ, 5e7), SpacetimePoint(30.0, 1.0, EQ, 5e7 + 0.3)
+    events = [(0.0, 1.0, EQ, 0.0), (30.0, 1.0, EQ, 0.3)]
+    unshifted = solve_extremal_path(
+        model, BoundaryConditions(*(SpacetimePoint(*e) for e in events)), unit_constants, 512
     )
+    bc = BoundaryConditions(*(SpacetimePoint(t, r, th, ph + 5e7) for t, r, th, ph in events))
     res = solve_extremal_path(model, bc, unit_constants, 512)
-    monkeypatch.undo()
 
-    evaluations = events.count("e")
-    assert assembled and evaluations > len(assembled)
-    assert repeats == []
-    assert res.converged
+    assert (unshifted.stop, res.stop) == ("decrement", "exhausted")
+    assert res.converged and res.sweeps == 3
     again = _functional_value(model, res.nodes, bc.start.t, bc.end.t, unit_constants)
     assert res.proper_time == again
-    # a damping level that is followed by a damped retry accepted nothing;
-    # fewer than its 30 halvings means the rounded-away step cut it short
-    levels = "".join(events).split("s")[1:-1]
-    pruned = [run for run in levels if "a" not in run and len(run) < 30]
-    assert pruned
+    assert res.proper_time == pytest.approx(unshifted.proper_time, rel=1e-12)
 
 
 def _record_stacks(monkeypatch):
@@ -321,7 +285,7 @@ def _singular_for(singular):
 
 def test_verify_solves_stop_on_the_newton_decrement(monkeypatch, capsys):
     # every solve of the default study, the radial one included, ends on
-    # the first, undamped solve of its last sweep: one solve per sweep
+    # the Newton decrement
     from gravclock.cli import run_command
 
     stacks = _record_stacks(monkeypatch)
@@ -332,7 +296,6 @@ def test_verify_solves_stop_on_the_newton_decrement(monkeypatch, capsys):
     for res in results:
         assert res.converged
         assert res.stop == "decrement"
-        assert res.solves == res.sweeps
     # the base solve, the eight scales in one stack, then the radial solve;
     # from the predictor, the scaled solves take 2-3 sweeps each (3-4 from
     # the chord)
@@ -340,10 +303,10 @@ def test_verify_solves_stop_on_the_newton_decrement(monkeypatch, capsys):
     assert sum(res.sweeps for res in stacks[1][1]) <= 20
 
 
-def test_verify_makes_one_stacked_sweep_for_all_its_scales(monkeypatch, capsys):
+def _count_kernel_calls(monkeypatch, argv):
     from gravclock.cli import run_command
 
-    calls = {"newton_assemble": 0, "block_thomas": 0}
+    calls = {"path_functional": 0, "newton_assemble": 0, "block_thomas": 0}
     for name in calls:
         real = getattr(kernels, name)
 
@@ -352,11 +315,32 @@ def test_verify_makes_one_stacked_sweep_for_all_its_scales(monkeypatch, capsys):
             return _real(*args)
 
         monkeypatch.setattr(kernels, name, counted)
-    assert run_command(["verify"]) == 0
+    code = run_command(argv)
+    monkeypatch.undo()
+    return code, calls
+
+
+def test_verify_makes_one_stacked_sweep_for_all_its_scales(monkeypatch, capsys):
+    code, calls = _count_kernel_calls(monkeypatch, ["verify"])
     capsys.readouterr()
-    # base and radial solves, the predictor's one step and the stack's sweeps
-    assert calls["newton_assemble"] <= 9
-    assert calls["block_thomas"] <= 9
+    assert code == 0
+    # base and radial solves, the predictor's one step and the stack's
+    # sweeps, each with one block solve and one functional evaluation
+    assert calls["newton_assemble"] == calls["block_thomas"] <= 9
+    assert calls["path_functional"] <= 11
+
+
+@pytest.mark.parametrize(
+    "argv", ["verify --scales 15,30", "verify --scales 14.5,1", "verify --n-segments 2 --scales 100,200"]
+)
+def test_a_failing_verify_takes_one_block_solve_per_assembly(monkeypatch, capsys, argv):
+    # each sweep solves its Newton system once and evaluates the functional
+    # once, so a scale list that fails does so in a few sweeps
+    code, calls = _count_kernel_calls(monkeypatch, argv.split())
+    capsys.readouterr()
+    assert code == 2
+    assert calls["newton_assemble"] == calls["block_thomas"]
+    assert calls["path_functional"] <= 10
 
 
 def test_a_scale_at_the_sweep_cap_raises_no_convergence_as_it_is(unit_constants, monkeypatch, capsys):
@@ -445,10 +429,9 @@ def test_a_singular_predictor_block_starts_every_scale_from_the_base_nodes(unit_
 
 
 def test_stacked_solve_matches_one_path_solves(unit_constants, monkeypatch):
-    # the predictor starts of three scales, and a fourth member whose first,
-    # undamped system gives NaN rows as a singular block would: that member
-    # alone goes on to the first damped rung, and every member must end
-    # exactly as it does alone
+    # the predictor starts of three scales, and a fourth member whose first
+    # system gives NaN rows as a singular block would: that member alone
+    # fails, and every member must end exactly as it does alone
     model = RotatingMassModel(M=1e-6, J=1.25e-3)
     bc = BoundaryConditions(
         SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
@@ -469,17 +452,25 @@ def test_stacked_solve_matches_one_path_solves(unit_constants, monkeypatch):
         solve_extremal_path(
             RotatingMassModel(M=model.M, J=scale * model.J), bc, unit_constants, 512, start=start
         )
-        for scale, start in zip(scales, starts)
+        for scale, start in zip(scales[:3], starts)
     ]
+    with pytest.raises(DomainError) as singular_alone:
+        solve_extremal_path(
+            RotatingMassModel(M=model.M, J=scales[3] * model.J), bc, unit_constants, 512,
+            start=starts[3],
+        )
     monkeypatch.undo()
 
-    assert failure is None
+    index, exc = failure
+    assert (index, type(exc)) == (3, DomainError)
+    assert str(exc) == str(singular_alone.value)
+    assert str(exc).startswith("sweep 1 found no maximum")
+    assert stacked[3] is None
     for one, many in zip(alone, stacked):
         assert many.proper_time == one.proper_time
         assert np.array_equal(many.nodes, one.nodes)
-        assert (many.sweeps, many.solves, many.stop) == (one.sweeps, one.solves, one.stop)
-    assert len({res.sweeps for res in stacked}) > 1  # members leave the stack at different sweeps
-    assert [res.solves - res.sweeps for res in stacked] == [0, 0, 0, 1]
+        assert (many.sweeps, many.stop) == (one.sweeps, one.stop)
+    assert len({res.sweeps for res in stacked[:3]}) > 1  # members leave the stack at different sweeps
 
 
 def test_start_must_have_the_node_shape_and_the_boundary_events(unit_constants):
@@ -504,38 +495,67 @@ def test_start_must_have_the_node_shape_and_the_boundary_events(unit_constants):
     assert from_bent.proper_time == pytest.approx(from_chord.proper_time, rel=1e-13)
 
 
-def test_a_singular_block_is_a_failed_rung_of_the_damping_ladder(unit_constants, monkeypatch):
+def test_a_singular_system_raises_naming_its_sweep(unit_constants, monkeypatch):
+    # a singular block leaves the step non-finite (NaN rows): the Hessian
+    # is not negative definite, so no maximum lies near the path
     model = RotatingMassModel(M=1e-6, J=1.25e-3)
     bc = BoundaryConditions(
         SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
     )
-    undisturbed = solve_extremal_path(model, bc, unit_constants, 512)
     real = kernels.block_thomas
     calls = []
 
     def solve(*args):
         calls.append(args)
         steps = real(*args)
-        if len(calls) == 1:
-            steps[...] = np.nan  # the one path's rows, as a singular block leaves them
+        if len(calls) == 2:
+            steps[...] = np.nan
         return steps
 
     monkeypatch.setattr(kernels, "block_thomas", solve)
-    res = solve_extremal_path(model, bc, unit_constants, 512)
+    with pytest.raises(DomainError) as raised:
+        solve_extremal_path(model, bc, unit_constants, 512)
     monkeypatch.undo()
-    # the first sweep retried at the first damping, and the rest ran as before
-    assert not np.array_equal(calls[1][0], calls[0][0])
-    assert res.stop == "decrement"
-    assert res.solves == res.sweeps + 1 == undisturbed.solves + 1
-    assert res.proper_time == pytest.approx(undisturbed.proper_time, rel=1e-13)
+    assert len(calls) == 2
+    assert str(raised.value) == (
+        "sweep 2 found no maximum of the proper time near the path: "
+        "its Hessian is not negative definite"
+    )
 
 
-def test_perturbed_solve_that_leaves_the_weak_field_raises(unit_constants):
-    # above ~13 x 1.25e-3 the Newton steps head for r = 0, where the
-    # 8GJ sin^2(theta) v_phi / (c^4 r) term is unbounded above
+def test_perturbed_solves_past_the_fold_raise_before_they_leave_the_weak_field(unit_constants):
+    # above ~13 x 1.25e-3 the maximum ceases to exist (a fold) and Newton
+    # steps head for r = 0, where the 8GJ sin^2(theta) v_phi / (c^4 r) term
+    # is unbounded above; the undamped step fails at once
     bc = BoundaryConditions(
         SpacetimePoint(0.0, 1.0, EQ, 0.0), SpacetimePoint(30.0, 1.0, EQ, 0.3)
     )
-    for j, n_segments, reason in [(0.25, 2, "r <= 0"), (30 * 1.25e-3, 512, "weak field")]:
-        with pytest.raises(DomainError, match=reason):
+    for j, n_segments, reason in [
+        (0.25, 2, "sweep 1 found no maximum of the proper time near the path: "
+                  "its Hessian is not negative definite"),
+        (30 * 1.25e-3, 512, "sweep 1: the Newton step did not raise the proper time"),
+    ]:
+        with pytest.raises(DomainError) as raised:
             solve_extremal_path(RotatingMassModel(M=1e-6, J=j), bc, unit_constants, n_segments)
+        assert str(raised.value) == reason
+
+
+def test_weak_field_check_names_each_path_that_left_it(unit_constants):
+    # the check after every perturbed sweep, on a stack of three paths: one
+    # inside the weak field, one with a node at r = 0 and one whose
+    # frame-dragging share reaches the limit
+    frac = np.linspace(0.0, 1.0, 9)[:, None]
+    chord = (1.0 - frac) * np.array([1.0, EQ, 0.0]) + frac * np.array([1.0, EQ, 0.3])
+    through_axis = chord.copy()
+    through_axis[4, 0] = 0.0
+    nodes = np.stack([chord, through_axis, chord])
+    errors = geodesic._weak_field_errors(
+        nodes, 30.0 / 8, 1e-6, np.array([1.25e-3, 1.25e-3, 40.0]), 1.0, 7
+    )
+    assert errors[0] is None
+    assert [type(e) for e in errors[1:]] == [DomainError, DomainError]
+    assert str(errors[1]) == "sweep 7 carried a node to r <= 0"
+    assert str(errors[2]) == (
+        "sweep 7 left the weak field: |2 h_tphi v_phi / c| is 3.2 of "
+        "|1 - eps - v^2/c^2| on a segment (limit 0.5)"
+    )

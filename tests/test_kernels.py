@@ -93,7 +93,7 @@ def test_block_thomas_matches_dense_solve(n_segments, damping):
     x, dt = _node_path(n_segments)
     grad, diag, off = kernels.newton_assemble(x, dt, GM, GJ, C)
     if damping:
-        # the solver's damping ladder: diag - damping * max|diag| * I
+        # a diagonally shifted Hessian, diag - damping * max|diag| * I
         diag = diag - damping * np.abs(diag).max() * np.eye(3)[None, :, :]
     _assert_matches_dense_solve(diag, off, -grad)
 
@@ -140,8 +140,8 @@ def test_block_thomas_matches_dense_solve_on_coupled_random_systems(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 255, 511])
 def test_block_thomas_matches_dense_solve_on_indefinite_random_systems(m):
-    # the undamped rung solves whatever Hessian a sweep assembles, and the
-    # adjugate does not pivot.  Each diagonal block is Q diag(d) Q^T with d
+    # a sweep solves whatever Hessian it assembles, definite or not, and
+    # the adjugate does not pivot.  Each diagonal block is Q diag(d) Q^T with d
     # of both signs and |d| in [5, 6), which dominates its off-diagonal
     # blocks (entries 0.3 N(0, 1)): the system is indefinite but every block
     # that the reduction inverts stays far from singular
