@@ -226,11 +226,13 @@ def _delta_tau_from(ns, constants: PhysicalConstants) -> float:
     return ns.delta_tau
 
 
-def _check_phases(delta_tau: float, constants: PhysicalConstants, **energies: float) -> None:
-    """Reject a finite delta_tau whose clock phases E delta_tau / hbar overflow."""
-    for name, energy in energies.items():
-        if not math.isfinite(energy * delta_tau / constants.hbar):
+def _clock_phases(e_g: float, e_e: float, delta_tau: float, constants: PhysicalConstants) -> tuple[float, float]:
+    """The (gap, mean) phases of :func:`~gravclock.interferometry.clock_phases`, rejecting one that overflows."""
+    phases = itf.clock_phases(e_g, e_e, delta_tau, constants.hbar)
+    for name, phase in zip(("gap", "mean"), phases):
+        if not math.isfinite(phase):
             raise DomainError(f"delta_tau {delta_tau!r} makes the {name} phase overflow")
+    return phases
 
 
 def _add_geometry(parser: _Parser) -> None:
@@ -341,11 +343,8 @@ def _cmd_interfere(ns) -> int:
     constants = resolve_constants(ns.constants)
     clock = _clock_from(ns, constants)
     delta_tau = _delta_tau_from(ns, constants)
-    _check_phases(delta_tau, constants, gap=clock.gap, mean=clock.mean_energy)
+    gap, mean = _clock_phases(clock.E_g, clock.E_e, delta_tau, constants)
     res = itf.detection_probabilities(clock, delta_tau, constants)
-    gap = itf.gap_phase(clock, delta_tau, constants)
-    deficit = itf.visibility_deficit_from_phase(gap)
-    gap_log = SignedLog.from_linear(gap)
     inputs = {"delta_tau": delta_tau, "E_g": clock.E_g, "E_e": clock.E_e}
     columns = (
         "visibility", "visibility_deficit", "pr_left", "pr_right",
@@ -353,8 +352,8 @@ def _cmd_interfere(ns) -> int:
         "delta_tau",
     )
     row = (
-        res.visibility, deficit, res.pr_left, res.pr_right,
-        res.phase_mean, SignedLog.from_linear(res.phase_mean).log10, gap_log.linear, gap_log.log10,
+        res.visibility, itf.visibility_deficit_from_phase(gap), res.pr_left, res.pr_right,
+        mean, SignedLog.from_linear(mean).log10, gap, SignedLog.from_linear(gap).log10,
         delta_tau,
     )
     _emit(ns, inputs, columns, [row], constants)
@@ -365,12 +364,11 @@ def _cmd_gme(ns) -> int:
     constants = resolve_constants(ns.constants)
     clock = _clock_from(ns, constants)
     delta_tau = _delta_tau_from(ns, constants)
-    _check_phases(delta_tau, constants, gap=clock.gap, mean=clock.mean_energy)
+    gap, _ = _clock_phases(clock.E_g, clock.E_e, delta_tau, constants)
     res = itf.gme_entanglement(clock, delta_tau, constants)
-    vis = np.cos(itf.gap_phase(clock, delta_tau, constants))
     inputs = {"delta_tau": delta_tau, "E_g": clock.E_g, "E_e": clock.E_e}
     columns = ("visibility", "ee_spc", "ef_sp", "witness", "delta_tau")
-    row = (vis, res.ee_spc, res.ef_sp, res.witness, delta_tau)
+    row = (np.cos(gap), res.ee_spc, res.ef_sp, res.witness, delta_tau)
     _emit(ns, inputs, columns, [row], constants)
     return EXIT_OK
 
@@ -387,7 +385,7 @@ def _cmd_qep(ns) -> int:
     tt = qep_mod.QepTestTheory(
         clock=clock, E_g_prime=e_g_prime, E_e_prime=e_e_prime, theta=ns.theta, varphi=ns.varphi
     )
-    _check_phases(delta_tau, constants, gap=tt.gap_prime, mean=tt.mean_prime)
+    _clock_phases(e_g_prime, e_e_prime, delta_tau, constants)
     res = qep_mod.qep_gme_entanglement(tt, delta_tau, constants)
     inputs = {
         "delta_tau": delta_tau, "theta": ns.theta, "varphi": ns.varphi,

@@ -27,12 +27,11 @@ from . import qep as qep_mod
 from .constants import CODATA, PhysicalConstants
 from .errors import ConfigError, require_finite, require_positive
 from .interferometry import (
-    ClockModel,
+    _entanglement,
+    _ports,
+    _visibility,
     clock_energies,
-    detection_probabilities,
-    gap_phase,
-    gme_entanglement,
-    mean_phase,
+    clock_phases,
     visibility_deficit_from_phase,
 )
 from .logdomain import SignedLog, log10_sum
@@ -177,11 +176,12 @@ def _columns(p: dict, outputs, constants: PhysicalConstants) -> dict:
 
     Each closed form runs once, over whole arrays, and only when an output
     needs it, in the one form of :mod:`gravclock.interferometry` that does
-    not cancel.  A linear column overflows to inf or NaN in its own row.
-    Each log10 column has one formula at every phase: it takes the phase
-    magnitudes from the log domain and the double phases only for factors
-    near 1, such as sin(x) / x, so it stays meaningful where the linear
-    effect underflows to 0.
+    not cancel, and every clock column reads the one (gap, mean) pair of
+    :func:`clock_phases`.  A linear column overflows to inf or NaN in its
+    own row.  Each log10 column has one formula at every phase: it takes the
+    phase magnitudes from the log domain and the double phases only for
+    factors near 1, such as sin(x) / x, so it stays meaningful where the
+    linear effect underflows to 0.
     """
     need = set(outputs)
     hbar = constants.hbar
@@ -204,20 +204,19 @@ def _columns(p: dict, outputs, constants: PhysicalConstants) -> dict:
         )
 
     if need & _CLOCK_OUTPUTS:
-        clock = ClockModel(*clock_energies(p["mean_rate"], p["clock_rate"], hbar, gap_name="clock_rate"))
+        e_g, e_e = clock_energies(p["mean_rate"], p["clock_rate"], hbar, gap_name="clock_rate")
+        gap, mean = clock_phases(e_g, e_e, delta_tau, hbar)
+        vis, spread = _visibility(gap)
     if need & {"pr_left", "pr_right"}:
-        probs = detection_probabilities(clock, delta_tau, constants)
-        out.update(pr_left=probs.pr_left, pr_right=probs.pr_right)
+        out["pr_left"], out["pr_right"] = _ports(vis, spread, mean)
 
     if need & _GME_OUTPUTS:
-        gme = gme_entanglement(clock, delta_tau, constants)
+        gme = _entanglement(vis, spread, mean)
         out.update(ee_spc=gme.ee_spc, ef_sp=gme.ef_sp, witness=gme.witness)
     if need & {"ee_spc", "ef_sp"}:
         # the smaller port [(1 - |V|) + |V| (1 - |cos(mean)|)] / 2, V = cos(gap), with
         # 1 - |cos x| = sin^2(x) / (1 + |cos x|)
-        gap = gap_phase(clock, delta_tau, constants)
-        mean = mean_phase(clock, delta_tau, constants)
-        abs_vis = np.abs(np.cos(gap))
+        abs_vis = np.abs(vis)
         vis_term = 2.0 * _log10_sin(gap_log.log10, gap) - np.log10(1.0 + abs_vis)
         sin_mean_log10 = _log10_sin(mean_log.log10, mean)
         mean_term = np.log10(abs_vis) + 2.0 * sin_mean_log10 - np.log10(1.0 + np.abs(np.cos(mean)))
@@ -229,8 +228,8 @@ def _columns(p: dict, outputs, constants: PhysicalConstants) -> dict:
 
     if need & _QEP_OUTPUTS:
         # the frame-dragging sector has the clock's own energies, mixed by theta
-        tt = qep_mod.QepTestTheory(clock, E_g_prime=clock.E_g, E_e_prime=clock.E_e, theta=p["theta"])
-        qres = qep_mod.qep_gme_entanglement(tt, delta_tau, constants)
+        qep_mod.require_mixing_angle(p["theta"])
+        qres = qep_mod._closed_forms(gap, mean, p["theta"])
         out.update(
             qep_visibility=qres.visibility,
             qep_xi_phase=qres.xi_delta_tau,

@@ -1,10 +1,11 @@
 """Clock interferometer observables and gravity-mediated entanglement.
 
 A two-level clock riding the interferometer picks up the arm proper-time
-difference delta_tau as internal phases.  With phase = Ebar delta_tau / hbar,
-the closed forms used throughout are
+difference delta_tau as internal phases, gap = dE delta_tau / hbar and
+phase = Ebar delta_tau / hbar, which :func:`clock_phases` alone forms for
+every closed form.  The closed forms used throughout are
 
-    V            = cos(dE * delta_tau / hbar)                    (visibility)
+    V            = cos(gap)                                      (visibility)
     Pr(L'|R')    = (1 +- V cos(phase)) / 2
     E_E          = h(q),  q = min(Pr(L'), Pr(R')) = (1 - |V cos(phase)|) / 2
     E_F          = h((1 - sqrt(1 - s)) / 2),  s = V^2 sin^2(phase)
@@ -20,7 +21,7 @@ cancels only where V cos(phase) nears -1.  The test theory of
 
 The state-vector constructions here are the references ``selftest`` and
 the tests check the closed forms against; they build the clock kets of the
-two arms with :func:`arm_kets`, which holds the phase convention.
+two arms with :func:`arm_kets`, which holds the oracles' phase convention.
 
 Beam splitters are the symmetric 50/50 convention
 |L> -> (|L'> + |R'>)/sqrt 2, |R> -> (|L'> - |R'>)/sqrt 2.
@@ -103,7 +104,7 @@ class GmeResult:
 
 
 def arm_kets(mean, gap, basis, amplitudes, delta_tau: float, hbar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Clock kets |chi_1>, |chi_2> after the two arms; the one statement of the phase convention.
+    """Clock kets |chi_1>, |chi_2> after the two arms; the oracles' statement of the phase convention.
 
     The clock starts in sum_k a_k |k>, with ``amplitudes`` (a_0, a_1) over
     ``basis`` (|k_0>, |k_1>), the eigenbasis of the arm Hamiltonian, whose
@@ -130,12 +131,9 @@ def arm_kets(mean, gap, basis, amplitudes, delta_tau: float, hbar: float) -> tup
     )
 
 
-def gap_phase(clock: ClockModel, delta_tau: float, constants: PhysicalConstants = CODATA) -> float:
-    return clock.gap * delta_tau / constants.hbar
-
-
-def mean_phase(clock: ClockModel, delta_tau: float, constants: PhysicalConstants = CODATA) -> float:
-    return clock.mean_energy * delta_tau / constants.hbar
+def clock_phases(e_g, e_e, delta_tau, hbar: float):
+    """(gap, mean) = (E_e - E_g, (E_g + E_e) / 2) delta_tau / hbar, elementwise; inf or NaN where one overflows."""
+    return (e_e - e_g) * delta_tau / hbar, 0.5 * (e_g + e_e) * delta_tau / hbar
 
 
 def visibility_deficit_from_phase(phase: float) -> float:
@@ -159,8 +157,8 @@ def _ports(vis: float, vis_spread: float, phase: float) -> tuple[float, float]:
     return pr_left, pr_right
 
 
-def _entanglement(vis: float, vis_spread: float, phase: float) -> tuple[float, float, float]:
-    """(E_E, E_F, V sin(phase)) from V, 1 - V^2 and the phase, elementwise.
+def _entanglement(vis: float, vis_spread: float, phase: float) -> GmeResult:
+    """E_E, E_F and the witness 1 + |V sin(phase)| from V, 1 - V^2 and the phase, elementwise.
 
     E_E is h of the smaller port probability (1 - |V cos(phase)|) / 2 (see
     the module docstring).
@@ -170,7 +168,7 @@ def _entanglement(vis: float, vis_spread: float, phase: float) -> tuple[float, f
     amplitude = vis * sin_phase
     s = amplitude * amplitude
     eigenvalue = s / (2.0 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - s))))
-    return cs.binary_entropy(port), cs.binary_entropy(eigenvalue), amplitude
+    return GmeResult(cs.binary_entropy(port), cs.binary_entropy(eigenvalue), 1.0 + np.abs(amplitude))
 
 
 def _visibility(gap: float) -> tuple[float, float]:
@@ -183,10 +181,9 @@ def detection_probabilities(
     clock: ClockModel, delta_tau: float, constants: PhysicalConstants = CODATA
 ) -> InterferenceResult:
     """Output-port probabilities Pr(L'), Pr(R') of the clock interferometer."""
-    vis, spread = _visibility(gap_phase(clock, delta_tau, constants))
-    phase = mean_phase(clock, delta_tau, constants)
-    pr_left, pr_right = _ports(vis, spread, phase)
-    return InterferenceResult(visibility=vis, pr_left=pr_left, pr_right=pr_right, phase_mean=phase)
+    gap, mean = clock_phases(clock.E_g, clock.E_e, delta_tau, constants.hbar)
+    vis, spread = _visibility(gap)
+    return InterferenceResult(vis, *_ports(vis, spread, mean), phase_mean=mean)
 
 
 # the clock starts in (|g> + |e>)/sqrt 2 over its energy basis
@@ -255,6 +252,5 @@ def gme_entanglement(
     state-vector reference that ``selftest`` and the tests check all three
     closed forms against.
     """
-    vis, spread = _visibility(gap_phase(clock, delta_tau, constants))
-    ee, ef, amplitude = _entanglement(vis, spread, mean_phase(clock, delta_tau, constants))
-    return GmeResult(ee_spc=ee, ef_sp=ef, witness=1.0 + np.abs(amplitude))
+    gap, mean = clock_phases(clock.E_g, clock.E_e, delta_tau, constants.hbar)
+    return _entanglement(*_visibility(gap), mean)

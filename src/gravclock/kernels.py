@@ -41,8 +41,12 @@ def weak_field_terms(r, theta, vr, vth, vph, gm, gj, c):
     eps = 2.0 * gm / (c * c * r)
     sin2 = np.sin(theta) ** 2
     v2 = (1.0 + eps) * vr * vr + r * r * (vth * vth + sin2 * vph * vph)
-    h = -4.0 * gj * sin2 / (c**3 * r)
-    return eps, v2, h
+    return eps, v2, _frame_dragging_amplitude(r, gj, c) * sin2
+
+
+def _frame_dragging_amplitude(r, gj, c):
+    """The equatorial h_tphi, -4 G J / (c^3 r)."""
+    return -4.0 * gj / (c**3 * r)
 
 
 def _background_radicand(eps, v2, c):
@@ -67,7 +71,7 @@ def radicand_derivatives(r, theta, vr, vth, vph, eps, gj, c):
     e = eps / r  # -d eps / dr
     w2 = vth * vth + s * vph * vph
     # (2/c) h_tphi = k sin^2(theta), in the term -(2/c) h_tphi vph
-    k = -8.0 * gj / (c**4 * r)
+    k = 2.0 * _frame_dragging_amplitude(r, gj, c) / c
     d1 = (
         e + q * (e * vr * vr - 2.0 * r * w2) + k * s * vph / r,
         -(q * r * r * vph + k) * s_t * vph,

@@ -3,8 +3,8 @@
 For a fixed trajectory, the frame-dragging perturbation changes the elapsed
 proper time at first order by
 
-    delta_tau(P) = (1/2) int (h_munu / c^2) (dx^mu/dtau) (dx^nu/dtau) dtau
-                 = int (h_tphi / c) (dt/dtau) dphi        (only h_tphi nonzero)
+    delta_tau(P) = -(1/2) int (h_munu / c^2) (dx^mu/dtau) (dx^nu/dtau) dtau
+                 = -int (h_tphi / c) (dt/dtau) dphi       (only h_tphi nonzero)
 
 which is odd under reversal of the traversal.  A path and its time-reversed
 partner therefore differ by twice this shift; that difference is what the

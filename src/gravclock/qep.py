@@ -44,7 +44,13 @@ import numpy as np
 from . import clockstate as cs
 from .constants import CODATA, PhysicalConstants
 from .errors import DomainError, require_finite
-from .interferometry import ClockModel, _entanglement, _gme_state, _ports, arm_kets
+from .interferometry import ClockModel, _entanglement, _gme_state, _ports, arm_kets, clock_phases
+
+
+def require_mixing_angle(theta) -> None:
+    """Raise :class:`DomainError` unless every mixing angle theta lies in [0, pi/2]."""
+    if not np.all((0.0 <= theta) & (theta <= 0.5 * math.pi)):
+        raise DomainError("theta must lie in [0, pi/2]")
 
 
 def _relative_spread(x: float, y: float) -> float:
@@ -75,8 +81,7 @@ class QepTestTheory:
     def __post_init__(self) -> None:
         for name in ("E_g_prime", "E_e_prime", "varphi"):
             require_finite(name, getattr(self, name))
-        if not np.all((0.0 <= self.theta) & (self.theta <= 0.5 * math.pi)):
-            raise DomainError("theta must lie in [0, pi/2]")
+        require_mixing_angle(self.theta)
 
     @cached_property
     def commutator_ratio(self) -> float:
@@ -90,14 +95,6 @@ class QepTestTheory:
         spread = _relative_spread(self.clock.E_g, self.clock.E_e)
         spread_prime = _relative_spread(self.E_g_prime, self.E_e_prime)
         return (spread * spread_prime * (0.5 * np.sin(2.0 * self.theta)))[()]
-
-    @property
-    def gap_prime(self) -> float:
-        return self.E_e_prime - self.E_g_prime
-
-    @property
-    def mean_prime(self) -> float:
-        return 0.5 * (self.E_g_prime + self.E_e_prime)
 
     def primed_basis(self) -> tuple[np.ndarray, np.ndarray]:
         """Kets |g'>, |e'> in the H_N eigenbasis, of shape (..., 2)."""
@@ -129,7 +126,8 @@ def qep_arm_states(
     """
     g_prime, e_prime = tt.primed_basis()
     amplitudes = (g_prime[..., 0].conj(), e_prime[..., 0].conj())
-    return arm_kets(tt.mean_prime, tt.gap_prime, (g_prime, e_prime), amplitudes, delta_tau, constants.hbar)
+    mean, gap = 0.5 * (tt.E_g_prime + tt.E_e_prime), tt.E_e_prime - tt.E_g_prime
+    return arm_kets(mean, gap, (g_prime, e_prime), amplitudes, delta_tau, constants.hbar)
 
 
 def _continuous_arctan(cos_2theta: float, psi: float) -> float:
@@ -139,16 +137,12 @@ def _continuous_arctan(cos_2theta: float, psi: float) -> float:
     return k * math.pi + np.arctan2(cos_2theta * np.sin(rem), np.cos(rem))
 
 
-def _visibility_and_phase(
-    tt: QepTestTheory, delta_tau: float, constants: PhysicalConstants
-) -> tuple[float, float, float, float]:
-    """V, 1 - V^2, xi * delta_tau and the phase (Ebar' + xi) delta_tau / hbar (see the module docstring)."""
-    psi = tt.gap_prime * delta_tau / constants.hbar
-    s2, c2 = np.sin(2.0 * tt.theta), np.cos(2.0 * tt.theta)
+def _visibility_and_phase(psi: float, mean: float, theta: float) -> tuple[float, float, float, float]:
+    """V, 1 - V^2, xi * delta_tau and mean + xi * delta_tau from the primed phases (see the module docstring)."""
+    s2, c2 = np.sin(2.0 * theta), np.cos(2.0 * theta)
     mixed = s2 * np.sin(psi)
     xi_dtau = -_continuous_arctan(c2, psi)
-    phase = tt.mean_prime * delta_tau / constants.hbar + xi_dtau
-    return np.hypot(c2, s2 * np.cos(psi)), mixed * mixed, xi_dtau, phase
+    return np.hypot(c2, s2 * np.cos(psi)), mixed * mixed, xi_dtau, mean + xi_dtau
 
 
 def qep_visibility(
@@ -164,7 +158,8 @@ def qep_visibility(
     delta_tau / hbar) that enters every observable stays continuous through
     those points.
     """
-    vis, _, xi_dtau, _ = _visibility_and_phase(tt, delta_tau, constants)
+    psi, mean = clock_phases(tt.E_g_prime, tt.E_e_prime, delta_tau, constants.hbar)
+    vis, _, xi_dtau, _ = _visibility_and_phase(psi, mean, tt.theta)
     return vis, xi_dtau
 
 
@@ -183,6 +178,12 @@ def qep_gme_entanglement(
 ) -> QepResult:
     """Closed-form probabilities and entanglement of the GME state under the
     test theory; :func:`qep_final_state` is the state-vector reference."""
-    vis, spread, xi_dtau, phase = _visibility_and_phase(tt, delta_tau, constants)
-    ee, ef, _ = _entanglement(vis, spread, phase)
-    return QepResult(vis, xi_dtau, *_ports(vis, spread, phase), ee, ef)
+    psi, mean = clock_phases(tt.E_g_prime, tt.E_e_prime, delta_tau, constants.hbar)
+    return _closed_forms(psi, mean, tt.theta)
+
+
+def _closed_forms(psi: float, mean: float, theta: float) -> QepResult:
+    """:func:`qep_gme_entanglement` from the primed phases and the mixing angle, elementwise."""
+    vis, spread, xi_dtau, phase = _visibility_and_phase(psi, mean, theta)
+    gme = _entanglement(vis, spread, phase)
+    return QepResult(vis, xi_dtau, *_ports(vis, spread, phase), gme.ee_spc, gme.ef_sp)

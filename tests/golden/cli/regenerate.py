@@ -67,6 +67,8 @@ _COMMANDS = [
     "delta-tau --mode both --v0 30 --M 1e3 --J 5.86e33 --w 1e-3 --format json",
     "interfere",
     "interfere --delta-tau 1e-15",
+    # a gap phase of exactly 14 rad, printed as formed rather than through log10
+    "interfere --delta-tau 7e-15 --gap-rate 2e15",
     "interfere --E-g 0 --E-e 1e-19 --delta-tau 3e-15 --format json",
     "gme",
     "gme --delta-tau 1e-15 --format json",

@@ -7,12 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gravclock
 from gravclock import cli, propertime
 from gravclock.cli import run_command
+from gravclock.constants import CODATA
 from gravclock.detectability import OUTPUTS
+from gravclock.interferometry import clock_phases
 
 EXPECTED_DELTA_TAU = 16.0 * 6.67430e-11 / ((2.99792458e8) ** 4 * 1e-3)
 
@@ -562,6 +565,30 @@ def test_clock_phases_that_overflow_are_validation_errors(capsys, command):
     assert out == ""
     assert "delta_tau 1e+300 makes the gap phase overflow" in err
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("--delta-tau", "7e-15", "--gap-rate", "2e15"),
+        ("--delta-tau", "-2e-15", "--gap-rate", "0", "--mean-rate", "1e300"),
+        ("--E-g", "0", "--E-e", "1e-19", "--delta-tau", "3e-15"),
+    ],
+)
+def test_interfere_and_gme_print_the_clock_phases_bit_for_bit(capsys, argv):
+    # the printed phases are clock_phases' doubles, not a log10 round trip
+    outputs = {}
+    for command in ("interfere", "gme"):
+        code, out, err = run_cli(capsys, command, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        outputs[command] = doc["outputs"]
+    inputs = doc["inputs"]
+    gap, mean = clock_phases(inputs["E_g"], inputs["E_e"], inputs["delta_tau"], CODATA.hbar)
+    assert (outputs["interfere"]["phase_gap"], outputs["interfere"]["phase_mean"]) == (gap, mean)
+    assert math.copysign(1.0, outputs["interfere"]["phase_gap"]) == math.copysign(1.0, gap)
+    assert outputs["gme"]["visibility"] == np.cos(gap)
 
 
 CLOCK_OUTPUTS = [name for name in OUTPUTS if name.startswith(("pr_", "ee_", "ef_", "witness", "qep_"))]

@@ -21,7 +21,7 @@ import pytest
 
 from gravclock import detectability as det
 from gravclock.constants import CODATA
-from gravclock.interferometry import ClockModel, gap_phase, mean_phase
+from gravclock.interferometry import clock_phases
 from gravclock.propertime import InterferometerGeometry, delta_tau_interferometer
 from gravclock.spacetime import RotatingMassModel
 
@@ -177,29 +177,30 @@ def reference_columns(cells, clock_rate, mean_rate, theta):
     """mpmath value and cancellation factor of each clock column of one sweep row.
 
     The inputs are the doubles the program forms: the gap and mean phases
-    of the clock from its energies and the row's delta_tau (the printed
-    phase_gap for visibility_deficit), psi = dE' delta_tau / hbar for the
-    test theory, and its phase Ebar' delta_tau / hbar plus the printed
-    qep_xi_phase.
+    that :func:`clock_phases` gives from the clock's energies and the row's
+    delta_tau (the printed phase_gap for visibility_deficit), the same gap
+    as the test theory's psi, and the mean phase plus the printed
+    qep_xi_phase as its phase.
     """
     hbar = CODATA.hbar
     e_g, e_e = (mean_rate - 0.5 * clock_rate) * hbar, (mean_rate + 0.5 * clock_rate) * hbar
     dt = cells["delta_tau"]
     ref = {}
-    # the test theory's frame-dragging sector has the clock's energies
-    clock = ClockModel(E_g=e_g, E_e=e_e)
+    # the test theory's frame-dragging sector has the clock's energies, so
+    # its phases are the clock's own
+    gap, mean = clock_phases(e_g, e_e, dt, hbar)
     if "phase_gap" in cells:
         ref["visibility_deficit"] = (_deficit(_as_mp(cells["phase_gap"], cells["phase_gap_log10"])), 1)
-        gap = _as_mp(gap_phase(clock, dt), cells["phase_gap_log10"])
-        mean = _as_mp(mean_phase(clock, dt), cells["phase_mean_log10"])
-        ref.update(_reference(mp.sin(gap) ** 2, mp.cos(gap), mean))
-    psi = mp.mpf(clock.gap * dt / hbar)
+        gap_mp = _as_mp(gap, cells["phase_gap_log10"])
+        mean_mp = _as_mp(mean, cells["phase_mean_log10"])
+        ref.update(_reference(mp.sin(gap_mp) ** 2, mp.cos(gap_mp), mean_mp))
+    psi = mp.mpf(gap)
     sin_2theta, cos_2theta = mp.sin(2 * mp.mpf(theta)), mp.cos(2 * mp.mpf(theta))
     mixed = (sin_2theta * mp.sin(psi)) ** 2
     v = mp.sqrt(1 - mixed)
     k = mp.nint(psi / mp.pi)
     rem = psi - k * mp.pi
-    phase = mp.mpf(clock.mean_energy * dt / hbar + cells["qep_xi_phase"])
+    phase = mp.mpf(mean + cells["qep_xi_phase"])
     ref.update(
         qep_visibility=(v, 1),
         qep_xi_phase=(-(k * mp.pi + mp.atan2(cos_2theta * mp.sin(rem), mp.cos(rem))), 1),

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from gravclock import detectability
 from gravclock.constants import CODATA
 from gravclock.detectability import (
     AXES,
@@ -17,6 +18,7 @@ from gravclock.detectability import (
     run_sweep,
 )
 from gravclock.errors import ConfigError, DomainError
+from gravclock.interferometry import clock_phases
 from gravclock.logdomain import SignedLog, log10_sum
 from gravclock.propertime import closed_form_log
 
@@ -224,3 +226,18 @@ def test_a_full_output_sweep_calls_no_linear_algebra(monkeypatch):
             monkeypatch.setattr(np.linalg, name, forbid(name))
     cfg = SweepConfig("theta", (0.0, 0.3, 0.785, 0.5 * math.pi), OUTPUTS, {"ell_log10": 59.0})
     assert np.isfinite(run_sweep(cfg).rows).all()
+
+
+@pytest.mark.parametrize("outputs, calls", [(OUTPUTS, 1), (("delta_tau",), 0), (("phase_gap", "visibility_deficit"), 0)])
+def test_a_sweep_forms_its_clock_phases_at_most_once(monkeypatch, outputs, calls):
+    # every clock column reads the one (gap, mean) pair; the log-domain phase
+    # columns need no clock
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return clock_phases(*args)
+
+    monkeypatch.setattr(detectability, "clock_phases", counted)
+    run_sweep(SweepConfig("ell_log10", tuple(np.linspace(0.0, 70.0, 1000).tolist()), outputs, {}))
+    assert len(made) == calls
